@@ -128,11 +128,7 @@ def _runtime_from_args(
         faults=faults,
         resume_from=args.resume,
         trace_dir=getattr(args, "trace", None),
-        trace_format=(
-            "shared" if getattr(args, "fabric", False)
-            else "columnar" if getattr(args, "columnar", False)
-            else "object"
-        ),
+        trace_format="shared" if getattr(args, "fabric", False) else "columnar",
     )
 
 
@@ -775,12 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None, metavar="DIR",
                      help="run under the observability stack; write Chrome "
                           "traces (and flight dumps on failure) into DIR")
-    run.add_argument("--columnar", action="store_true",
-                     help="simulate from the struct-of-arrays trace engine "
-                          "(bit-identical results, bounded memory)")
     run.add_argument("--fabric", action="store_true",
                      help="publish each trace once into shared memory and "
-                          "attach it from every worker (implies columnar)")
+                          "attach it from every worker")
     _add_runtime_flags(run)
 
     fig = sub.add_parser("figure", help="regenerate one figure or table")
@@ -806,12 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trace", default=None, metavar="DIR",
                        help="run under the observability stack; write Chrome "
                             "traces (and flight dumps on failure) into DIR")
-    sweep.add_argument("--columnar", action="store_true",
-                       help="simulate from the struct-of-arrays trace engine "
-                            "(bit-identical results, bounded memory)")
     sweep.add_argument("--fabric", action="store_true",
                        help="publish each trace once into shared memory and "
-                            "attach it from every worker (implies columnar)")
+                            "attach it from every worker")
     _add_runtime_flags(sweep)
 
     chaos = sub.add_parser(

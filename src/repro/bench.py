@@ -190,7 +190,7 @@ def run_sweep(
     :class:`~repro.runtime.Runtime`, each against a fresh temporary
     cache so neither mode inherits the other's traces or results:
 
-    * ``fabric_off`` — stock defaults: object-trace engine, one worker
+    * ``fabric_off`` — stock defaults: the columnar engine, one worker
       dispatch per cell, every cell paying its own trace acquisition.
     * ``fabric_on`` — ``trace_format="shared"``: each distinct trace is
       generated once in the parent, published to shared memory, and the
@@ -213,7 +213,7 @@ def run_sweep(
     t0 = time.perf_counter()
     modes: dict[str, dict] = {}
     results: dict[str, dict] = {}
-    for mode, trace_format in (("fabric_off", "object"),
+    for mode, trace_format in (("fabric_off", "columnar"),
                                ("fabric_on", "shared")):
         with tempfile.TemporaryDirectory(
             prefix=f"repro-sweep-{mode}-"

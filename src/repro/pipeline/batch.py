@@ -37,6 +37,17 @@ if os.environ.get("REPRO_NO_NUMPY") != "1":
         np = None
 
 
+# Loads (PAP) and control-flow events (TAGE) per batched chunk.  Each
+# chunk becomes plain Python lists of keys, so its size sets the batch's
+# memory high-water mark, while the numpy work per chunk is amortized
+# from a few hundred entries up.  A TAGE chunk holds one (index, tag)
+# tuple per tagged table per branch, ~1.4 KB a branch, hence the smaller
+# count; 65,536-entry chunks built ~100 MB of key tuples on a
+# 500k-instruction trace.
+PAP_CHUNK_LOADS = 2048
+TAGE_CHUNK_EVENTS = 1024
+
+
 def numpy_available() -> bool:
     """True when the batched key path can run."""
     return np is not None
@@ -91,7 +102,7 @@ class PapKeyBatch:
         tag_bits: int,
         tag_shift: int,
         fetch_group_bytes: int,
-        chunk_loads: int = 65536,
+        chunk_loads: int = PAP_CHUNK_LOADS,
     ) -> None:
         if np is None:
             raise RuntimeError("PapKeyBatch requires numpy")
@@ -197,7 +208,7 @@ class TageKeyBatch:
         index_bits: int,
         entries_mask: int,
         tag_bits: int,
-        chunk_events: int = 65536,
+        chunk_events: int = TAGE_CHUNK_EVENTS,
     ) -> None:
         if np is None:
             raise RuntimeError("TageKeyBatch requires numpy")

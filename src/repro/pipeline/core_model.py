@@ -33,6 +33,8 @@ suite kernel's ``SimResult`` to the seed model bit for bit.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.branch import BranchUnit
 from repro.isa import (
     EXECUTION_LATENCY,
@@ -54,6 +56,8 @@ from repro.trace.columnar import (
     F_TAKEN_KNOWN,
     F_TARGET,
     OPCLASS_BY_VALUE,
+    PLAIN,
+    RAGGED,
 )
 
 _LS_OPS = frozenset({OpClass.LOAD, OpClass.STORE, OpClass.ATOMIC})
@@ -61,6 +65,12 @@ _LS_OPS = frozenset({OpClass.LOAD, OpClass.STORE, OpClass.ATOMIC})
 # Prune the issue-port busy maps once they exceed this many distinct
 # cycles; keeps each dict O(1)-ish amortized instead of O(cycles).
 _PORT_PRUNE_THRESHOLD = 4096
+
+# Instructions per plain-list column snapshot in the columnar loop.  A
+# snapshot costs ~250 bytes per instruction while it is alive, and the
+# per-window fixed cost is a dozen C-level slice/tolist calls, so a
+# small window bounds memory at no measurable speed cost.
+_SNAPSHOT_WINDOW = 2048
 
 
 class _IssuePorts:
@@ -696,26 +706,10 @@ def _simulate_columnar(
     loads = 0
 
     # ---- hot-loop local aliases (columns + config + substrate) --------
-    # Columns are snapshotted into plain lists: indexing an array.array
-    # boxes a fresh int every read, while list indexing returns the
-    # already-boxed object.  trace.snapshots() converts at C speed once
-    # and memoizes on the trace, so a sweep group running several
-    # schemes over one trace shares a single conversion.
-    (
-        pcs,
-        ops,
-        flags_col,
-        mem_addr_col,
-        mem_size_col,
-        target_col,
-        srcs_index,
-        srcs_flat,
-        dests_index,
-        dests_flat,
-        values_index,
-        values_lo,
-        values_hi,
-    ) = trace.snapshots()
+    # Columns are read through plain-list snapshots of one window of
+    # instructions at a time (see _window_columns), so besides the
+    # columns themselves only the commit-cycle lists the object loop
+    # keeps too grow with the trace.
     inst_view = trace.instruction
 
     LOAD = int(OpClass.LOAD)
@@ -729,8 +723,8 @@ def _simulate_columnar(
     # Register scoreboard as a flat list: register ids are small dense
     # ints, so list indexing replaces per-operand dict hashing.
     nregs = 1 + max(
-        max(srcs_flat, default=-1),
-        max(dests_flat, default=-1),
+        max(trace.srcs, default=-1),
+        max(trace.dests, default=-1),
     )
     reg_ready = [0] * nregs
     fga_mask = ~(FETCH_GROUP_BYTES - 1)
@@ -810,348 +804,397 @@ def _simulate_columnar(
         pvt_try_allocate = scheme.vpe.pvt.try_allocate
         pvt_note_read = scheme.vpe.pvt.note_consumer_read
 
-    for i in range(n):
-        op = ops[i]
-        pc = pcs[i]
+    store_fifo: deque = deque()   # executed stores: (seq, addr, size, value)
+    store_fifo_append = store_fifo.append
+    store_fifo_pop = store_fifo.popleft
+    next_store = n                 # seq of the oldest unretired store
+    # i is the trace position, j its row in the current window.
+    for base in range(0, n, _SNAPSHOT_WINDOW):
+        end = min(n, base + _SNAPSHOT_WINDOW)
+        (
+            pcs,
+            ops,
+            flags_col,
+            mem_addr_col,
+            mem_size_col,
+            target_col,
+            srcs_index,
+            srcs_flat,
+            dests_index,
+            dests_flat,
+            values_index,
+            values_lo,
+            values_hi,
+        ) = _window_columns(trace, base, end)
+        for i in range(base, end):
+            j = i - base
+            op = ops[j]
+            pc = pcs[j]
 
-        # ---- fetch grouping --------------------------------------------
-        if (
-            force_new_group
-            or slots_used >= fetch_width
-            or pc != prev_pc + 4
-            or (pc & fga_mask) != current_group
-        ):
-            fetch_cycle = max(fetch_cycle + 1, pending_redirect)
-            slots_used = 0
-            loads_in_group = 0
-            current_group = pc & fga_mask
-            force_new_group = False
-        slots_used += 1
-        prev_pc = pc
+            # ---- fetch grouping --------------------------------------------
+            if (
+                force_new_group
+                or slots_used >= fetch_width
+                or pc != prev_pc + 4
+                or (pc & fga_mask) != current_group
+            ):
+                fetch_cycle = max(fetch_cycle + 1, pending_redirect)
+                slots_used = 0
+                loads_in_group = 0
+                current_group = pc & fga_mask
+                force_new_group = False
+            slots_used += 1
+            prev_pc = pc
 
-        # ---- structural stalls (ROB / LDQ / STQ) ------------------------
-        if i >= rob_entries:
-            stall = commit_cycles[i - rob_entries]
-            if stall > fetch_cycle:
-                fetch_cycle = stall
-        if op == LOAD:
-            if len(load_commits) >= ldq_entries:
-                stall = load_commits[-ldq_entries]
+            # ---- structural stalls (ROB / LDQ / STQ) ------------------------
+            if i >= rob_entries:
+                stall = commit_cycles[i - rob_entries]
                 if stall > fetch_cycle:
                     fetch_cycle = stall
-        elif op == STORE:
-            if len(store_commits) >= stq_entries:
-                stall = store_commits[-stq_entries]
-                if stall > fetch_cycle:
-                    fetch_cycle = stall
+            if op == LOAD:
+                if len(load_commits) >= ldq_entries:
+                    stall = load_commits[-ldq_entries]
+                    if stall > fetch_cycle:
+                        fetch_cycle = stall
+            elif op == STORE:
+                if len(store_commits) >= stq_entries:
+                    stall = store_commits[-stq_entries]
+                    if stall > fetch_cycle:
+                        fetch_cycle = stall
 
-        # ---- retire committed stores into the memory image --------------
-        while commit_ptr < i and commit_cycles[commit_ptr] <= fetch_cycle:
-            if ops[commit_ptr] == STORE:
-                caddr = mem_addr_col[commit_ptr]
-                csize = mem_size_col[commit_ptr]
-                k = values_index[commit_ptr]
-                vhi = values_hi[k]
-                cval = (vhi << 64) | values_lo[k] if vhi else values_lo[k]
-                image_write(caddr, csize, cval)
-                store_done.pop(commit_ptr, None)
-                first = caddr >> 2
-                last = (caddr + csize - 1) >> 2
-                for word in range(first, last + 1):
-                    entry = word_store_get(word)
-                    if entry is not None and entry[0] == commit_ptr:
-                        del word_store[word]
-            commit_ptr += 1
+            # ---- retire committed stores into the memory image --------------
+            # Stores retire from the FIFO they entered at execution, so no
+            # column is read at commit_ptr (it may lie in an earlier window).
+            while commit_ptr < i and commit_cycles[commit_ptr] <= fetch_cycle:
+                if commit_ptr == next_store:
+                    _, caddr, csize, cval = store_fifo_pop()
+                    next_store = store_fifo[0][0] if store_fifo else n
+                    image_write(caddr, csize, cval)
+                    store_done.pop(commit_ptr, None)
+                    first = caddr >> 2
+                    last = (caddr + csize - 1) >> 2
+                    for word in range(first, last + 1):
+                        entry = word_store_get(word)
+                        if entry is not None and entry[0] == commit_ptr:
+                            del word_store[word]
+                commit_ptr += 1
 
-        # ---- scheme fetch side ------------------------------------------
-        load_slot = None
-        if op == LOAD:
-            loads += 1
-            if loads_in_group < 2:
-                load_slot = loads_in_group
-            loads_in_group += 1
-        fp = None
-        if scheme is not None and (op == LOAD or fetch_all_ops):
-            if flat_native:
-                ndests_i = dests_index[i + 1] - dests_index[i]
-                vs = values_index[i]
-                ve = values_index[i + 1]
-                if ve - vs == 1:
-                    hv = values_hi[vs]
-                    vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
-                elif ve == vs:
-                    vals = ()
-                else:
-                    vals = tuple(
-                        (values_hi[k] << 64) | values_lo[k]
-                        if values_hi[k] else values_lo[k]
-                        for k in range(vs, ve)
-                    )
-                fp = scheme_flat_fetch(
-                    pc, op, mem_addr_col[i], mem_size_col[i], flags_col[i],
-                    ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
-                )
-            else:
-                inst = inst_view(i)
-                sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
-                if sp is not None:
-                    fp = (sp.values, sp.correct, sp, sp.registers)
-
-        # ---- issue timing -----------------------------------------------
-        src_ready = 0
-        for k in range(srcs_index[i], srcs_index[i + 1]):
-            ready = reg_ready[srcs_flat[k]]
-            if ready > src_ready:
-                src_ready = ready
-        ready = fetch_cycle + fetch_to_execute
-        if src_ready > ready:
-            ready = src_ready
-
-        acc_way = None
-        if op == LOAD:
-            addr = mem_addr_col[i]
-            # mdp.load_dependence(pc), inlined (tick, SSIT, then LFST).
-            ev = mdp._events + 1
-            mdp._events = ev
-            if ev % mdp_clear_interval == 0:
-                mdp_ssit.clear()
-                mdp_lfst.clear()
-            dep_seq = None
-            store_set = mdp_ssit.get((pc >> 2) % mdp_ssit_entries)
-            if store_set is not None:
-                dep_entry = mdp_lfst.get(store_set % mdp_lfst_entries)
-                if dep_entry is not None:
-                    mdp.dependencies_predicted += 1
-                    dep_seq = dep_entry[1]
-            if dep_seq is not None and dep_seq in store_done:
-                if commit_cycles[dep_seq] > ready:
-                    dep_done = store_done[dep_seq]
-                    if dep_done > ready:
-                        ready = dep_done
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            # hierarchy.access(), inlined: TLB, then L1, then prefetcher.
-            demand_accesses += 1
-            block = addr >> tlb_shift
-            set_idx = block & tlb_mask
-            way = tlb_where[set_idx].get(block)
-            if way is not None:
-                lru = tlb_lru[set_idx]
-                if lru[0] != way:
-                    lru.remove(way)
-                    lru.insert(0, way)
-                tlb_stats.hits += 1
-                acc_latency = l1_latency
-            else:
-                tlb_stats.misses += 1
-                tlb_fill(addr)
-                acc_latency = l1_latency + tlb_penalty
-            block = addr >> l1_shift
-            set_idx = block & l1_mask
-            acc_way = l1_where[set_idx].get(block)
-            if acc_way is not None:
-                lru = l1_lru[set_idx]
-                if lru[0] != acc_way:
-                    lru.remove(acc_way)
-                    lru.insert(0, acc_way)
-                l1_stats.hits += 1
-            else:
-                l1_stats.misses += 1
-                acc_way = l1_fill(addr)
-                acc_latency += fill_from_below(addr)
-            # prefetcher.observe(pc, addr), inlined: train the stride
-            # entry; issue `degree` prefetches once confident.
-            if pf_table is not None:
-                slot = pc % pf_entries
-                pf = pf_table.get(slot)
-                if pf is None:
-                    pf_table[slot] = pf_entry_cls(addr)
-                else:
-                    stride = addr - pf.last_addr
-                    if stride == pf.stride and stride != 0:
-                        if pf.confidence < pf_threshold:
-                            pf.confidence += 1
+            # ---- scheme fetch side ------------------------------------------
+            load_slot = None
+            if op == LOAD:
+                loads += 1
+                if loads_in_group < 2:
+                    load_slot = loads_in_group
+                loads_in_group += 1
+            fp = None
+            if scheme is not None and (op == LOAD or fetch_all_ops):
+                if flat_native:
+                    ndests_i = dests_index[j + 1] - dests_index[j]
+                    vs = values_index[j]
+                    ve = values_index[j + 1]
+                    if ve - vs == 1:
+                        hv = values_hi[vs]
+                        vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
+                    elif ve == vs:
+                        vals = ()
                     else:
-                        pf.stride = stride
-                        pf.confidence = 0
-                    pf.last_addr = addr
-                    if stride != 0 and pf.confidence >= pf_threshold:
-                        prefetcher.trained += 1
-                        for k in range(1, pf_degree + 1):
-                            prefetch_fill(addr + stride * k)
-                        prefetcher.issued += pf_degree
-            ndests = dests_index[i + 1] - dests_index[i]
-            nbytes = mem_size_col[i] * (ndests or 1)
-            first = addr >> 2
-            last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
-            if first == last:
-                newest = word_store_get(first)
-            else:
-                newest = None
-                for word in range(first, last + 1):
-                    entry = word_store_get(word)
-                    if entry is not None and (newest is None or entry[0] > newest[0]):
-                        newest = entry
-            if newest is not None and commit_cycles[newest[0]] > issue:
-                if newest[1] > issue and (dep_seq is None or dep_seq < newest[0]):
-                    mdp_report_violation(pc, newest[2])
-                done = max(issue, newest[1]) + forward_latency
-            else:
-                done = issue + 1 + acc_latency
-        elif op == STORE:
-            addr = mem_addr_col[i]
-            mdp_store_fetched(pc, i)
-            # hierarchy.access(is_store=True), inlined.
-            demand_accesses += 1
-            block = addr >> tlb_shift
-            set_idx = block & tlb_mask
-            way = tlb_where[set_idx].get(block)
-            if way is not None:
-                lru = tlb_lru[set_idx]
-                if lru[0] != way:
-                    lru.remove(way)
-                    lru.insert(0, way)
-                tlb_stats.hits += 1
-            else:
-                tlb_stats.misses += 1
-                tlb_fill(addr)
-            block = addr >> l1_shift
-            set_idx = block & l1_mask
-            acc_way = l1_where[set_idx].get(block)
-            if acc_way is not None:
-                lru = l1_lru[set_idx]
-                if lru[0] != acc_way:
-                    lru.remove(acc_way)
-                    lru.insert(0, acc_way)
-                l1_stats.hits += 1
-            else:
-                l1_stats.misses += 1
-                acc_way = l1_fill(addr)
-                fill_from_below(addr)
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
+                        vals = tuple(
+                            (values_hi[k] << 64) | values_lo[k]
+                            if values_hi[k] else values_lo[k]
+                            for k in range(vs, ve)
+                        )
+                    fp = scheme_flat_fetch(
+                        pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
+                        ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
+                    )
+                else:
+                    inst = inst_view(i)
+                    sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
+                    if sp is not None:
+                        fp = (sp.values, sp.correct, sp, sp.registers)
+
+            # ---- issue timing -----------------------------------------------
+            src_ready = 0
+            for k in range(srcs_index[j], srcs_index[j + 1]):
+                ready = reg_ready[srcs_flat[k]]
+                if ready > src_ready:
+                    src_ready = ready
+            ready = fetch_cycle + fetch_to_execute
+            if src_ready > ready:
+                ready = src_ready
+
+            acc_way = None
+            if op == LOAD:
+                addr = mem_addr_col[j]
+                # mdp.load_dependence(pc), inlined (tick, SSIT, then LFST).
+                ev = mdp._events + 1
+                mdp._events = ev
+                if ev % mdp_clear_interval == 0:
+                    mdp_ssit.clear()
+                    mdp_lfst.clear()
+                dep_seq = None
+                store_set = mdp_ssit.get((pc >> 2) % mdp_ssit_entries)
+                if store_set is not None:
+                    dep_entry = mdp_lfst.get(store_set % mdp_lfst_entries)
+                    if dep_entry is not None:
+                        mdp.dependencies_predicted += 1
+                        dep_seq = dep_entry[1]
+                if dep_seq is not None and dep_seq in store_done:
+                    if commit_cycles[dep_seq] > ready:
+                        dep_done = store_done[dep_seq]
+                        if dep_done > ready:
+                            ready = dep_done
+                issue = ready
                 count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            done = issue + 1
-            entry = (i, done, pc)
-            nbytes = mem_size_col[i]
-            first = addr >> 2
-            last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
-            if first == last:
-                word_store[first] = entry
-            else:
-                for word in range(first, last + 1):
-                    word_store[word] = entry
-            store_done[i] = done
-            mdp_store_executed(pc)
-        elif is_ls_op[op]:
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
+                while count >= ls_width:
+                    issue += 1
+                    count = ls_busy_get(issue, 0)
+                ls_busy[issue] = count + 1
+                # hierarchy.access(), inlined: TLB, then L1, then prefetcher.
+                demand_accesses += 1
+                block = addr >> tlb_shift
+                set_idx = block & tlb_mask
+                way = tlb_where[set_idx].get(block)
+                if way is not None:
+                    lru = tlb_lru[set_idx]
+                    if lru[0] != way:
+                        lru.remove(way)
+                        lru.insert(0, way)
+                    tlb_stats.hits += 1
+                    acc_latency = l1_latency
+                else:
+                    tlb_stats.misses += 1
+                    tlb_fill(addr)
+                    acc_latency = l1_latency + tlb_penalty
+                block = addr >> l1_shift
+                set_idx = block & l1_mask
+                acc_way = l1_where[set_idx].get(block)
+                if acc_way is not None:
+                    lru = l1_lru[set_idx]
+                    if lru[0] != acc_way:
+                        lru.remove(acc_way)
+                        lru.insert(0, acc_way)
+                    l1_stats.hits += 1
+                else:
+                    l1_stats.misses += 1
+                    acc_way = l1_fill(addr)
+                    acc_latency += fill_from_below(addr)
+                # prefetcher.observe(pc, addr), inlined: train the stride
+                # entry; issue `degree` prefetches once confident.
+                if pf_table is not None:
+                    slot = pc % pf_entries
+                    pf = pf_table.get(slot)
+                    if pf is None:
+                        pf_table[slot] = pf_entry_cls(addr)
+                    else:
+                        stride = addr - pf.last_addr
+                        if stride == pf.stride and stride != 0:
+                            if pf.confidence < pf_threshold:
+                                pf.confidence += 1
+                        else:
+                            pf.stride = stride
+                            pf.confidence = 0
+                        pf.last_addr = addr
+                        if stride != 0 and pf.confidence >= pf_threshold:
+                            prefetcher.trained += 1
+                            for k in range(1, pf_degree + 1):
+                                prefetch_fill(addr + stride * k)
+                            prefetcher.issued += pf_degree
+                ndests = dests_index[j + 1] - dests_index[j]
+                nbytes = mem_size_col[j] * (ndests or 1)
+                first = addr >> 2
+                last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
+                if first == last:
+                    newest = word_store_get(first)
+                else:
+                    newest = None
+                    for word in range(first, last + 1):
+                        entry = word_store_get(word)
+                        if entry is not None and (newest is None or entry[0] > newest[0]):
+                            newest = entry
+                if newest is not None and commit_cycles[newest[0]] > issue:
+                    if newest[1] > issue and (dep_seq is None or dep_seq < newest[0]):
+                        mdp_report_violation(pc, newest[2])
+                    done = max(issue, newest[1]) + forward_latency
+                else:
+                    done = issue + 1 + acc_latency
+            elif op == STORE:
+                addr = mem_addr_col[j]
+                mdp_store_fetched(pc, i)
+                # hierarchy.access(is_store=True), inlined.
+                demand_accesses += 1
+                block = addr >> tlb_shift
+                set_idx = block & tlb_mask
+                way = tlb_where[set_idx].get(block)
+                if way is not None:
+                    lru = tlb_lru[set_idx]
+                    if lru[0] != way:
+                        lru.remove(way)
+                        lru.insert(0, way)
+                    tlb_stats.hits += 1
+                else:
+                    tlb_stats.misses += 1
+                    tlb_fill(addr)
+                block = addr >> l1_shift
+                set_idx = block & l1_mask
+                acc_way = l1_where[set_idx].get(block)
+                if acc_way is not None:
+                    lru = l1_lru[set_idx]
+                    if lru[0] != acc_way:
+                        lru.remove(acc_way)
+                        lru.insert(0, acc_way)
+                    l1_stats.hits += 1
+                else:
+                    l1_stats.misses += 1
+                    acc_way = l1_fill(addr)
+                    fill_from_below(addr)
+                issue = ready
                 count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            done = issue + exec_latency[op]
-        else:
-            issue = ready
-            count = gen_busy_get(issue, 0)
-            while count >= gen_width:
-                issue += 1
+                while count >= ls_width:
+                    issue += 1
+                    count = ls_busy_get(issue, 0)
+                ls_busy[issue] = count + 1
+                done = issue + 1
+                entry = (i, done, pc)
+                nbytes = mem_size_col[j]
+                first = addr >> 2
+                last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
+                if first == last:
+                    word_store[first] = entry
+                else:
+                    for word in range(first, last + 1):
+                        word_store[word] = entry
+                store_done[i] = done
+                mdp_store_executed(pc)
+                k = values_index[j]
+                vhi = values_hi[k]
+                store_fifo_append(
+                    (i, addr, nbytes, (vhi << 64) | values_lo[k] if vhi else values_lo[k])
+                )
+                if next_store == n:
+                    next_store = i
+            elif is_ls_op[op]:
+                issue = ready
+                count = ls_busy_get(issue, 0)
+                while count >= ls_width:
+                    issue += 1
+                    count = ls_busy_get(issue, 0)
+                ls_busy[issue] = count + 1
+                done = issue + exec_latency[op]
+            else:
+                issue = ready
                 count = gen_busy_get(issue, 0)
-            gen_busy[issue] = count + 1
-            done = issue + exec_latency[op]
+                while count >= gen_width:
+                    issue += 1
+                    count = gen_busy_get(issue, 0)
+                gen_busy[issue] = count + 1
+                done = issue + exec_latency[op]
 
-        # ---- branches ----------------------------------------------------
-        if is_br_op[op]:
-            done = issue + branch_latency
-            fl = flags_col[i]
-            taken = bool(fl & F_TAKEN) if fl & F_TAKEN_KNOWN else None
-            if op == BRANCH:
-                # Conditionals dominate the control stream: the fused
-                # closure collapses the resolve/update/history chain.
-                mispredicted = branch_resolve_conditional(pc, taken)
-            else:
-                target = target_col[i] if fl & F_TARGET else None
-                mispredicted = branch_resolve_fields(op, pc, taken, target)
-            if mispredicted:
-                flushes.branch += 1
-                pending_redirect = done + 1
-                force_new_group = True
-                if scheme is not None:
-                    scheme.on_branch_flush()
-
-        # ---- value prediction resolution ---------------------------------
-        value_predicted = False
-        if fp is not None:
-            fp_values = fp[0]
-            if fp_values is not None:
-                if oracle_replay and not fp[1]:
-                    pass        # oracle replay: treat as never predicted
-                elif pvt_try_allocate(fp[3], fetch_cycle, done):
-                    value_predicted = True
+            # ---- branches ----------------------------------------------------
+            if is_br_op[op]:
+                done = issue + branch_latency
+                fl = flags_col[j]
+                taken = bool(fl & F_TAKEN) if fl & F_TAKEN_KNOWN else None
+                if op == BRANCH:
+                    # Conditionals dominate the control stream: the fused
+                    # closure collapses the resolve/update/history chain.
+                    mispredicted = branch_resolve_conditional(pc, taken)
                 else:
-                    vpe_stats.pvt_rejections += 1
-            if flat_native:
-                value_correct = scheme_flat_execute(
-                    pc, op, mem_addr_col[i], mem_size_col[i], flags_col[i],
-                    ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
-                )[1]
-            else:
-                value_correct = scheme_execute_side(
-                    inst, fp[2], acc_way, value_predicted
-                )[1]
-            if value_predicted:
-                vpe_stats.value_predictions += 1
-                if value_correct:
-                    vpe_stats.value_correct += 1
-                pvt_note_read(fp[3])
-                if value_correct:
-                    ready_time = fetch_cycle + rename_depth
-                    for k in range(dests_index[i], dests_index[i + 1]):
-                        reg_ready[dests_flat[k]] = ready_time
-                else:
-                    flushes.value += 1
-                    pending_redirect = done + 1 + validation_penalty
+                    target = target_col[j] if fl & F_TARGET else None
+                    mispredicted = branch_resolve_fields(op, pc, taken, target)
+                if mispredicted:
+                    flushes.branch += 1
+                    pending_redirect = done + 1
                     force_new_group = True
-                    scheme.on_value_flush()
-                    for k in range(dests_index[i], dests_index[i + 1]):
-                        reg_ready[dests_flat[k]] = done
-        if not value_predicted:
-            for k in range(dests_index[i], dests_index[i + 1]):
-                reg_ready[dests_flat[k]] = done
+                    if scheme is not None:
+                        scheme.on_branch_flush()
 
-        # ---- in-order commit ---------------------------------------------
-        cc = done + 1
-        if cc < last_commit_cycle:
-            cc = last_commit_cycle
-        if cc == last_commit_cycle:
-            if commits_in_cycle >= commit_width:
-                cc += 1
-                commits_in_cycle = 1
+            # ---- value prediction resolution ---------------------------------
+            value_predicted = False
+            if fp is not None:
+                fp_values = fp[0]
+                if fp_values is not None:
+                    if oracle_replay and not fp[1]:
+                        pass        # oracle replay: treat as never predicted
+                    elif pvt_try_allocate(fp[3], fetch_cycle, done):
+                        value_predicted = True
+                    else:
+                        vpe_stats.pvt_rejections += 1
+                if flat_native:
+                    value_correct = scheme_flat_execute(
+                        pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
+                        ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
+                    )[1]
+                else:
+                    value_correct = scheme_execute_side(
+                        inst, fp[2], acc_way, value_predicted
+                    )[1]
+                if value_predicted:
+                    vpe_stats.value_predictions += 1
+                    if value_correct:
+                        vpe_stats.value_correct += 1
+                    pvt_note_read(fp[3])
+                    if value_correct:
+                        ready_time = fetch_cycle + rename_depth
+                        for k in range(dests_index[j], dests_index[j + 1]):
+                            reg_ready[dests_flat[k]] = ready_time
+                    else:
+                        flushes.value += 1
+                        pending_redirect = done + 1 + validation_penalty
+                        force_new_group = True
+                        scheme.on_value_flush()
+                        for k in range(dests_index[j], dests_index[j + 1]):
+                            reg_ready[dests_flat[k]] = done
+            if not value_predicted:
+                for k in range(dests_index[j], dests_index[j + 1]):
+                    reg_ready[dests_flat[k]] = done
+
+            # ---- in-order commit ---------------------------------------------
+            cc = done + 1
+            if cc < last_commit_cycle:
+                cc = last_commit_cycle
+            if cc == last_commit_cycle:
+                if commits_in_cycle >= commit_width:
+                    cc += 1
+                    commits_in_cycle = 1
+                else:
+                    commits_in_cycle += 1
             else:
-                commits_in_cycle += 1
-        else:
-            commits_in_cycle = 1
-        last_commit_cycle = cc
-        commit_cycles[i] = cc
-        if op == LOAD:
-            load_commits.append(cc)
-        elif op == STORE:
-            store_commits.append(cc)
+                commits_in_cycle = 1
+            last_commit_cycle = cc
+            commit_cycles[i] = cc
+            if op == LOAD:
+                load_commits.append(cc)
+            elif op == STORE:
+                store_commits.append(cc)
 
-        # ---- bounded busy-map pruning ------------------------------------
-        if not i & 1023:
-            ls_ports.prune_below(fetch_cycle)
-            gen_ports.prune_below(fetch_cycle)
+            # ---- bounded busy-map pruning ------------------------------------
+            if not i & 1023:
+                ls_ports.prune_below(fetch_cycle)
+                gen_ports.prune_below(fetch_cycle)
 
     cycles = last_commit_cycle
     hierarchy.demand_accesses = demand_accesses
     return _assemble_result(
         trace.name, n, cycles, scheme, hierarchy, branch_unit, flushes, loads
     )
+
+
+def _window_columns(trace: ColumnarTrace, start: int, stop: int) -> tuple:
+    """Plain-list snapshots of rows ``start:stop`` of every column.
+
+    Indexing an ``array.array`` (or memoryview) boxes a fresh int on
+    every read, while list indexing returns the already-boxed object, so
+    the loop reads lists; ``tolist()`` converts at C speed.  Prefix
+    indexes are rebased so the window's flat slices start at 0.  Returns
+    the columns in ``COLUMNS`` order.
+    """
+    cols = [getattr(trace, attr)[start:stop].tolist() for attr in PLAIN]
+    for index, flats in RAGGED:
+        idx = getattr(trace, index)[start:stop + 1]
+        lo = idx[0]
+        hi = idx[-1]
+        cols.append([x - lo for x in idx] if lo else idx.tolist())
+        for flat in flats:
+            cols.append(getattr(trace, flat)[lo:hi].tolist())
+    return tuple(cols)

@@ -54,6 +54,7 @@ from repro.runtime.executor import (
     SerialExecutor,
 )
 from repro.runtime.jobs import (
+    TRACE_FORMATS,
     Job,
     make_job,
     result_from_payload,
@@ -99,15 +100,16 @@ class Runtime:
         resume_from: A journal path (or pre-read event list) whose
             completed jobs should be skipped and replayed from their
             journaled result payloads.
-        trace_format: In-memory trace representation for executed jobs:
-            ``"object"`` (default), ``"columnar"`` (struct-of-arrays
-            fast loop), or ``"shared"`` — the zero-copy trace fabric:
-            the parent generates each distinct trace once, publishes it
-            to shared memory (:mod:`repro.trace.share`), and dispatches
-            grid cells *grouped by trace* so each worker attaches one
-            trace and simulates every scheme against it.  Results are
-            bit-identical in all three modes, so the choice does not
-            enter the cache key.
+        trace_format: How executed jobs obtain their columnar trace:
+            ``"columnar"`` (default; each worker takes it from its memo,
+            the trace cache, or builds it) or ``"shared"`` — the
+            zero-copy trace fabric: the parent generates each distinct
+            trace once, publishes it to shared memory
+            (:mod:`repro.trace.share`), and dispatches grid cells
+            *grouped by trace* so each worker attaches one trace and
+            simulates every scheme against it.  Results are
+            bit-identical in both modes, so the choice does not enter
+            the cache key.
         trace_dir: When set, every executed job runs under the full
             observability stack (:mod:`repro.observe`) and writes its
             Chrome trace (and, on failure, flight-recorder dump) into
@@ -130,8 +132,10 @@ class Runtime:
         faults: FaultPlan | str | None = None,
         resume_from: str | Path | list[dict] | None = None,
         trace_dir: str | Path | None = None,
-        trace_format: str = "object",
+        trace_format: str = "columnar",
     ) -> None:
+        if trace_format not in TRACE_FORMATS:
+            raise ValueError(f"unknown trace format: {trace_format!r}")
         self.jobs = max(1, jobs)
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.trace_format = trace_format

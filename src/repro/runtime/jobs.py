@@ -26,9 +26,14 @@ from repro import faults
 from repro.pipeline import RecoveryMode, SimResult, simulate
 from repro.runtime.cache import ResultCache
 from repro.runtime.registry import BASELINE_ID, get_scheme
-from repro.workloads import build_workload, build_workload_columnar
+# build_workload stays bound here for instrumentation that wraps this
+# module's trace builders; jobs themselves build columnar traces.
+from repro.workloads import build_workload, build_workload_columnar  # noqa: F401
 
 CODE_SALT_ENV = "REPRO_CODE_SALT"
+
+# How a job may obtain its trace (see Job.trace_format).
+TRACE_FORMATS = ("columnar", "shared")
 
 
 @functools.lru_cache(maxsize=1)
@@ -85,13 +90,11 @@ class Job:
     # dumps).  Like ``timeout`` it is not part of the key: tracing is
     # bit-identical to not tracing, so the result is the same cell.
     trace_dir: str | None = None
-    # In-memory trace representation the worker simulates against:
-    # "object" (a Trace of Instruction objects), "columnar" (a
-    # ColumnarTrace through the struct-of-arrays fast loop), or
-    # "shared" (columnar, preferring a fabric attach via ``trace_ref``).
-    # Not part of the key — the engines are golden-verified
-    # bit-identical, so any way it is the same result.
-    trace_format: str = "object"
+    # How the worker obtains its ColumnarTrace: "columnar" (memo, trace
+    # cache or build) or "shared" (the same, preferring a fabric attach
+    # via ``trace_ref``).  Not part of the key — an attached trace is
+    # bit-identical to a built one, so any way it is the same result.
+    trace_format: str = "columnar"
     # Trace-fabric attach ref ("shm:..."/"file:...") published by the
     # scheduling parent.  Not part of the key: an attached trace is
     # bit-identical to a locally built one, and a worker that cannot
@@ -132,8 +135,12 @@ def job_from_identity(fields: dict) -> Job:
     property gateway crash recovery depends on.  When the record also
     carries the original ``key`` it is cross-checked; a mismatch means
     the record was hand-edited or torn and raises :class:`ValueError`.
+    A trace format earlier releases wrote (``"object"``) maps to the
+    current default; it never entered the key, so the cell is the same.
     """
     known = {f.name for f in dataclass_fields(Job)}
+    if fields.get("trace_format") == "object":
+        fields = {**fields, "trace_format": "columnar"}
     try:
         job = Job(**{k: v for k, v in fields.items() if k in known})
     except TypeError as exc:
@@ -154,12 +161,12 @@ def make_job(
     recovery: RecoveryMode = RecoveryMode.FLUSH,
     timeout: float | None = None,
     trace_dir: str | None = None,
-    trace_format: str = "object",
+    trace_format: str = "columnar",
     trace_ref: str | None = None,
 ) -> Job:
     """Build a job for a registered scheme id, filling hash metadata."""
     spec = get_scheme(scheme_id)
-    if trace_format not in ("object", "columnar", "shared"):
+    if trace_format not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format: {trace_format!r}")
     return Job(
         workload=workload,
@@ -176,26 +183,6 @@ def make_job(
     )
 
 
-def _trace_for(job: Job, cache: ResultCache | None):
-    columnar = job.trace_format in ("columnar", "shared")
-    if cache is None:
-        if columnar:
-            return build_workload_columnar(job.workload, job.n_instructions)
-        return build_workload(job.workload, job.n_instructions)
-    key = trace_cache_key(job.workload, job.n_instructions, job.salt)
-    if columnar:
-        trace = cache.get_trace_columnar(key)
-        if trace is None:
-            trace = build_workload_columnar(job.workload, job.n_instructions)
-            cache.put_trace(key, trace)
-        return trace
-    trace = cache.get_trace(key)
-    if trace is None:
-        trace = build_workload(job.workload, job.n_instructions)
-        cache.put_trace(key, trace)
-    return trace
-
-
 # Worker-resident trace memo, capacity one.  A retried job lands on a
 # worker that (under serial execution, or a pool whose process survived)
 # already generated its trace; re-deriving it is the single largest cost
@@ -203,11 +190,6 @@ def _trace_for(job: Job, cache: ResultCache | None):
 # names the same content.  Capacity is deliberately 1: the memo exists
 # for retries and trace-grouped dispatch, not as a second trace cache.
 _TRACE_MEMO: dict = {}
-
-
-def _memo_key(job: Job) -> tuple:
-    fmt = "columnar" if job.trace_format in ("columnar", "shared") else "object"
-    return (trace_cache_key(job.workload, job.n_instructions, job.salt), fmt)
 
 
 def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
@@ -231,8 +213,8 @@ def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
         else:
             return handle.trace, {"trace_source": "shared"}, handle
 
-    memo_key = _memo_key(job)
-    entry = _TRACE_MEMO.get(memo_key)
+    trace_key = trace_cache_key(job.workload, job.n_instructions, job.salt)
+    entry = _TRACE_MEMO.get(trace_key)
     if entry is not None:
         info = {"trace_source": "memo"}
         if not entry["announced"]:
@@ -240,24 +222,16 @@ def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
             info["entry"] = entry
         return entry["trace"], info, None
 
-    built = False
-    if cache is None:
-        trace = _trace_for(job, cache)
-        built = True
-    else:
-        key = trace_cache_key(job.workload, job.n_instructions, job.salt)
-        if job.trace_format in ("columnar", "shared"):
-            trace = cache.get_trace_columnar(key)
-        else:
-            trace = cache.get_trace(key)
-        if trace is None:
-            trace = _trace_for(job, None)
-            cache.put_trace(key, trace)
-            built = True
+    trace = cache.get_trace_columnar(trace_key) if cache is not None else None
+    built = trace is None
+    if built:
+        trace = build_workload_columnar(job.workload, job.n_instructions)
+        if cache is not None:
+            cache.put_trace(trace_key, trace)
 
     entry = {"trace": trace, "built_attempt": attempt if built else None, "announced": False}
     _TRACE_MEMO.clear()
-    _TRACE_MEMO[memo_key] = entry
+    _TRACE_MEMO[trace_key] = entry
     info = {"trace_source": "built" if built else "cache"}
     if built:
         info["trace_built_attempt"] = attempt

@@ -79,6 +79,20 @@ COLUMNS: tuple[tuple[str, str], ...] = (
     ("values_hi", "Q"),
 )
 
+# Columns with one entry per instruction (the rest are RAGGED below).
+PLAIN = ("pc", "op", "flags", "mem_addr", "mem_size", "target")
+# Each ragged prefix index and the flat column(s) it addresses.
+RAGGED: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("srcs_index", ("srcs",)),
+    ("dests_index", ("dests",)),
+    ("values_index", ("values_lo", "values_hi")),
+)
+
+
+def _copy_rows(dst: array, src, start: int, stop: int) -> None:
+    """Append ``src[start:stop]`` to ``dst`` as one buffer copy."""
+    dst.frombytes(memoryview(src)[start:stop].cast("B"))
+
 
 def column_typecode(col) -> str:
     """The element typecode of a column: ``array.array`` or memoryview."""
@@ -97,11 +111,10 @@ class ColumnarTrace:
     generation and the v2 serializer.
     """
 
-    __slots__ = tuple(name for name, _ in COLUMNS) + ("name", "_snapshots")
+    __slots__ = tuple(name for name, _ in COLUMNS) + ("name",)
 
     def __init__(self, name: str, instructions: Iterable[Instruction] = ()) -> None:
         self.name = name
-        self._snapshots = None
         self.pc = array("Q")
         self.op = array("B")
         self.flags = array("B")
@@ -115,68 +128,117 @@ class ColumnarTrace:
         self.values_index = array("Q", (0,))
         self.values_lo = array("Q")
         self.values_hi = array("Q")
-        for inst in instructions:
-            self.append(inst)
+        self.append_all(instructions)
 
     # -- construction ----------------------------------------------------
 
     def append(self, inst: Instruction) -> None:
-        self._check_writable()
-        flags = 0
-        if inst.mem_addr is not None:
-            flags |= F_MEM
-        if inst.target is not None:
-            flags |= F_TARGET
-        if inst.is_vector:
-            flags |= F_VECTOR
-        if inst.taken is not None:
-            flags |= F_TAKEN_KNOWN
-            if inst.taken:
-                flags |= F_TAKEN
-        self.pc.append(inst.pc)
-        self.op.append(inst.op)
-        self.flags.append(flags)
-        self.mem_addr.append(inst.mem_addr if inst.mem_addr is not None else 0)
-        self.mem_size.append(inst.mem_size)
-        self.target.append(inst.target if inst.target is not None else 0)
-        self.srcs.extend(inst.srcs)
-        self.srcs_index.append(len(self.srcs))
-        self.dests.extend(inst.dests)
-        self.dests_index.append(len(self.dests))
-        for v in inst.values:
-            self.values_lo.append(v & _MASK64)
-            self.values_hi.append((v >> 64) & _MASK64)
-        self.values_index.append(len(self.values_lo))
+        self.append_all((inst,))
 
-    def extend(self, other: "ColumnarTrace") -> None:
-        """Concatenate ``other``'s instructions (chunk reassembly)."""
+    def append_all(self, instructions: Iterable[Instruction]) -> None:
+        """Append every instruction in order (the bulk form of :meth:`append`)."""
         self._check_writable()
-        src_base = self.srcs_index[-1]
-        dst_base = self.dests_index[-1]
-        val_base = self.values_index[-1]
-        for col in ("pc", "op", "flags", "mem_addr", "mem_size", "target",
-                    "srcs", "dests", "values_lo", "values_hi"):
-            getattr(self, col).extend(getattr(other, col))
-        # prefix indexes rebase onto this trace's flat lengths
-        self.srcs_index.extend(src_base + x for x in other.srcs_index[1:])
-        self.dests_index.extend(dst_base + x for x in other.dests_index[1:])
-        self.values_index.extend(val_base + x for x in other.values_index[1:])
+        pc = self.pc.append
+        op = self.op.append
+        flags_col = self.flags.append
+        mem_addr = self.mem_addr.append
+        mem_size = self.mem_size.append
+        target = self.target.append
+        srcs = self.srcs
+        srcs_index = self.srcs_index.append
+        dests = self.dests
+        dests_index = self.dests_index.append
+        values_lo = self.values_lo
+        values_hi = self.values_hi
+        values_index = self.values_index.append
+        for inst in instructions:
+            flags = 0
+            if inst.mem_addr is not None:
+                flags |= F_MEM
+            if inst.target is not None:
+                flags |= F_TARGET
+            if inst.is_vector:
+                flags |= F_VECTOR
+            if inst.taken is not None:
+                flags |= F_TAKEN_KNOWN
+                if inst.taken:
+                    flags |= F_TAKEN
+            pc(inst.pc)
+            op(inst.op)
+            flags_col(flags)
+            mem_addr(inst.mem_addr if inst.mem_addr is not None else 0)
+            mem_size(inst.mem_size)
+            target(inst.target if inst.target is not None else 0)
+            srcs.extend(inst.srcs)
+            srcs_index(len(srcs))
+            dests.extend(inst.dests)
+            dests_index(len(dests))
+            for v in inst.values:
+                values_lo.append(v & _MASK64)
+                values_hi.append((v >> 64) & _MASK64)
+            values_index(len(values_lo))
+
+    def extend(
+        self, other: "ColumnarTrace", start: int = 0, stop: int | None = None
+    ) -> None:
+        """Append rows ``start:stop`` of ``other`` (chunk reassembly, slicing)."""
+        self.extend_rows([(other, start, len(other.pc) if stop is None else stop)])
+
+    def extend_rows(self, parts, consume: bool = False) -> None:
+        """Append the row ranges ``(trace, start, stop)`` of ``parts`` in order.
+
+        Works column by column: flat columns are copied as raw buffers
+        and each prefix index is shifted onto this trace's flat lengths
+        — no :class:`Instruction` is materialized.  Sources may be
+        view-backed (attached traces); only ``self`` must be writable.
+        With ``consume`` every source column is deleted as soon as it
+        has been copied, so splicing private traces into a new one
+        peaks near one copy of the data, not two; the sources are
+        unusable afterwards.
+        """
+        self._check_writable()
+        parts = [(src, a, b) for src, a, b in parts if a < b]
+        sources = list({id(src): src for src, _, _ in parts}.values())
+        for col in PLAIN:
+            dst = getattr(self, col)
+            for src, a, b in parts:
+                _copy_rows(dst, getattr(src, col), a, b)
+            if consume:
+                for src in sources:
+                    delattr(src, col)
+        for index, flats in RAGGED:
+            dst = getattr(self, index)
+            for src, a, b in parts:
+                idx = getattr(src, index)
+                lo = idx[a]
+                hi = idx[b]
+                for flat in flats:
+                    _copy_rows(getattr(self, flat), getattr(src, flat), lo, hi)
+                # rebase the prefix entries: src's offset lo -> our end
+                dst.extend(map((dst[-1] - lo).__add__, idx[a + 1:b + 1]))
+            if consume:
+                for src in sources:
+                    for col in (index, *flats):
+                        delattr(src, col)
+
+    def slice(self, start: int, stop: int) -> "ColumnarTrace":
+        """A new writable trace holding rows ``start:stop`` (indexes rebased)."""
+        out = ColumnarTrace(self.name)
+        out.extend(self, start, stop)
+        return out
 
     def _check_writable(self) -> None:
-        """Reject mutation of view-backed (attached) traces; drop memos.
+        """Reject mutation of view-backed (attached) traces.
 
         A trace attached out of a shared-memory segment holds read-only
         memoryviews — ``append`` on one would die deep inside with an
         ``AttributeError``; failing here names the actual contract.
-        Mutation also invalidates the :meth:`snapshots` memo, so it is
-        dropped before any column changes.
         """
         if not isinstance(self.pc, array):
             raise TypeError(
                 f"ColumnarTrace {self.name!r} is read-only "
                 f"(attached from a shared segment)"
             )
-        self._snapshots = None
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
@@ -276,26 +338,6 @@ class ColumnarTrace:
     def summary(self) -> TraceSummary:
         """Columnar twin of :meth:`Trace.summary` (same counts)."""
         return self.to_trace().summary()
-
-    def snapshots(self) -> tuple:
-        """Plain-list snapshots of every column, memoized per trace.
-
-        The columnar simulate() loop indexes columns millions of times;
-        ``array.array`` (and memoryview) indexing boxes a fresh int on
-        every read, while a plain list returns the already-boxed
-        object.  ``tolist()`` converts at C speed once — and because a
-        trace is immutable for the duration of a sweep group, the
-        lists are cached here so *every scheme* simulated over the same
-        trace shares one conversion instead of paying it per run.
-        Mutation (:meth:`append`/:meth:`extend`) drops the memo.
-
-        Returns the columns in ``COLUMNS`` order as a tuple of lists.
-        """
-        snap = self._snapshots
-        if snap is None:
-            snap = tuple(getattr(self, attr).tolist() for attr, _ in COLUMNS)
-            self._snapshots = snap
-        return snap
 
     def numpy_columns(self) -> "dict[str, object]":
         """Zero-copy numpy views of every column (requires numpy)."""

@@ -143,15 +143,20 @@ def _column_bytes(col) -> bytes:
 def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[ColumnarTrace]:
     """Slice any trace container into ColumnarTrace chunks.
 
-    A :class:`ColumnarTrace` that already fits one chunk is yielded
-    as-is: its columns *are* the wire format, so re-materializing an
-    ``Instruction`` view per row just to append it into an identical
-    container would cost ~10x the serialization itself (this is the
-    path ``v2_bytes`` — and with it every fabric publish — takes).
+    A :class:`ColumnarTrace`'s columns *are* the wire format, so it is
+    cut with column slices (:meth:`ColumnarTrace.slice`) — or yielded
+    as-is when it fits one chunk, the path ``v2_bytes`` and with it
+    every fabric publish takes.  Re-materializing an ``Instruction``
+    view per row would cost several times the serialization itself.
     """
-    if isinstance(source, ColumnarTrace) and len(source) <= chunk_size:
-        if len(source):
-            yield source
+    if isinstance(source, ColumnarTrace):
+        n = len(source)
+        if n <= chunk_size:
+            if n:
+                yield source
+            return
+        for start in range(0, n, chunk_size):
+            yield source.slice(start, min(n, start + chunk_size))
         return
     chunk = ColumnarTrace(source.name)
     for inst in source:

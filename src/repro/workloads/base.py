@@ -122,14 +122,47 @@ class WorkloadSpec:
     def build_columnar(
         self, n_instructions: int, chunk_size: int = DEFAULT_STREAM_CHUNK
     ) -> ColumnarTrace:
-        """The full trace as one :class:`ColumnarTrace` (streamed build)."""
-        out: ColumnarTrace | None = None
-        for chunk in self.build_stream(n_instructions, chunk_size):
-            if out is None:
-                out = chunk
-            else:
-                out.extend(chunk)
-        return out if out is not None else ColumnarTrace(self.name)
+        """The exact :meth:`build` trace as one :class:`ColumnarTrace`.
+
+        One kernel pass, on the calling thread: the builder flushes every
+        ``chunk_size`` instructions straight into a hot-stream
+        ``ColumnarTrace``, so only one batch of :class:`Instruction`
+        objects is ever alive.  Once the hot length is known the cold
+        bursts are generated on :func:`_blocks_per_burst`'s schedule
+        (see :class:`_ColdInterleaver` for why generating them detached
+        is bit-identical) and hot and cold rows are spliced by column
+        slices, consuming the sources column by column.
+        """
+        hot = ColumnarTrace(self.name)
+        builder = WorkloadBuilder(
+            self.name, seed=self.seed, sink=hot.append_all,
+            flush_threshold=chunk_size,
+        )
+        self.kernel(builder, int(n_instructions * (1.0 - self.cold_fraction)),
+                    **self.params)
+        builder.flush()
+        hot_len = len(hot)
+        cold_budget = max(0, n_instructions - hot_len)
+        if self.cold_fraction <= 0.0 or not cold_budget:
+            return hot
+        blocks_per_burst = _blocks_per_burst(hot_len, cold_budget)
+        block = builder.rng.randrange(_COLD_POOL)
+        cold_builder = WorkloadBuilder(self.name, seed=0)
+        cold = ColumnarTrace(self.name)
+        parts = []
+        start = 0
+        for at in range(_BURST_SPACING, hot_len, _BURST_SPACING):
+            parts.append((hot, start, at + 1))
+            start = at + 1
+            burst = len(cold)
+            for _ in range(blocks_per_burst):
+                cold.append_all(_cold_block_instructions(cold_builder, block))
+                block = (block + 1) % _COLD_POOL
+            parts.append((cold, burst, len(cold)))
+        parts.append((hot, start, hot_len))
+        out = ColumnarTrace(self.name)
+        out.extend_rows(parts, consume=True)
+        return out
 
     def _generate_streaming(
         self,
@@ -223,12 +256,9 @@ class _ColdInterleaver:
         cold_budget: int,
         first_block: int,
         assembler: _ChunkAssembler,
-        burst_spacing: int = 2500,
     ) -> None:
-        n_bursts = max(1, hot_len // burst_spacing)
-        self.blocks_per_burst = max(1, cold_budget // (4 * n_bursts))
-        self.burst_spacing = burst_spacing
-        self.next_burst = burst_spacing
+        self.blocks_per_burst = _blocks_per_burst(hot_len, cold_budget)
+        self.next_burst = _BURST_SPACING
         self.block = first_block
         self.index = 0
         self.assembler = assembler
@@ -242,7 +272,7 @@ class _ColdInterleaver:
         for inst in batch:
             out.push((inst,))
             if i >= self.next_burst:
-                self.next_burst += self.burst_spacing
+                self.next_burst += _BURST_SPACING
                 for _ in range(self.blocks_per_burst):
                     out.push(_cold_block_instructions(self.cold_builder, self.block))
                     self.block = (self.block + 1) % _COLD_POOL
@@ -253,6 +283,15 @@ class _ColdInterleaver:
 _COLD_CODE_BASE = 0x2000000
 _COLD_DATA_BASE = 0x8000000
 _COLD_POOL = 512
+# A cold burst follows every hot instruction whose index is a positive
+# multiple of this.
+_BURST_SPACING = 2500
+
+
+def _blocks_per_burst(hot_len: int, cold_budget: int) -> int:
+    """Cold blocks in each burst: the budget spread over the bursts."""
+    n_bursts = max(1, hot_len // _BURST_SPACING)
+    return max(1, cold_budget // (4 * n_bursts))
 
 
 def _cold_block_instructions(builder: "WorkloadBuilder", block: int) -> list[Instruction]:
@@ -275,11 +314,7 @@ def _cold_block_instructions(builder: "WorkloadBuilder", block: int) -> list[Ins
     return builder.take_from(mark)
 
 
-def _sprinkle_cold_code(
-    builder: "WorkloadBuilder",
-    n_instructions: int,
-    burst_spacing: int = 2500,
-) -> None:
+def _sprinkle_cold_code(builder: "WorkloadBuilder", n_instructions: int) -> None:
     """Interleave *bursts* of cold blocks through the generated stream.
 
     Cold code in real programs is bursty (allocation slow paths, GC,
@@ -294,15 +329,14 @@ def _sprinkle_cold_code(
     if not cold_budget:
         builder.extend(hot)
         return
-    n_bursts = max(1, len(hot) // burst_spacing)
-    blocks_per_burst = max(1, cold_budget // (4 * n_bursts))
+    blocks_per_burst = _blocks_per_burst(len(hot), cold_budget)
     merged: list[Instruction] = []
     block = builder.rng.randrange(_COLD_POOL)
-    next_burst = burst_spacing
+    next_burst = _BURST_SPACING
     for i, inst in enumerate(hot):
         merged.append(inst)
         if i >= next_burst:
-            next_burst += burst_spacing
+            next_burst += _BURST_SPACING
             for _ in range(blocks_per_burst):
                 merged.extend(_cold_block_instructions(builder, block))
                 block = (block + 1) % _COLD_POOL

@@ -270,7 +270,7 @@ def build_workload_columnar(
     n_instructions: int = DEFAULT_INSTRUCTIONS,
     chunk_size: int = DEFAULT_STREAM_CHUNK,
 ) -> ColumnarTrace:
-    """One named workload as a full :class:`ColumnarTrace` (streamed build)."""
+    """One named workload as a full :class:`ColumnarTrace` (one-pass build)."""
     return _spec_for(name).build_columnar(n_instructions, chunk_size)
 
 

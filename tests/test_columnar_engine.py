@@ -1,0 +1,250 @@
+"""The columnar engine at trace lengths the goldens never reach.
+
+The golden suite pins 3,000-instruction traces, which fit inside one
+snapshot window of the columnar ``simulate()`` loop and one batched-key
+chunk.  These tests cover what only longer traces exercise:
+
+* window seams — stores executed in one window and retired in the
+  next, prefix indexes rebased per window, key batches refilled
+  mid-run — against the object engine, cell for cell;
+* the memory bounds the windowing exists for (no whole-trace column
+  snapshots, no 65,536-entry key chunks);
+* the one-pass columnar build (one kernel run, no thread, a peak
+  near one trace);
+* v2 writes of multi-chunk columnar traces by column slicing.
+"""
+
+from __future__ import annotations
+
+import threading
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from repro.isa import OpClass
+from repro.pipeline import RecoveryMode, batch, core_model, simulate
+from repro.runtime.registry import get_scheme, scheme_ids
+from repro.trace import ColumnarTrace
+from repro.trace.columnar import F_VECTOR
+from repro.trace.serialization import (
+    DEFAULT_CHUNK_SIZE,
+    iter_trace_chunks,
+    load_trace,
+    load_trace_columnar,
+    save_trace,
+    v2_bytes,
+)
+from repro.workloads import SUITE, build_workload, build_workload_columnar
+
+SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
+
+# storeflood: in-flight stores conflict with loads, so store retirement
+# crosses windows; eon: 128-bit vector loads and multi-register LDMs;
+# iirflt: LDP-style two-destination loads.
+SEAM_WORKLOADS = ("storeflood", "eon", "iirflt")
+SEAM_INSTRUCTIONS = 7_000
+# Smaller key chunks than the engine's, so a short trace still refills
+# every batch several times.
+SEAM_PAP_CHUNK = 256
+SEAM_TAGE_CHUNK = 128
+
+_TRACES: dict[str, tuple] = {}
+
+
+def _traces(workload: str):
+    pair = _TRACES.get(workload)
+    if pair is None:
+        pair = (build_workload(workload, SEAM_INSTRUCTIONS),
+                build_workload_columnar(workload, SEAM_INSTRUCTIONS))
+        _TRACES[workload] = pair
+    return pair
+
+
+@pytest.fixture
+def counted_key_chunks(monkeypatch):
+    """Shrink the key chunks and count how many each run consumes."""
+    counts = {"pap": 0, "tage": 0}
+    for cls, attr, size, label in (
+        (batch.PapKeyBatch, "chunk_loads", SEAM_PAP_CHUNK, "pap"),
+        (batch.TageKeyBatch, "chunk_events", SEAM_TAGE_CHUNK, "tage"),
+    ):
+        next_chunk = cls.next_chunk
+
+        def counting(self, _next=next_chunk, _label=label):
+            counts[_label] += 1
+            return _next(self)
+
+        def make(*args, _cls=cls, _attr=attr, _size=size, **kwargs):
+            kwargs[_attr] = _size
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(cls, "next_chunk", counting)
+        monkeypatch.setattr(batch, cls.__name__, make)
+    return counts
+
+
+def test_seam_schemes_are_the_registered_builtins():
+    assert set(SCHEMES) <= set(scheme_ids())
+
+
+@pytest.mark.parametrize("recovery", list(RecoveryMode), ids=lambda r: r.value)
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+@pytest.mark.parametrize("workload", SEAM_WORKLOADS)
+def test_window_seams_match_the_object_engine(
+    workload, scheme_id, recovery, counted_key_chunks
+):
+    obj, col = _traces(workload)
+    assert len(col) >= 3 * core_model._SNAPSHOT_WINDOW
+    expected = simulate(obj, scheme=get_scheme(scheme_id).build(),
+                        recovery=recovery).to_dict()
+    counted_key_chunks.update(pap=0, tage=0)
+    got = simulate(col, scheme=get_scheme(scheme_id).build(),
+                   recovery=recovery).to_dict()
+    assert got == expected
+    if batch.np is not None:
+        # every run refills the TAGE batch; PAP schemes refill theirs
+        assert counted_key_chunks["tage"] >= 3
+        if scheme_id in ("dlvp", "tournament"):
+            assert counted_key_chunks["pap"] >= 3
+
+
+def test_seam_traces_hold_vector_and_multi_destination_loads():
+    _, eon = _traces("eon")
+    _, iirflt = _traces("iirflt")
+    loads = [eon.instruction(i) for i in range(len(eon))
+             if eon.op[i] == OpClass.LOAD]
+    assert any(inst.is_vector and max(inst.values) >> 64 for inst in loads)
+    assert any(len(inst.dests) > 1 for inst in loads)
+    assert any(iirflt.dests_index[i + 1] - iirflt.dests_index[i] == 2
+               for i in range(len(iirflt)) if iirflt.op[i] == OpClass.LOAD)
+
+
+# ---------------------------------------------------------------------------
+# memory: windowed snapshots and bounded key chunks
+# ---------------------------------------------------------------------------
+
+MEMORY_INSTRUCTIONS = 16_000
+# The baseline on 16k gzip instructions peaks near 4.9 MiB with windowed
+# snapshots and bounded key chunks.  Whole-trace snapshots push it to
+# ~8.2 MiB, 65,536-entry key chunks (every TAGE key tuple of the trace
+# alive at once) to ~6.9 MiB.  (tracemalloc slows simulate() ~80x,
+# hence the short trace.)
+MEMORY_BOUND = 6 * 1024 * 1024
+
+
+def test_columnar_simulate_peak_memory_is_window_bounded():
+    trace = build_workload_columnar("gzip", MEMORY_INSTRUCTIONS)
+    assert len(trace) >= 7 * core_model._SNAPSHOT_WINDOW
+    simulate(build_workload_columnar("gzip", 2_000))   # warm lazy imports
+    tracemalloc.start()
+    try:
+        simulate(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MEMORY_BOUND, f"columnar simulate peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
+# one-pass build
+# ---------------------------------------------------------------------------
+
+
+def test_columnar_build_runs_the_kernel_once_on_this_thread(monkeypatch):
+    spec = SUITE["gzip"]
+    calls = []
+
+    def kernel(builder, n, **params):
+        calls.append(threading.current_thread())
+        return spec.kernel(builder, n, **params)
+
+    started = []
+    thread_start = threading.Thread.start
+
+    def record_start(self, *args, **kwargs):
+        started.append(self.name)
+        return thread_start(self, *args, **kwargs)
+
+    monkeypatch.setitem(SUITE, "gzip", replace(spec, kernel=kernel))
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    trace = build_workload_columnar("gzip", 12_000)
+    assert calls == [threading.current_thread()]
+    assert started == []
+    monkeypatch.setitem(SUITE, "gzip", spec)
+    assert trace == ColumnarTrace.from_trace(build_workload("gzip", 12_000))
+
+
+def test_columnar_build_peaks_near_one_trace():
+    """The cold-burst splice consumes its sources column by column: the
+    build peaks ~1.6x the finished trace at 60k instructions (one
+    builder batch of Instruction objects included), against ~2.3x when
+    the hot stream and the result are both whole."""
+    build_workload_columnar("gzip", 2_000)     # warm lazy imports
+    tracemalloc.start()
+    try:
+        trace = build_workload_columnar("gzip", 60_000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 50_000
+    assert peak < 1.9 * kept, f"build peak {peak} for {kept} kept"
+
+
+# ---------------------------------------------------------------------------
+# v2 writes by column slicing
+# ---------------------------------------------------------------------------
+
+
+def _boundary_trace() -> ColumnarTrace:
+    """>1 chunk, a vector load ending chunk 1 and an LDM starting chunk 2."""
+    eon = build_workload_columnar("eon", 12_000)
+    vector = multi = None
+    for i in range(len(eon)):
+        if eon.op[i] != OpClass.LOAD:
+            continue
+        if vector is None and eon.flags[i] & F_VECTOR:
+            vector = i
+        if multi is None and eon.dests_index[i + 1] - eon.dests_index[i] > 1:
+            multi = i
+    assert vector is not None and multi is not None
+    out = ColumnarTrace(eon.name)
+    out.extend(eon, 0, DEFAULT_CHUNK_SIZE - 1)
+    out.extend(eon, vector, vector + 1)
+    out.extend(eon, multi, multi + 1)
+    out.extend(eon, DEFAULT_CHUNK_SIZE, len(eon))
+    return out
+
+
+def test_v2_round_trip_of_a_multi_chunk_columnar_trace(tmp_path, monkeypatch):
+    trace = _boundary_trace()
+    assert len(trace) > DEFAULT_CHUNK_SIZE
+    boundary = [trace.instruction(DEFAULT_CHUNK_SIZE - 1),
+                trace.instruction(DEFAULT_CHUNK_SIZE)]
+    assert boundary[0].is_vector and len(boundary[1].dests) > 1
+    reference = trace.to_trace()
+
+    def no_views(self, i):
+        raise AssertionError("v2 write materialized an Instruction")
+
+    path = tmp_path / "t.v2"
+    monkeypatch.setattr(ColumnarTrace, "instruction", no_views)
+    save_trace(trace, path, format="v2")
+    image = v2_bytes(trace)
+    monkeypatch.undo()
+
+    assert [len(c) for c in iter_trace_chunks(path)] == [
+        DEFAULT_CHUNK_SIZE, len(trace) - DEFAULT_CHUNK_SIZE]
+    assert load_trace_columnar(path) == trace
+    assert load_trace(path).instructions == reference.instructions
+    single = tmp_path / "single.v2"
+    single.write_bytes(image)
+    assert load_trace_columnar(single) == trace
+
+
+def test_slice_rebases_prefix_indexes():
+    trace = _boundary_trace()
+    start, stop = DEFAULT_CHUNK_SIZE - 3, DEFAULT_CHUNK_SIZE + 5
+    part = trace.slice(start, stop)
+    assert part.srcs_index[0] == part.dests_index[0] == part.values_index[0] == 0
+    assert list(part) == [trace.instruction(i) for i in range(start, stop)]

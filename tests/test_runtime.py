@@ -18,6 +18,7 @@ from repro.runtime import (
     Runtime,
     SerialExecutor,
     code_version_salt,
+    job_from_identity,
     make_job,
     read_journal,
     register_scheme,
@@ -70,6 +71,21 @@ class TestJobKeys:
         assert base.key != make_job(
             "gzip", N, "dlvp", recovery=RecoveryMode.ORACLE_REPLAY
         ).key
+
+    def test_trace_format_defaults_to_columnar_and_not_part_of_key(self):
+        job = make_job("gzip", N, "dlvp")
+        assert job.trace_format == "columnar"
+        assert job.key == make_job("gzip", N, "dlvp",
+                                   trace_format="shared").key
+        with pytest.raises(ValueError, match="trace format"):
+            make_job("gzip", N, "dlvp", trace_format="object")
+        with pytest.raises(ValueError, match="trace format"):
+            Runtime(jobs=1, use_cache=False, trace_format="object")
+
+    def test_legacy_object_identity_maps_to_the_default(self):
+        job = make_job("gzip", N, "dlvp")
+        legacy = {**job.identity(), "trace_format": "object"}
+        assert job_from_identity(legacy) == job
 
     def test_timeout_not_part_of_key(self):
         assert make_job("gzip", N, "dlvp").key == \

@@ -373,6 +373,30 @@ class TestRecoveryEdges:
             "all cells requeue despite max_pending_per_tenant=1"
         assert set(ok_finishes_per_key(events).values()) == {1}
 
+    def test_legacy_object_trace_format_record_recovers(self, tmp_path):
+        """Records written when jobs could name the retired "object"
+        trace format still resume: the format never entered the key,
+        so each cell recovers to the same job and settles once."""
+        cache = tmp_path / "cache"
+        jobs = [make_job("gzip", N, s) for s in ("baseline", "dlvp")]
+        cells = [{**job.identity(), "trace_format": "object"}
+                 for job in jobs]
+        TicketStore(cache / TICKETS_DIRNAME).save(
+            "cafe0002", tenant="t", watch=False, cells=cells)
+        server, handle = start_server(tmp_path)
+        try:
+            client = ServeClient(host=handle.host, port=handle.port)
+            response = client.resume("cafe0002", timeout=120)
+            assert response.complete
+            assert len(response.cells) == 2
+        finally:
+            handle.stop()
+        events = farm_journal(tmp_path)
+        kinds = Counter(e["event"] for e in events)
+        assert kinds["gateway_recovered"] == 1
+        assert not any(e["event"] == "ticket_record_corrupt" for e in events)
+        assert ok_finishes_per_key(events) == {job.key: 1 for job in jobs}
+
 
 class TestAdmissionControl:
     def test_overload_sheds_with_retry_after_and_journal_trail(
