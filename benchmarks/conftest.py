@@ -7,13 +7,13 @@ heavyweight figure experiments that several benches share are also
 session-cached.
 
 At session end the harness refreshes the committed throughput report
-(``repro.bench.BENCH_REPORT_NAME``, currently ``BENCH_pr8.json``) at
+(``repro.bench.BENCH_REPORT_NAME``, currently ``BENCH_pr15.json``) at
 the repo root with the simulator's own throughput (inst/s per scheme
 and trace engine, wall time, peak RSS — see :mod:`repro.bench`), so
 every benchmark run also updates the machine-tracked perf trajectory.
 
 Knobs:
-    REPRO_BENCH_INSTRUCTIONS   trace length per workload (default 8000)
+    REPRO_BENCH_INSTRUCTIONS   trace length per workload (default 16000)
     REPRO_BENCH_WORKLOADS      optional comma-separated subset
     REPRO_BENCH_THROUGHPUT     0 to skip the session-end throughput
                                report (default on)

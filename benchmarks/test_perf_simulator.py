@@ -2,45 +2,56 @@
 
 Unlike the figure benches (one-shot row generators), these use real
 pytest-benchmark statistics (multiple rounds) and act as performance
-regression guards for the hot paths: trace generation, the baseline
-timing model, and a DLVP-equipped run.
+regression guards for the hot paths: trace generation, one
+``simulate()`` per registered scheme through the columnar engine that
+every run, sweep and farm cell uses, and the standalone analyses.
+
+The simulation cells run gzip, where every value predictor has warmed
+up and predicts within the first 4,000 instructions, so the guards time
+the prediction paths and not only the table lookups.
 """
 
 import pytest
 
-from repro.pipeline import DlvpScheme, simulate
-from repro.workloads import build_workload
+from repro.pipeline import simulate
+from repro.runtime.registry import get_scheme
+from repro.workloads import build_workload_columnar
 
 N = 4000
+SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return build_workload("vortex", N)
+    return build_workload_columnar("gzip", N)
+
+
+@pytest.fixture(scope="module")
+def object_trace():
+    return build_workload_columnar("vortex", N).to_trace()
 
 
 def test_perf_trace_generation(benchmark):
-    trace = benchmark(build_workload, "vortex", N)
+    trace = benchmark(build_workload_columnar, "vortex", N)
     assert len(trace) >= N * 0.9
 
 
-def test_perf_baseline_simulation(benchmark, trace):
-    result = benchmark(simulate, trace)
+@pytest.mark.parametrize("scheme_id", SCHEMES)
+def test_perf_simulation(benchmark, trace, scheme_id):
+    spec = get_scheme(scheme_id)
+    result = benchmark(lambda: simulate(trace, scheme=spec.build()))
     assert result.cycles > 0
+    if scheme_id != "baseline":
+        assert result.value_predictions > 0
 
 
-def test_perf_dlvp_simulation(benchmark, trace):
-    result = benchmark(lambda: simulate(trace, scheme=DlvpScheme()))
-    assert result.value_predictions > 0
-
-
-def test_perf_standalone_pap(benchmark, trace):
+def test_perf_standalone_pap(benchmark, object_trace):
     from repro.experiments.fig4_address_prediction import evaluate_pap
-    stats = benchmark(evaluate_pap, trace)
+    stats = benchmark(evaluate_pap, object_trace)
     assert stats.loads_seen > 0
 
 
-def test_perf_conflict_profiler(benchmark, trace):
+def test_perf_conflict_profiler(benchmark, object_trace):
     from repro.trace import load_store_conflicts
-    profile = benchmark(load_store_conflicts, trace)
+    profile = benchmark(load_store_conflicts, object_trace)
     assert profile.total_loads > 0

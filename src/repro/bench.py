@@ -19,7 +19,7 @@ process and its workers) so the simulator's own performance trajectory
 is tracked in the repository alongside its accuracy.
 
 The committed report doubles as a regression baseline:
-``--check BENCH_pr10.json`` re-measures and fails when any scheme's
+``--check BENCH_pr15.json`` re-measures and fails when any scheme's
 (or sweep mode's) best inst/s falls more than ``--max-regression``
 below the committed number.  The gate is **coherent by construction**:
 the default here, the CI invocation and this docstring all say the
@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-BENCH_REPORT_NAME = "BENCH_pr10.json"
+BENCH_REPORT_NAME = "BENCH_pr15.json"
 DEFAULT_WORKLOAD = "gzip"
 DEFAULT_INSTRUCTIONS = 24_000
 DEFAULT_REPEATS = 3

@@ -23,7 +23,8 @@ from repro.predictors.cap import CapConfig, CapPredictor
 from repro.pipeline import batch as _key_batch
 from repro.pipeline.stats import register_stats_type
 from repro.predictors.tournament import ChooserStats, TournamentChooser
-from repro.predictors.vtage import VtageConfig, VtageHandle, VtagePredictor
+from repro.predictors.dvtage import DvtageConfig, DvtagePredictor
+from repro.predictors.vtage import VtageConfig, VtagePredictor
 from repro.trace.columnar import F_VECTOR
 
 _MASK64 = (1 << 64) - 1
@@ -182,6 +183,18 @@ def _masked_values(inst: Instruction, size: int | None = None) -> tuple[int, ...
     if len(values) == 1:
         return (values[0] & mask,)
     return tuple(v & mask for v in values)
+
+
+def _flat_fields(inst: Instruction) -> tuple:
+    """An Instruction as the leading ``(pc, op, mem_addr, mem_size,
+    flags, ndests, values)`` scalars of the flat protocol — how the
+    object-path adapters reach ``flat_fetch``/``flat_execute``.  Only
+    the vector bit of the flags is set: no flat scheme reads the others.
+    """
+    return (
+        inst.pc, int(inst.op), inst.mem_addr, inst.mem_size,
+        F_VECTOR if inst.is_vector else 0, len(inst.dests), inst.values,
+    )
 
 
 class DlvpScheme(Scheme):
@@ -367,31 +380,17 @@ class VtageScheme(Scheme):
         # per-load flat calls read only its .value.
         self._history = branch_unit.global_history
         self._loads_only = self.config.loads_only
+        self._begin = self.predictor.begin_flat
+        self._finish = self.predictor.finish_flat
 
     def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if not inst.dests or not inst.values:
-            return None
-        if self.config.loads_only and inst.op != OpClass.LOAD:
-            return None
-        handle = self.predictor.begin(inst, self.branch_unit.global_history.value)
-        if handle is None:
-            return None
-        values = handle.prediction
-        if inst.op == OpClass.LOAD and load_slot is None:
-            values = None              # per-cycle prediction-port limit
-        correct = values is not None and values == tuple(
-            v & _MASK64 if not inst.is_vector else v for v in inst.values
-        )
-        return SchemePrediction(
-            values=values,
-            correct=correct,
-            handle=handle,
-            registers=inst.value_prediction_slots(),
-        )
+        fp = self.flat_fetch(*_flat_fields(inst), fetch_cycle, load_slot, probe_cycle)
+        return None if fp is None else SchemePrediction(*fp)
 
     def execute_side(self, inst, sp, way, value_predicted):
-        correct = self.predictor.finish(sp.handle, inst)
-        return value_predicted, correct
+        return self.flat_execute(
+            *_flat_fields(inst), sp.handle, sp.values, way, value_predicted
+        )
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -401,27 +400,29 @@ class VtageScheme(Scheme):
             return None
         if self._loads_only and op != _LOAD:
             return None
-        is_vector = bool(flags & F_VECTOR)
-        handle = self.predictor.begin_flat(
-            pc, op, ndests, is_vector, values, self._history.value
-        )
+        is_vector = flags & F_VECTOR != 0
+        handle = self._begin(pc, op, ndests, is_vector, values, self._history.value)
         if handle is None:
             return None
-        vals_pred = handle.prediction
-        if op == _LOAD and load_slot is None:
-            vals_pred = None           # per-cycle prediction-port limit
-        correct = vals_pred is not None and vals_pred == (
-            values if is_vector else tuple(v & _MASK64 for v in values)
-        )
         registers = (2 * ndests) if is_vector else ndests
-        return (vals_pred, correct, handle, registers)
+        predicted = handle[0]
+        if predicted is None or (op == _LOAD and load_slot is None):
+            # Nothing confident, or past the per-cycle prediction ports.
+            return (None, False, handle, registers)
+        if is_vector:
+            correct = predicted == values
+        elif len(values) == 1:
+            correct = predicted == (values[0] & _MASK64,)
+        else:
+            correct = predicted == tuple(v & _MASK64 for v in values)
+        return (predicted, correct, handle, registers)
 
     def flat_execute(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
         handle, predicted, way, value_predicted,
     ):
-        return value_predicted, self.predictor.finish_flat(
-            handle, op, ndests, bool(flags & F_VECTOR), values
+        return value_predicted, self._finish(
+            handle, op, ndests, flags & F_VECTOR != 0, values
         )
 
     def result_stats(self):
@@ -441,50 +442,34 @@ class DvtageScheme(Scheme):
 
     An extension beyond the paper's evaluated set: Section 2.1 discusses
     D-VTAGE's trade-offs (adder on the critical path, speculative
-    last-value window) without evaluating it; this scheme lets the
-    benchmarks quantify them on the same workloads.
+    last-value window) without evaluating it; this scheme measures its
+    coverage and speedup on the same workloads, charging neither cost
+    (see :mod:`repro.predictors.dvtage`).
     """
 
     fetch_loads_only = True
     flat_protocol = True
 
-    def __init__(self, config: "DvtageConfig | None" = None) -> None:
+    def __init__(self, config: DvtageConfig | None = None) -> None:
         super().__init__()
-        from repro.predictors.dvtage import DvtageConfig
         self.config = config or DvtageConfig()
         self.name = "dvtage"
-        from repro.predictors.dvtage import DvtagePredictor
         self.predictor = DvtagePredictor(self.config)
 
     def bind(self, hierarchy, image, branch_unit) -> None:
         super().bind(hierarchy, image, branch_unit)
         self._history = branch_unit.global_history
+        self._predict = self.predictor.predict_flat
+        self._train = self.predictor.train_flat
 
     def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if inst.op != OpClass.LOAD:
-            return None
-        history = self.branch_unit.global_history.value
-        prediction = self.predictor.predict(inst, history)
-        if load_slot is None:
-            prediction = None
-        correct = (
-            prediction is not None
-            and (prediction,) == tuple(v & _MASK64 for v in inst.values)
-        )
-        return SchemePrediction(
-            values=(prediction,) if prediction is not None else None,
-            correct=correct,
-            handle=history,
-            registers=len(inst.dests),
-        )
+        fp = self.flat_fetch(*_flat_fields(inst), fetch_cycle, load_slot, probe_cycle)
+        return None if fp is None else SchemePrediction(*fp)
 
     def execute_side(self, inst, sp, way, value_predicted):
-        history = sp.handle
-        prediction = self.predictor.train(inst, history)
-        correct = prediction is not None and (prediction,) == tuple(
-            v & _MASK64 for v in inst.values
+        return self.flat_execute(
+            *_flat_fields(inst), sp.handle, sp.values, way, value_predicted
         )
-        return value_predicted, correct
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -492,32 +477,25 @@ class DvtageScheme(Scheme):
     ):
         if op != _LOAD:
             return None
-        history = self._history.value
-        prediction = self.predictor.predict_flat(
-            pc, op, ndests, bool(flags & F_VECTOR), history
+        handle = self._predict(
+            pc, op, ndests, flags & F_VECTOR != 0, self._history.value
         )
-        if load_slot is None:
-            prediction = None
-        correct = (
-            prediction is not None
-            and (prediction,) == tuple(v & _MASK64 for v in values)
-        )
-        return (
-            (prediction,) if prediction is not None else None,
-            correct,
-            history,
-            ndests,
-        )
+        if handle is None or load_slot is None or handle[0] is None:
+            return (None, False, handle, ndests)
+        prediction = handle[0]
+        correct = len(values) == 1 and prediction == values[0] & _MASK64
+        return ((prediction,), correct, handle, ndests)
 
     def flat_execute(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
         handle, predicted, way, value_predicted,
     ):
-        prediction = self.predictor.train_flat(
-            pc, op, ndests, bool(flags & F_VECTOR), values, handle
-        )
-        correct = prediction is not None and (prediction,) == tuple(
-            v & _MASK64 for v in values
+        # Correctness of what the predictor would have supplied, even
+        # past the prediction ports (used only when value_predicted).
+        prediction = self._train(handle, op, values)
+        correct = (
+            prediction is not None and len(values) == 1
+            and prediction == values[0] & _MASK64
         )
         return value_predicted, correct
 
@@ -557,15 +535,13 @@ class TournamentStats:
         return self.final_by_vtage / self.loads if self.loads else 0.0
 
 
-@dataclass
-class _TournamentHandle:
-    sp_dlvp: SchemePrediction | None
-    sp_vtage: SchemePrediction | None
-    final_is_dlvp: bool
-
-
 class TournamentScheme(Scheme):
-    """DLVP and VTAGE running concurrently with a 2-bit chooser."""
+    """DLVP and VTAGE running concurrently with a 2-bit chooser.
+
+    The fetch-side handle is ``(dlvp, vtage, final_is_dlvp, index)``:
+    each sub-scheme's flat fetch tuple (or None), which side made the
+    final prediction, and the chooser counter index computed at fetch.
+    """
 
     fetch_loads_only = True
     flat_protocol = True
@@ -592,6 +568,8 @@ class TournamentScheme(Scheme):
         self._dlvp_flat_execute = self.dlvp.flat_execute
         self._vtage_flat_fetch = self.vtage.flat_fetch
         self._vtage_flat_execute = self.vtage.flat_execute
+        self._chooser_lookup = self.chooser.lookup
+        self._chooser_update = self.chooser.update_at
 
     def flat_prepare(self, trace) -> None:
         self.dlvp.flat_prepare(trace)
@@ -605,65 +583,32 @@ class TournamentScheme(Scheme):
         self.dlvp.attach_tracer(tracer)
         self.vtage.attach_tracer(tracer)
 
+    # The object-path adapters run DLVP's object path (its engine fires
+    # the tracer hooks there) and VTAGE's flat one; the choice and the
+    # chooser training are shared with the flat path.
+
     def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
         if inst.op != OpClass.LOAD:
             return None
-        sp_d = self.dlvp.fetch_side(inst, fetch_cycle, load_slot, probe_cycle)
-        sp_v = self.vtage.fetch_side(inst, fetch_cycle, load_slot, probe_cycle)
-        self.stats.loads += 1
-
-        prefer_dlvp = self.chooser.choose_a(inst.pc)
-        candidates: list[tuple[bool, SchemePrediction]] = []
-        if sp_d is not None and sp_d.values is not None:
-            candidates.append((True, sp_d))
-        if sp_v is not None and sp_v.values is not None:
-            candidates.append((False, sp_v))
-        if not candidates:
-            return SchemePrediction(
-                values=None,
-                correct=False,
-                handle=_TournamentHandle(sp_d, sp_v, prefer_dlvp),
-                registers=len(inst.dests),
-            )
-        final_is_dlvp, chosen = candidates[0]
-        for is_dlvp, sp in candidates:
-            if is_dlvp == prefer_dlvp:
-                final_is_dlvp, chosen = is_dlvp, sp
-                break
-        self.chooser.record_choice(final_is_dlvp)
-        self.stats.final_predictions += 1
-        if final_is_dlvp:
-            self.stats.final_by_dlvp += 1
-        else:
-            self.stats.final_by_vtage += 1
-        return SchemePrediction(
-            values=chosen.values,
-            correct=chosen.correct,
-            handle=_TournamentHandle(sp_d, sp_v, final_is_dlvp),
-            registers=chosen.registers,
+        sp = self.dlvp.fetch_side(inst, fetch_cycle, load_slot, probe_cycle)
+        d = None if sp is None else (sp.values, sp.correct, sp, sp.registers)
+        v = self.vtage.flat_fetch(
+            *_flat_fields(inst), fetch_cycle, load_slot, probe_cycle
         )
+        return SchemePrediction(*self._choose(inst.pc, len(inst.dests), d, v))
 
     def execute_side(self, inst, sp, way, value_predicted):
-        handle = sp.handle
-        assert isinstance(handle, _TournamentHandle)
-        a_correct: bool | None = None
-        b_correct: bool | None = None
-        value_correct = False
-        if handle.sp_dlvp is not None:
-            dlvp_used = value_predicted and handle.final_is_dlvp
-            _, d_correct = self.dlvp.execute_side(inst, handle.sp_dlvp, way, dlvp_used)
-            if handle.sp_dlvp.values is not None:
-                a_correct = handle.sp_dlvp.correct
-            if dlvp_used:
-                value_correct = d_correct
-        if handle.sp_vtage is not None:
-            _, v_correct = self.vtage.execute_side(inst, handle.sp_vtage, way, False)
-            if handle.sp_vtage.values is not None:
-                b_correct = handle.sp_vtage.correct
-            if value_predicted and not handle.final_is_dlvp:
-                value_correct = v_correct
-        self.chooser.update(inst.pc, a_correct, b_correct)
-        return value_predicted, value_correct
+        d, v, final_is_dlvp, _ = handle = sp.handle
+        d_correct = v_correct = False
+        if d is not None:
+            d_correct = self.dlvp.execute_side(
+                inst, d[2], way, value_predicted and final_is_dlvp
+            )[1]
+        if v is not None:
+            v_correct = self.vtage.flat_execute(
+                *_flat_fields(inst), v[2], v[0], way, False
+            )[1]
+        return self._settle(handle, value_predicted, d_correct, v_correct)
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -671,67 +616,68 @@ class TournamentScheme(Scheme):
     ):
         if op != _LOAD:
             return None
-        d = self._dlvp_flat_fetch(
-            pc, op, mem_addr, mem_size, flags, ndests, values,
-            fetch_cycle, load_slot, probe_cycle,
+        return self._choose(
+            pc, ndests,
+            self._dlvp_flat_fetch(
+                pc, op, mem_addr, mem_size, flags, ndests, values,
+                fetch_cycle, load_slot, probe_cycle,
+            ),
+            self._vtage_flat_fetch(
+                pc, op, mem_addr, mem_size, flags, ndests, values,
+                fetch_cycle, load_slot, probe_cycle,
+            ),
         )
-        v = self._vtage_flat_fetch(
-            pc, op, mem_addr, mem_size, flags, ndests, values,
-            fetch_cycle, load_slot, probe_cycle,
-        )
-        self.stats.loads += 1
-
-        prefer_dlvp = self.chooser.choose_a(pc)
-        d_values = d[0] if d is not None else None
-        v_values = v[0] if v is not None else None
-        if d_values is None and v_values is None:
-            return (None, False, (d, v, prefer_dlvp), ndests)
-        # Candidate preference, flattened: the chooser's pick when that
-        # side predicted, else whichever side did (DLVP first — the
-        # same order the object path's candidate list encodes).
-        if d_values is not None and (prefer_dlvp or v_values is None):
-            final_is_dlvp, chosen = True, d
-        else:
-            final_is_dlvp, chosen = False, v
-        self.chooser.record_choice(final_is_dlvp)
-        self.stats.final_predictions += 1
-        if final_is_dlvp:
-            self.stats.final_by_dlvp += 1
-        else:
-            self.stats.final_by_vtage += 1
-        return (chosen[0], chosen[1], (d, v, final_is_dlvp), chosen[3])
 
     def flat_execute(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
         handle, predicted, way, value_predicted,
     ):
-        d, v, final_is_dlvp = handle
-        a_correct: bool | None = None
-        b_correct: bool | None = None
-        value_correct = False
+        d, v, final_is_dlvp, _ = handle
+        d_correct = v_correct = False
         if d is not None:
-            d_values = d[0]
-            dlvp_used = value_predicted and final_is_dlvp
-            _, d_correct = self._dlvp_flat_execute(
+            d_correct = self._dlvp_flat_execute(
                 pc, op, mem_addr, mem_size, flags, ndests, values,
-                d[2], d_values, way, dlvp_used,
-            )
-            if d_values is not None:
-                a_correct = d[1]
-            if dlvp_used:
-                value_correct = d_correct
+                d[2], d[0], way, value_predicted and final_is_dlvp,
+            )[1]
         if v is not None:
-            v_values = v[0]
-            _, v_correct = self._vtage_flat_execute(
+            v_correct = self._vtage_flat_execute(
                 pc, op, mem_addr, mem_size, flags, ndests, values,
-                v[2], v_values, way, False,
-            )
-            if v_values is not None:
-                b_correct = v[1]
-            if value_predicted and not final_is_dlvp:
-                value_correct = v_correct
-        self.chooser.update(pc, a_correct, b_correct)
-        return value_predicted, value_correct
+                v[2], v[0], way, False,
+            )[1]
+        return self._settle(handle, value_predicted, d_correct, v_correct)
+
+    def _choose(self, pc, ndests, d, v):
+        """The final prediction from the two sub-scheme fetch tuples: the
+        chooser's pick when that side predicted, else whichever side
+        did (DLVP first)."""
+        self.stats.loads += 1
+        index, prefer_dlvp = self._chooser_lookup(pc)
+        d_values = d[0] if d is not None else None
+        v_values = v[0] if v is not None else None
+        if d_values is None and v_values is None:
+            return (None, False, (d, v, prefer_dlvp, index), ndests)
+        if d_values is not None and (prefer_dlvp or v_values is None):
+            final_is_dlvp, chosen = True, d
+            self.stats.final_by_dlvp += 1
+        else:
+            final_is_dlvp, chosen = False, v
+            self.stats.final_by_vtage += 1
+        self.chooser.record_choice(final_is_dlvp)
+        self.stats.final_predictions += 1
+        return (chosen[0], chosen[1], (d, v, final_is_dlvp, index), chosen[3])
+
+    def _settle(self, handle, value_predicted, d_correct, v_correct):
+        """Train the chooser with each side's fetch-time verdict and
+        return the final prediction's ``(value_predicted, correct)``."""
+        d, v, final_is_dlvp, index = handle
+        self._chooser_update(
+            index,
+            d[1] if d is not None and d[0] is not None else None,
+            v[1] if v is not None and v[0] is not None else None,
+        )
+        if not value_predicted:
+            return False, False
+        return True, d_correct if final_is_dlvp else v_correct
 
     def on_value_flush(self) -> None:
         super().on_value_flush()

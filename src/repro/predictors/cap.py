@@ -24,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.predictors.base import AddressPrediction, PredictorStats
-from repro.branch.history import fold_history
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class CapConfig:
             raise ValueError("confidence threshold must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class _LoadBufferEntry:
     tag: int
     history: int = 0
@@ -67,7 +66,7 @@ class _LoadBufferEntry:
     last_addr: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _LinkEntry:
     tag: int
     addr: int
@@ -78,53 +77,65 @@ class CapPredictor:
 
     def __init__(self, config: CapConfig | None = None) -> None:
         self.config = config or CapConfig()
-        self._load_buffer: list[_LoadBufferEntry | None] = [None] * self.config.load_buffer_entries
-        self._links: list[_LinkEntry | None] = [None] * self.config.link_entries
-        self._pending: deque[tuple[int, int]] = deque()
+        cfg = self.config
+        self._load_buffer: list[_LoadBufferEntry | None] = [None] * cfg.load_buffer_entries
+        self._links: list[_LinkEntry | None] = [None] * cfg.link_entries
+        # (pc word, load-buffer index, load-buffer tag, address) of the
+        # trained loads whose history/link update is still delayed.
+        self._pending: deque[tuple[int, int, int, int]] = deque()
         # Last link-table candidate computed at lookup time per static
         # load: confidence is trained against *these* (what a real CAP
         # would actually have predicted at fetch), not against the
         # delayed training stream's self-consistent view.
         self._shadow: dict[int, int | None] = {}
         self.stats = PredictorStats()
+        self._lb_bits = cfg.load_buffer_entries.bit_length() - 1
+        self._lb_mask = cfg.load_buffer_entries - 1
+        self._link_bits = cfg.link_entries.bit_length() - 1
+        self._link_mask = cfg.link_entries - 1
+        self._tag_bits = cfg.tag_bits
+        self._tag_mask = (1 << cfg.tag_bits) - 1
+        self._history_mask = (1 << cfg.history_bits) - 1
+        # Chunk offsets of the history folds (none for a zero width).
+        self._index_shifts = (
+            tuple(range(0, cfg.history_bits, self._link_bits))
+            if self._link_bits else ()
+        )
+        self._tag_shifts = (
+            tuple(range(0, cfg.history_bits, cfg.tag_bits)) if cfg.tag_bits else ()
+        )
 
     # -- indexing -----------------------------------------------------
 
-    def _lb_index(self, pc: int) -> int:
+    def _lb_key(self, pc: int) -> tuple[int, int]:
+        """Load-buffer ``(index, tag)`` of the static load at ``pc``."""
         word = pc >> 2
-        bits = self.config.load_buffer_entries.bit_length() - 1
-        return (word ^ (word >> bits) ^ (word >> (2 * bits))) & (
-            self.config.load_buffer_entries - 1
+        bits = self._lb_bits
+        return (
+            (word ^ (word >> bits) ^ (word >> (2 * bits))) & self._lb_mask,
+            (word ^ (word >> self._tag_bits)) & self._tag_mask,
         )
 
-    def _lb_tag(self, pc: int) -> int:
-        return ((pc >> 2) ^ (pc >> (2 + self.config.tag_bits))) & (
-            (1 << self.config.tag_bits) - 1
-        )
+    def _link_key(self, word: int, history: int) -> tuple[int, int]:
+        """Link-table ``(index, tag)`` for a load's per-static-load history.
 
-    def _link_index(self, pc: int, history: int) -> int:
-        bits = self.config.link_entries.bit_length() - 1
-        folded = fold_history(history, self.config.history_bits, bits)
-        word = pc >> 2
-        return (word ^ (word >> bits) ^ folded) & (self.config.link_entries - 1)
-
-    def _link_tag(self, pc: int, history: int) -> int:
-        folded = fold_history(history, self.config.history_bits, self.config.tag_bits)
-        return ((pc >> 2) ^ (folded << 1)) & ((1 << self.config.tag_bits) - 1)
-
-    def _hash_history(self, history: int, addr: int) -> int:
-        """Shift 4 low address bits into the 16-bit per-load history.
-
-        CAP keeps a *compressed* address history — a few low-order bits
-        per address, four addresses deep here.  The compression is what
-        limits it: streams alias every 16 elements and data-dependent
-        address sequences fold onto each other, so confidence never
-        builds there, while constant-address and short-period loads
-        survive.  (Keeping full addresses would need hundreds of bits
-        per load-buffer entry.)
+        The history is XOR-folded to the index width and to the tag
+        width (:func:`~repro.branch.history.fold_history`, inlined over
+        the precomputed chunk shifts).
         """
-        mask = (1 << self.config.history_bits) - 1
-        return ((history << 4) | ((addr >> 3) & 0xF)) & mask
+        history &= self._history_mask
+        index_mask = self._link_mask
+        index_fold = 0
+        for shift in self._index_shifts:
+            index_fold ^= (history >> shift) & index_mask
+        tag_mask = self._tag_mask
+        tag_fold = 0
+        for shift in self._tag_shifts:
+            tag_fold ^= (history >> shift) & tag_mask
+        return (
+            (word ^ (word >> self._link_bits) ^ index_fold) & index_mask,
+            (word ^ (tag_fold << 1)) & tag_mask,
+        )
 
     # -- prediction ---------------------------------------------------
 
@@ -136,13 +147,14 @@ class CapPredictor:
         CAP reads both tables every lookup and uses the outcome to move
         the confidence counter.
         """
-        lb = self._load_buffer[self._lb_index(pc)]
-        if lb is None or lb.tag != self._lb_tag(pc):
+        lb_index, lb_tag = self._lb_key(pc)
+        lb = self._load_buffer[lb_index]
+        if lb is None or lb.tag != lb_tag:
             self._shadow[pc] = None
             return None
-        link_index = self._link_index(pc, lb.history)
+        link_index, link_tag = self._link_key(pc >> 2, lb.history)
         link = self._links[link_index]
-        if link is None or link.tag != self._link_tag(pc, lb.history):
+        if link is None or link.tag != link_tag:
             self._shadow[pc] = None
             return None
         self._shadow[pc] = link.addr
@@ -157,55 +169,56 @@ class CapPredictor:
     def train(self, pc: int, addr: int) -> None:
         """Train with an executed load (applied after ``update_delay``).
 
-        Updates are queued and applied once ``update_delay`` younger
-        loads have trained — the in-flight history lag described in
-        :class:`CapConfig`.  With ``update_delay=0`` training is
-        immediate (the idealised predictor).
+        The confidence counter moves at once, by the real lookup
+        outcome.  The history and link updates are queued and applied
+        once ``update_delay`` younger loads have trained — the in-flight
+        history lag described in :class:`CapConfig`.  With
+        ``update_delay=0`` they are immediate (the idealised predictor).
         """
-        self._train_confidence(pc, addr)
-        if self.config.update_delay <= 0:
-            self._apply_train(pc, addr)
-            return
-        self._pending.append((pc, addr))
-        while len(self._pending) > self.config.update_delay:
-            old_pc, old_addr = self._pending.popleft()
-            self._apply_train(old_pc, old_addr)
-
-    def _train_confidence(self, pc: int, addr: int) -> None:
-        """Move the confidence counter by the real lookup outcome."""
-        lb = self._load_buffer[self._lb_index(pc)]
-        if lb is None or lb.tag != self._lb_tag(pc):
-            return
-        shadow = self._shadow.get(pc)
-        if shadow is None:
-            return
-        if shadow == addr:
-            if lb.confidence < self.config.confidence_threshold:
-                lb.confidence += 1
-        elif lb.confidence > 0:
-            lb.confidence -= 1
-
-    def _apply_train(self, pc: int, addr: int) -> None:
-        lb_index = self._lb_index(pc)
-        lb_tag = self._lb_tag(pc)
+        lb_index, lb_tag = self._lb_key(pc)
         lb = self._load_buffer[lb_index]
+        if lb is not None and lb.tag == lb_tag:
+            shadow = self._shadow.get(pc)
+            if shadow is not None:
+                if shadow == addr:
+                    if lb.confidence < self.config.confidence_threshold:
+                        lb.confidence += 1
+                elif lb.confidence > 0:
+                    lb.confidence -= 1
+        delay = self.config.update_delay
+        if delay <= 0:
+            self._apply_train(pc >> 2, lb_index, lb_tag, addr)
+            return
+        pending = self._pending
+        pending.append((pc >> 2, lb_index, lb_tag, addr))
+        while len(pending) > delay:
+            self._apply_train(*pending.popleft())
 
+    def _apply_train(self, word: int, lb_index: int, lb_tag: int, addr: int) -> None:
+        """Install the (history -> address) link and advance the history.
+
+        CAP keeps a *compressed* address history — 4 low address bits
+        per address shifted into the per-load history, four addresses
+        deep here.  The compression is what limits it: streams alias
+        every 16 elements and data-dependent address sequences fold
+        onto each other, so confidence never builds there, while
+        constant-address and short-period loads survive.  (Keeping full
+        addresses would need hundreds of bits per load-buffer entry.)
+        Confidence is handled in :meth:`train` against real lookup
+        outcomes, not here.
+        """
+        lb = self._load_buffer[lb_index]
         if lb is None or lb.tag != lb_tag:
             self._load_buffer[lb_index] = _LoadBufferEntry(
-                tag=lb_tag, history=self._hash_history(0, addr), last_addr=addr
+                tag=lb_tag, history=((addr >> 3) & 0xF) & self._history_mask,
+                last_addr=addr,
             )
             return
-
-        # Install the (history -> address) link and advance the history.
-        # Confidence is handled in _train_confidence against real
-        # lookup outcomes, not here.
-        link_index = self._link_index(pc, lb.history)
-        link_tag = self._link_tag(pc, lb.history)
+        link_index, link_tag = self._link_key(word, lb.history)
         link = self._links[link_index]
         if link is None or link.tag != link_tag or link.addr != addr:
-            self._links[link_index] = _LinkEntry(tag=link_tag, addr=addr)
-
-        lb.history = self._hash_history(lb.history, addr)
+            self._links[link_index] = _LinkEntry(link_tag, addr)
+        lb.history = ((lb.history << 4) | ((addr >> 3) & 0xF)) & self._history_mask
         lb.last_addr = addr
 
     # -- accounting ---------------------------------------------------

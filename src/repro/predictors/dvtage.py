@@ -7,13 +7,15 @@ The prediction is ``last_value + stride``, which captures strided value
 sequences VTAGE proper cannot (its entries hold full values and a
 changing value resets confidence every time).
 
-The paper also names D-VTAGE's costs, which this model reproduces:
+The paper also names D-VTAGE's costs.  This model does not charge
+either of them:
 
-* an adder on the prediction critical path (we charge one extra cycle
-  of prediction latency via :attr:`prediction_latency`);
-* a speculative window to track in-flight last values — we model the
-  idealised variant (the LVT is updated at train time in program
-  order), which is the most favourable assumption for D-VTAGE.
+* the adder on the prediction critical path is not modelled — a
+  D-VTAGE prediction is available as early as a VTAGE one;
+* the speculative window that tracks in-flight last values is
+  idealised (the LVT is updated at train time in program order).
+
+Both are the most favourable assumptions for D-VTAGE.
 
 It shares VTAGE's ISA problem: one slot per destination register, so
 the static opcode filter applies equally.
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from repro.isa import Instruction, OpClass
 from repro.predictors.base import PredictorStats
 from repro.predictors.confidence import VTAGE_FPC_VECTOR, fpc_advance
-from repro.predictors.vtage import _FILTERED_TYPES, _itype_flat
 from repro.branch.history import fold_history
 
 _MASK64 = (1 << 64) - 1
@@ -51,7 +52,6 @@ class DvtageConfig:
     fpc_vector: tuple[float, ...] = VTAGE_FPC_VECTOR
     loads_only: bool = True
     static_filter: bool = True
-    prediction_latency: int = 1          # the adder on the critical path
     seed: int = 0xD7A6
 
     def __post_init__(self) -> None:
@@ -61,13 +61,13 @@ class DvtageConfig:
             raise ValueError("table entries must be a power of two")
 
 
-@dataclass
+@dataclass(slots=True)
 class _LvtEntry:
     tag: int
     last_value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _StrideEntry:
     tag: int
     stride: int
@@ -75,7 +75,20 @@ class _StrideEntry:
 
 
 class DvtagePredictor:
-    """LVT + tagged stride components, single-destination loads."""
+    """LVT + tagged stride components, single-destination loads.
+
+    The pipeline drives it in two phases: :meth:`predict_flat` at fetch
+    reads the LVT and the stride tables once and returns a plain tuple
+    handle, :meth:`train_flat` at execute trains from it.  The handle
+    is ``(prediction, lvt, lvt_index, lvt_tag, provider, entry, mixed,
+    word, folds)``: the LVT entry (None on a miss, which allocates at
+    ``lvt_index``/``lvt_tag``), the longest-history stride table whose
+    tag matched and its entry (both None on a miss or an LVT miss), the
+    history-independent index and tag halves of the load's PC, and the
+    per-table ``(table, index fold, tag fold)`` of the fetch-time
+    history.  Nothing trains D-VTAGE between a load's fetch and its
+    execute, so the carried entries are the live ones.
+    """
 
     def __init__(self, config: DvtageConfig | None = None) -> None:
         self.config = config or DvtageConfig()
@@ -86,146 +99,151 @@ class DvtagePredictor:
             [None] * cfg.table_entries for _ in cfg.history_lengths
         ]
         self._index_bits = cfg.table_entries.bit_length() - 1
+        self._index_mask = cfg.table_entries - 1
+        self._lvt_mask = cfg.lvt_entries - 1
+        self._tag_mask = (1 << cfg.tag_bits) - 1
+        self._stride_mask = (1 << cfg.stride_bits) - 1
+        self._confident = len(cfg.fpc_vector)
+        self._newest_first = tuple(reversed(range(len(cfg.history_lengths))))
         self.stats = PredictorStats()
+        # One-entry memo of the per-table folds, keyed on the history
+        # bits they read.
+        self._history_mask = (1 << max(cfg.history_lengths, default=0)) - 1
+        self._fold_memo_history: int | None = None
+        self._fold_memo: list = []
 
-    # -- eligibility / keys ----------------------------------------------
-
-    def eligible(self, inst: Instruction) -> bool:
-        return self.eligible_flat(int(inst.op), len(inst.dests), inst.is_vector)
-
-    def eligible_flat(self, op: int, ndests: int, is_vector: bool) -> bool:
-        """:meth:`eligible` over raw column scalars (columnar hot path)."""
-        if op != _LOAD or ndests != 1:
-            return False
-        if self.config.static_filter and (
-            _itype_flat(op, ndests, is_vector) in _FILTERED_TYPES
-        ):
-            return False
-        return True
-
-    def _mix(self, pc: int) -> int:
-        word = pc >> 2
-        return word ^ (word >> self._index_bits) ^ (word >> (2 * self._index_bits))
-
-    def _lvt_key(self, pc: int) -> tuple[int, int]:
-        index = self._mix(pc) & (self.config.lvt_entries - 1)
-        tag = (pc >> 2) & ((1 << self.config.tag_bits) - 1)
-        return index, tag
-
-    def _stride_key(self, pc: int, table: int, history: int) -> tuple[int, int]:
+    def _folds(self, history: int) -> list:
+        """Per-table ``(table, index fold, tag fold)`` of ``history``,
+        the index fold salted and the tag fold shifted as the keys use
+        them."""
         cfg = self.config
-        hist_len = cfg.history_lengths[table]
-        idx_fold = fold_history(history, hist_len, self._index_bits)
-        tag_fold = fold_history(history, hist_len, cfg.tag_bits)
-        index = (self._mix(pc) ^ idx_fold ^ (table * 0x9E5)) & (cfg.table_entries - 1)
-        tag = ((pc >> 2) ^ (tag_fold << 1)) & ((1 << cfg.tag_bits) - 1)
-        return index, tag
+        folds = [
+            (
+                self._tables[table],
+                fold_history(history, hist_len, self._index_bits) ^ (table * 0x9E5),
+                fold_history(history, hist_len, cfg.tag_bits) << 1,
+            )
+            for table, hist_len in enumerate(cfg.history_lengths)
+        ]
+        self._fold_memo_history = history
+        self._fold_memo = folds
+        return folds
 
-    # -- prediction --------------------------------------------------------
-
-    def predict(self, inst: Instruction, history: int) -> int | None:
-        """Predicted value (last value + provider stride), or None."""
-        return self.predict_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector, history
-        )
+    # -- fetch side ---------------------------------------------------------
 
     def predict_flat(
         self, pc: int, op: int, ndests: int, is_vector: bool, history: int
-    ) -> int | None:
-        """:meth:`predict` over raw column scalars (columnar hot path)."""
-        if not self.eligible_flat(op, ndests, is_vector):
+    ) -> tuple | None:
+        """Fetch side: the lookup handle, or None when ineligible.
+
+        Eligible are single-destination loads, minus vector loads under
+        the static filter.  The handle's first field is the predicted
+        value (last value + provider stride), or None.
+        """
+        if op != _LOAD or ndests != 1 or (is_vector and self.config.static_filter):
             return None
-        lvt_index, lvt_tag = self._lvt_key(pc)
+        word = pc >> 2
+        index_bits = self._index_bits
+        mixed = word ^ (word >> index_bits) ^ (word >> (2 * index_bits))
+        lvt_index = mixed & self._lvt_mask
+        lvt_tag = word & self._tag_mask
         lvt = self._lvt[lvt_index]
         if lvt is None or lvt.tag != lvt_tag:
-            return None
-        provider = self._provider(pc, history)
-        if provider is None:
-            return None
-        entry = provider[2]
-        if entry.confidence < len(self.config.fpc_vector):
-            return None
-        return (lvt.last_value + entry.stride) & _MASK64
-
-    def _provider(self, pc: int, history: int):
-        for table in reversed(range(len(self.config.history_lengths))):
-            index, tag = self._stride_key(pc, table, history)
-            entry = self._tables[table][index]
-            if entry is not None and entry.tag == tag:
-                return table, index, entry
-        return None
-
-    # -- training -----------------------------------------------------------
-
-    def train(self, inst: Instruction, history: int) -> int | None:
-        """Predict-and-train; returns the prediction that was made."""
-        return self.train_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector,
-            inst.values, history,
+            return (None, None, lvt_index, lvt_tag, None, None, mixed, word, None)
+        history &= self._history_mask
+        folds = (
+            self._fold_memo if history == self._fold_memo_history
+            else self._folds(history)
         )
+        index_mask = self._index_mask
+        tag_mask = self._tag_mask
+        for provider in self._newest_first:
+            table, index_fold, tag_fold = folds[provider]
+            entry = table[(mixed ^ index_fold) & index_mask]
+            if entry is not None and entry.tag == (word ^ tag_fold) & tag_mask:
+                prediction = (
+                    (lvt.last_value + entry.stride) & _MASK64
+                    if entry.confidence >= self._confident else None
+                )
+                return (prediction, lvt, lvt_index, lvt_tag, provider, entry,
+                        mixed, word, folds)
+        return (None, lvt, lvt_index, lvt_tag, None, None, mixed, word, folds)
+
+    # -- execute side -------------------------------------------------------
 
     def train_flat(
-        self,
-        pc: int,
-        op: int,
-        ndests: int,
-        is_vector: bool,
-        values: tuple[int, ...],
-        history: int,
+        self, handle: tuple | None, op: int, values: tuple[int, ...]
     ) -> int | None:
-        """:meth:`train` over raw column scalars (columnar hot path)."""
+        """Execute side: train from the fetch-time handle (None when the
+        instruction was ineligible); returns the prediction that was
+        made.  Every load counts toward the coverage denominator."""
         if op == _LOAD:
             self.stats.loads_seen += 1
-        if not self.eligible_flat(op, ndests, is_vector):
+        if handle is None:
             return None
+        prediction, lvt, lvt_index, lvt_tag, provider, entry, mixed, word, folds = handle
         value = values[0] & _MASK64
-        prediction = self.predict_flat(pc, op, ndests, is_vector, history)
-
-        lvt_index, lvt_tag = self._lvt_key(pc)
-        lvt = self._lvt[lvt_index]
-        stride_mask = (1 << self.config.stride_bits) - 1
-
-        if lvt is not None and lvt.tag == lvt_tag:
+        if lvt is None:
+            self._lvt[lvt_index] = _LvtEntry(lvt_tag, value)
+        else:
             observed = (value - lvt.last_value) & _MASK64
             # Strides are narrow (16 bits, sign-extended) in hardware.
+            stride_mask = self._stride_mask
             if observed & ~stride_mask and (observed | stride_mask) != _MASK64:
                 observed = None      # stride not representable
-            self._train_stride(pc, history, observed)
             lvt.last_value = value
-        else:
-            self._lvt[lvt_index] = _LvtEntry(tag=lvt_tag, last_value=value)
-
+            start = 0
+            if entry is not None:
+                if observed is not None and entry.stride == observed:
+                    confidence = entry.confidence
+                    if confidence < self._confident and fpc_advance(
+                        self._rng, self.config.fpc_vector, confidence
+                    ):
+                        entry.confidence = confidence + 1
+                    observed = None  # trained in place: nothing to allocate
+                elif entry.confidence == 0 and observed is not None:
+                    entry.stride = observed
+                else:
+                    entry.confidence = 0
+                start = provider + 1
+            if observed is not None:
+                index_mask = self._index_mask
+                for table, index_fold, tag_fold in folds[start:]:
+                    index = (mixed ^ index_fold) & index_mask
+                    victim = table[index]
+                    if victim is None or victim.confidence == 0:
+                        table[index] = _StrideEntry(
+                            (word ^ tag_fold) & self._tag_mask, observed
+                        )
+                        break
         if prediction is not None:
             self.stats.predictions += 1
             if prediction == value:
                 self.stats.correct += 1
         return prediction
 
-    def _train_stride(self, pc: int, history: int, observed: int | None) -> None:
-        cfg = self.config
-        provider = self._provider(pc, history)
-        if provider is not None:
-            _, _, entry = provider
-            if observed is not None and entry.stride == observed:
-                if entry.confidence < len(cfg.fpc_vector):
-                    if fpc_advance(self._rng, cfg.fpc_vector, entry.confidence):
-                        entry.confidence += 1
-                return
-            if entry.confidence == 0 and observed is not None:
-                entry.stride = observed
-            else:
-                entry.confidence = 0
-            start = provider[0] + 1
-        else:
-            start = 0
-        if observed is None:
-            return
-        for table in range(start, len(cfg.history_lengths)):
-            index, tag = self._stride_key(pc, table, history)
-            entry = self._tables[table][index]
-            if entry is None or entry.confidence == 0:
-                self._tables[table][index] = _StrideEntry(tag=tag, stride=observed)
-                return
+    # -- Instruction adapters -----------------------------------------------
+
+    def eligible(self, inst: Instruction) -> bool:
+        """May this instruction be predicted / may it update the tables?"""
+        return self.predict_flat(
+            inst.pc, int(inst.op), len(inst.dests), inst.is_vector, 0
+        ) is not None
+
+    def predict(self, inst: Instruction, history: int) -> int | None:
+        """Predicted value (last value + provider stride), or None."""
+        handle = self.predict_flat(
+            inst.pc, int(inst.op), len(inst.dests), inst.is_vector, history
+        )
+        return None if handle is None else handle[0]
+
+    def train(self, inst: Instruction, history: int) -> int | None:
+        """Predict-and-train; returns the prediction that was made."""
+        op = int(inst.op)
+        handle = self.predict_flat(
+            inst.pc, op, len(inst.dests), inst.is_vector, history
+        )
+        return self.train_flat(handle, op, inst.values)
 
     def storage_bits(self) -> int:
         cfg = self.config

@@ -40,22 +40,30 @@ class TournamentChooser:
         if initial is not None and not 0 <= initial <= 3:
             raise ValueError("initial counter value must be in [0, 3]")
         self.entries = entries
+        self._bits = entries.bit_length() - 1
         if initial is None:
             self._counters = [1 + (i & 1) for i in range(entries)]
         else:
             self._counters = [initial] * entries
         self.stats = ChooserStats()
 
-    def _index(self, pc: int) -> int:
+    def lookup(self, pc: int) -> tuple[int, bool]:
+        """``(counter index, prefer A)`` for the load at ``pc``.
+
+        The index is computed once at fetch and handed back to
+        :meth:`update_at` when the load executes.
+        """
         word = pc >> 2
-        bits = self.entries.bit_length() - 1
         # Fold high PC bits so regularly-strided code does not collapse
         # onto a handful of counters.
-        return (word ^ (word >> bits) ^ (word >> (2 * bits))) & (self.entries - 1)
+        index = (word ^ (word >> self._bits) ^ (word >> (2 * self._bits))) & (
+            self.entries - 1
+        )
+        return index, self._counters[index] >= 2
 
     def choose_a(self, pc: int) -> bool:
         """True if predictor A should make the final prediction."""
-        return self._counters[self._index(pc)] >= 2
+        return self.lookup(pc)[1]
 
     def record_choice(self, chose_a: bool) -> None:
         if chose_a:
@@ -64,33 +72,26 @@ class TournamentChooser:
             self.stats.chose_b += 1
 
     def update(self, pc: int, a_correct: bool | None, b_correct: bool | None) -> None:
+        """:meth:`update_at` the counter of ``pc``."""
+        self.update_at(self.lookup(pc)[0], a_correct, b_correct)
+
+    def update_at(
+        self, index: int, a_correct: bool | None, b_correct: bool | None
+    ) -> None:
         """Train with each predictor's outcome (None = did not predict).
 
         The chooser only matters when *both* predictors offer a value —
         a lone prediction wins by default — so abstentions carry no
-        routing signal and leave the counter alone.  What moves it is a
-        *misprediction*: a predictor that was wrong loses to one that
-        was right or stayed silent.
+        routing signal and leave the counter alone, and so does
+        abstain-versus-correct.  What moves it is a *misprediction*: a
+        predictor that was wrong loses to one that was right or stayed
+        silent.
         """
-        score_a = self._score(a_correct)
-        score_b = self._score(b_correct)
-        if score_a == score_b or (a_correct is None and b_correct is None):
-            return
-        if a_correct is None and b_correct:
-            return          # abstain vs correct: no routing information
-        if b_correct is None and a_correct:
-            return
-        index = self._index(pc)
-        if score_a > score_b:
+        if a_correct is not None and not a_correct:
+            if b_correct is None or b_correct:
+                self._counters[index] = max(0, self._counters[index] - 1)
+        elif b_correct is not None and not b_correct:
             self._counters[index] = min(3, self._counters[index] + 1)
-        else:
-            self._counters[index] = max(0, self._counters[index] - 1)
-
-    @staticmethod
-    def _score(correct: bool | None) -> int:
-        if correct is None:
-            return 1        # abstained
-        return 2 if correct else 0
 
     def storage_bits(self) -> int:
         return self.entries * 2

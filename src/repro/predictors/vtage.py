@@ -46,6 +46,7 @@ class OpcodeFilterMode(enum.Enum):
 
 
 _LOAD = int(OpClass.LOAD)
+_MASK64 = (1 << 64) - 1
 _EXCLUDED_OPS = frozenset(
     {int(OpClass.STORE), int(OpClass.ATOMIC), int(OpClass.BARRIER)}
 )
@@ -85,7 +86,6 @@ class VtageConfig:
     filter_mode: OpcodeFilterMode = OpcodeFilterMode.STATIC
     dynamic_filter_threshold: float = 0.95
     dynamic_filter_warmup: int = 128
-    max_history: int = 64
     seed: int = 0x57A6
 
     def __post_init__(self) -> None:
@@ -104,35 +104,28 @@ class _VtageEntry:
         self.confidence = confidence
 
 
-@dataclass
-class _SlotLookup:
-    """Where one prediction slot hit (or would allocate)."""
-
-    keys: list[tuple[int, int]]          # (index, tag) per table
-    provider: int | None                  # table index of longest match
-    prediction: int | None                # value if provider confident
-
-
-@dataclass
-class VtageHandle:
-    """Fetch-time lookup state carried to execute (two-phase driving)."""
-
-    lookups: list[_SlotLookup]
-    prediction: tuple[int, ...] | None
-
-
-@dataclass
-class _TypeAccuracy:
-    predictions: int = 0
-    correct: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.predictions if self.predictions else 1.0
-
-
 class VtagePredictor:
-    """VTAGE with per-destination-register slots and opcode filtering."""
+    """VTAGE with per-destination-register slots and opcode filtering.
+
+    The pipeline drives it in two phases: :meth:`begin_flat` at fetch
+    looks every prediction slot up and returns a plain tuple handle,
+    :meth:`finish_flat` at execute trains from that handle.  A slot's
+    key concatenates the slot number and the slot count with the PC
+    (the paper's fix for multi-destination loads) and hashes it with
+    the folded branch history.  The handle of a single 64-bit slot is
+    ``(prediction, provider, entry, mixed, tag_base, folds)``; with
+    several slots it is ``(prediction, slots, folds)`` holding one
+    ``(mixed, tag_base, provider, entry, value)`` per slot, ``value``
+    being the slot's confident prediction or None.  ``provider`` is
+    the longest-history table whose tag matched (None on a miss),
+    ``entry`` that table's entry, ``mixed``/``tag_base`` the
+    history-independent halves of the index and tag, and ``folds`` the
+    per-table ``(table, index fold, tag fold)`` of the fetch-time
+    history.  Nothing else trains the tables between an instruction's
+    fetch and its execute, so the carried entries are the live ones;
+    with at least five index bits the slots of one instruction (16 at
+    most) never share a table index either.
+    """
 
     def __init__(self, config: VtageConfig | None = None) -> None:
         self.config = config or VtageConfig()
@@ -142,16 +135,23 @@ class VtagePredictor:
             [None] * cfg.table_entries for _ in cfg.history_lengths
         ]
         self._index_bits = cfg.table_entries.bit_length() - 1
+        self._index_mask = cfg.table_entries - 1
+        self._tag_mask = (1 << cfg.tag_bits) - 1
+        self._confident = len(cfg.fpc_vector)
+        self._newest_first = tuple(reversed(range(len(cfg.history_lengths))))
+        self._dynamic = cfg.filter_mode == OpcodeFilterMode.DYNAMIC
         self.stats = PredictorStats()              # per-load accounting
         self.slot_predictions = 0
         self.slot_correct = 0
-        self._type_accuracy: dict[str, _TypeAccuracy] = {}
-        # One-entry memo of per-table (idx_fold, tag_fold) pairs for the
-        # last seen history value: the branch history only changes on
-        # branches, so runs of consecutive loads (and the multiple slots
-        # of one load) share the fold computation.
+        # Per instruction type: [predictions, correct] of the fully
+        # predicted instances (drives the dynamic filter).
+        self._type_accuracy: dict[str, list[int]] = {}
+        # One-entry memo of the per-table folds, keyed on the history
+        # bits they read: those only change on branches, so runs of
+        # consecutive loads share the fold computation.
+        self._history_mask = (1 << max(cfg.history_lengths)) - 1
         self._fold_memo_history: int | None = None
-        self._fold_memo: list[tuple[int, int]] = []
+        self._fold_memo: list = []
 
     # -- eligibility ----------------------------------------------------
 
@@ -164,7 +164,7 @@ class VtagePredictor:
     def eligible_flat(
         self, op: int, ndests: int, is_vector: bool, values: tuple[int, ...]
     ) -> bool:
-        """:meth:`eligible` over raw column scalars (columnar hot path)."""
+        """:meth:`eligible` over raw column scalars."""
         if not ndests or not values:
             return False
         if self.config.loads_only and op != _LOAD:
@@ -179,144 +179,35 @@ class VtagePredictor:
             acc = self._type_accuracy.get(itype)
             if (
                 acc is not None
-                and acc.predictions >= self.config.dynamic_filter_warmup
-                and acc.accuracy < self.config.dynamic_filter_threshold
+                and acc[0] >= self.config.dynamic_filter_warmup
+                and (acc[1] / acc[0] if acc[0] else 1.0)
+                < self.config.dynamic_filter_threshold
             ):
                 return False
         return True
 
-    # -- keys -----------------------------------------------------------
+    def _folds(self, history: int) -> list:
+        """Per-table ``(table, index fold, tag fold)`` of ``history``.
 
-    def _slot_keys(self, pc: int, num_slots: int, slot: int, history: int) -> list[tuple[int, int]]:
-        """(index, tag) in each table for one prediction slot.
-
-        The PC is concatenated with the slot number and the destination
-        count (the paper's fix for multi-destination loads) before
-        hashing with the folded branch history.
+        The index fold carries the table's salt and the tag fold its
+        one-bit shift, so a slot's keys are ``(mixed ^ index_fold) &
+        index_mask`` and ``(tag_base ^ tag_fold) & tag_mask``.
         """
-        cfg = self.config
-        base = ((pc >> 2) << 5) | (slot << 1) | (num_slots & 1)
-        # Fold high bits down so regularly-strided code does not alias
-        # systematically in the small (256-entry) tables.
-        mixed = base ^ (base >> self._index_bits) ^ (base >> (2 * self._index_bits))
-        keys = []
-        for table, (idx_fold, tag_fold) in enumerate(self._folds(history)):
-            index = (mixed ^ idx_fold ^ (table * 0x9E5)) & (cfg.table_entries - 1)
-            tag = (base ^ (base >> self._index_bits) ^ (tag_fold << 1)) & (
-                (1 << cfg.tag_bits) - 1
-            )
-            keys.append((index, tag))
-        return keys
-
-    def _folds(self, history: int) -> list[tuple[int, int]]:
-        """Per-table (index fold, tag fold) of ``history``, memoized."""
-        if history == self._fold_memo_history:
-            return self._fold_memo
         cfg = self.config
         folds = [
             (
-                fold_history(history, hist_len, self._index_bits) if hist_len else 0,
-                fold_history(history, hist_len, cfg.tag_bits) if hist_len else 0,
+                self._tables[table],
+                (fold_history(history, hist_len, self._index_bits) if hist_len else 0)
+                ^ (table * 0x9E5),
+                (fold_history(history, hist_len, cfg.tag_bits) if hist_len else 0) << 1,
             )
-            for hist_len in cfg.history_lengths
+            for table, hist_len in enumerate(cfg.history_lengths)
         ]
         self._fold_memo_history = history
         self._fold_memo = folds
         return folds
 
-    def _lookup_slot(self, keys: list[tuple[int, int]]) -> _SlotLookup:
-        provider = None
-        prediction = None
-        for table in reversed(range(len(self.config.history_lengths))):
-            index, tag = keys[table]
-            entry = self._tables[table][index]
-            if entry is not None and entry.tag == tag:
-                provider = table
-                if entry.confidence >= len(self.config.fpc_vector):
-                    prediction = entry.value
-                break
-        return _SlotLookup(keys=keys, provider=provider, prediction=prediction)
-
-    # -- prediction -------------------------------------------------------
-
-    def predict(self, inst: Instruction, history: int) -> tuple[int, ...] | None:
-        """Predict all destination values, or None.
-
-        All-or-nothing: a multi-destination load is only predicted when
-        every slot has a confident provider (a partial prediction would
-        still stall the consumers of the unpredicted registers and still
-        risk a flush).
-        """
-        lookups = self._lookups_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector,
-            inst.values, history,
-        )
-        if lookups is None:
-            return None
-        values = [lk.prediction for lk in lookups]
-        if any(v is None for v in values):
-            return None
-        return self._assemble_flat(len(inst.dests), inst.is_vector, values)
-
-    def _lookups(self, inst: Instruction, history: int) -> list[_SlotLookup] | None:
-        return self._lookups_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector,
-            inst.values, history,
-        )
-
-    def _lookups_flat(
-        self,
-        pc: int,
-        op: int,
-        ndests: int,
-        is_vector: bool,
-        values: tuple[int, ...],
-        history: int,
-    ) -> list[_SlotLookup] | None:
-        if not self.eligible_flat(op, ndests, is_vector, values):
-            return None
-        num_slots = (2 * ndests) if is_vector else ndests
-        return [
-            self._lookup_slot(self._slot_keys(pc, num_slots, slot, history))
-            for slot in range(num_slots)
-        ]
-
-    def _assemble_flat(
-        self, ndests: int, is_vector: bool, slot_values: list[int]
-    ) -> tuple[int, ...]:
-        """Recombine 64-bit slots into per-destination values."""
-        if not is_vector:
-            return tuple(slot_values)
-        values = []
-        for i in range(ndests):
-            low, high = slot_values[2 * i], slot_values[2 * i + 1]
-            values.append((high << 64) | low)
-        return tuple(values)
-
-    def _slot_targets_flat(
-        self, is_vector: bool, values: tuple[int, ...]
-    ) -> list[int]:
-        """The correct 64-bit value for each prediction slot."""
-        if not is_vector:
-            return [v & ((1 << 64) - 1) for v in values]
-        targets = []
-        for value in values:
-            targets.append(value & ((1 << 64) - 1))
-            targets.append((value >> 64) & ((1 << 64) - 1))
-        return targets
-
-    # -- two-phase driving (used inside the pipeline model) ---------------
-
-    def begin(self, inst: Instruction, history: int) -> VtageHandle | None:
-        """Fetch side: look up all slots; None when ineligible.
-
-        Counts every load toward the coverage denominator, eligible or
-        not — the paper's coverage is over *all* dynamic loads.
-        """
-        return self.begin_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector,
-            inst.values, history,
-        )
+    # -- fetch side -------------------------------------------------------
 
     def begin_flat(
         self,
@@ -326,43 +217,200 @@ class VtagePredictor:
         is_vector: bool,
         values: tuple[int, ...],
         history: int,
-    ) -> VtageHandle | None:
-        """:meth:`begin` over raw column scalars (columnar hot path)."""
+    ) -> tuple | None:
+        """Fetch side: look up every slot; None when ineligible.
+
+        Counts every load toward the coverage denominator, eligible or
+        not — the paper's coverage is over *all* dynamic loads.  The
+        handle's first field is the predicted values, or None unless
+        every slot has a confident provider: a multi-destination load
+        is predicted all-or-nothing (a partial prediction would still
+        stall the consumers of the unpredicted registers and still risk
+        a flush).
+        """
         if op == _LOAD:
             self.stats.loads_seen += 1
-        lookups = self._lookups_flat(pc, op, ndests, is_vector, values, history)
-        if lookups is None:
+            # A single-destination scalar load passes every filter but
+            # the dynamic one.
+            if (ndests != 1 or is_vector or not values or self._dynamic) and (
+                not self.eligible_flat(op, ndests, is_vector, values)
+            ):
+                return None
+        elif not self.eligible_flat(op, ndests, is_vector, values):
             return None
-        slot_values = [lk.prediction for lk in lookups]
-        prediction = None
-        if all(v is not None for v in slot_values):
-            prediction = self._assemble_flat(ndests, is_vector, slot_values)
-        return VtageHandle(lookups=lookups, prediction=prediction)
-
-    def finish(self, handle: VtageHandle, inst: Instruction) -> bool:
-        """Execute side: train using the fetch-time lookups.
-
-        Returns True when the (made) prediction was fully correct.
-        """
-        return self._train_with_lookups_flat(
-            handle.lookups, int(inst.op), len(inst.dests), inst.is_vector,
-            inst.values,
+        history &= self._history_mask
+        folds = (
+            self._fold_memo if history == self._fold_memo_history
+            else self._folds(history)
         )
+        index_bits = self._index_bits
+        index_mask = self._index_mask
+        tag_mask = self._tag_mask
+        confident = self._confident
+        if ndests == 1 and not is_vector:
+            base = ((pc >> 2) << 5) | 1
+            # Fold high bits down so regularly-strided code does not
+            # alias systematically in the small (256-entry) tables.
+            tag_base = base ^ (base >> index_bits)
+            mixed = tag_base ^ (base >> (2 * index_bits))
+            for provider in self._newest_first:
+                table, index_fold, tag_fold = folds[provider]
+                entry = table[(mixed ^ index_fold) & index_mask]
+                if entry is not None and entry.tag == (tag_base ^ tag_fold) & tag_mask:
+                    prediction = (
+                        (entry.value,) if entry.confidence >= confident else None
+                    )
+                    return (prediction, provider, entry, mixed, tag_base, folds)
+            return (None, None, None, mixed, tag_base, folds)
+
+        # One 64-bit slot per destination register, two per vector value.
+        num_slots = (2 * ndests) if is_vector else ndests
+        slots = []
+        slot_values = []
+        for slot in range(num_slots):
+            base = ((pc >> 2) << 5) | (slot << 1) | (num_slots & 1)
+            tag_base = base ^ (base >> index_bits)
+            mixed = tag_base ^ (base >> (2 * index_bits))
+            provider = entry = None
+            for table_id in self._newest_first:
+                table, index_fold, tag_fold = folds[table_id]
+                hit = table[(mixed ^ index_fold) & index_mask]
+                if hit is not None and hit.tag == (tag_base ^ tag_fold) & tag_mask:
+                    provider, entry = table_id, hit
+                    break
+            value = (
+                entry.value
+                if entry is not None and entry.confidence >= confident
+                else None
+            )
+            slots.append((mixed, tag_base, provider, entry, value))
+            slot_values.append(value)
+        prediction = None
+        if None not in slot_values:
+            if is_vector:
+                prediction = tuple(
+                    (slot_values[2 * i + 1] << 64) | slot_values[2 * i]
+                    for i in range(ndests)
+                )
+            else:
+                prediction = tuple(slot_values)
+        return (prediction, slots, folds)
+
+    # -- execute side -----------------------------------------------------
 
     def finish_flat(
         self,
-        handle: VtageHandle,
+        handle: tuple,
         op: int,
         ndests: int,
         is_vector: bool,
         values: tuple[int, ...],
     ) -> bool:
-        """:meth:`finish` over raw column scalars (columnar hot path)."""
-        return self._train_with_lookups_flat(
-            handle.lookups, op, ndests, is_vector, values
+        """Execute side: train every slot from the fetch-time handle.
+
+        Returns True when the (made) prediction was fully correct.
+        """
+        prediction = handle[0]
+        if ndests == 1 and not is_vector:
+            _, provider, entry, mixed, tag_base, folds = handle
+            target = values[0] & _MASK64
+            self._train_slot(folds, mixed, tag_base, provider, entry, target)
+            itype = "load" if op == _LOAD else _OP_NAMES[op]
+            num_slots = 1
+            hits = correct = prediction is not None and prediction[0] == target
+        else:
+            _, slots, folds = handle
+            if is_vector:
+                targets = []
+                for value in values:
+                    targets.append(value & _MASK64)
+                    targets.append((value >> 64) & _MASK64)
+            else:
+                targets = [v & _MASK64 for v in values]
+            # zip() pairs slots with values up to the shorter of the two.
+            hits = pairs = 0
+            for (mixed, tag_base, provider, entry, value), target in zip(slots, targets):
+                pairs += 1
+                if value == target:
+                    hits += 1
+                self._train_slot(folds, mixed, tag_base, provider, entry, target)
+            itype = _itype_flat(op, ndests, is_vector)
+            num_slots = len(slots)
+            correct = prediction is not None and hits == pairs
+
+        acc = self._type_accuracy.get(itype)
+        if acc is None:
+            acc = self._type_accuracy[itype] = [0, 0]
+        if prediction is None:
+            return False
+        if op == _LOAD:
+            self.stats.predictions += 1
+            if correct:
+                self.stats.correct += 1
+        acc[0] += 1
+        if correct:
+            acc[1] += 1
+        self.slot_predictions += num_slots
+        self.slot_correct += hits
+        return correct
+
+    def _train_slot(
+        self,
+        folds: list,
+        mixed: int,
+        tag_base: int,
+        provider: int | None,
+        entry: _VtageEntry | None,
+        target: int,
+    ) -> None:
+        """Train one slot: the provider learns or loses confidence, and a
+        miss allocates in a longer-history table whose victim is
+        unconfident."""
+        if entry is not None:
+            if entry.value == target:
+                confidence = entry.confidence
+                if confidence < self._confident and fpc_advance(
+                    self._rng, self.config.fpc_vector, confidence
+                ):
+                    entry.confidence = confidence + 1
+                return
+            if entry.confidence == 0:
+                entry.value = target
+            else:
+                entry.confidence = 0
+            start = provider + 1
+        else:
+            start = 0
+        for table, index_fold, tag_fold in folds[start:]:
+            index = (mixed ^ index_fold) & self._index_mask
+            victim = table[index]
+            if victim is None or victim.confidence == 0:
+                table[index] = _VtageEntry(
+                    (tag_base ^ tag_fold) & self._tag_mask, target
+                )
+                return
+
+    # -- Instruction adapters ---------------------------------------------
+
+    def begin(self, inst: Instruction, history: int) -> tuple | None:
+        """:meth:`begin_flat` for one :class:`~repro.isa.Instruction`."""
+        return self.begin_flat(
+            inst.pc, int(inst.op), len(inst.dests), inst.is_vector,
+            inst.values, history,
         )
 
-    # -- training ---------------------------------------------------------
+    def finish(self, handle: tuple, inst: Instruction) -> bool:
+        """:meth:`finish_flat` for one :class:`~repro.isa.Instruction`."""
+        return self.finish_flat(
+            handle, int(inst.op), len(inst.dests), inst.is_vector, inst.values
+        )
+
+    def predict(self, inst: Instruction, history: int) -> tuple[int, ...] | None:
+        """Predicted destination values, or None; trains and counts nothing."""
+        loads_seen = self.stats.loads_seen
+        handle = self.begin(inst, history)
+        self.stats.loads_seen = loads_seen
+        return None if handle is None else handle[0]
 
     def train(self, inst: Instruction, history: int) -> tuple[int, ...] | None:
         """Predict-and-train for one instruction; returns the prediction.
@@ -371,87 +419,11 @@ class VtagePredictor:
         the same history value — the idealised speculative-history
         management the standalone drivers use.
         """
-        op = int(inst.op)
-        ndests = len(inst.dests)
-        is_vector = inst.is_vector
-        if op == _LOAD:
-            self.stats.loads_seen += 1
-        lookups = self._lookups_flat(
-            inst.pc, op, ndests, is_vector, inst.values, history
-        )
-        if lookups is None:
+        handle = self.begin(inst, history)
+        if handle is None:
             return None
-        slot_values = [lk.prediction for lk in lookups]
-        predicted_all = all(v is not None for v in slot_values)
-        self._train_with_lookups_flat(lookups, op, ndests, is_vector, inst.values)
-        if not predicted_all:
-            return None
-        return self._assemble_flat(ndests, is_vector, slot_values)
-
-    def _train_with_lookups_flat(
-        self,
-        lookups: list[_SlotLookup],
-        op: int,
-        ndests: int,
-        is_vector: bool,
-        values: tuple[int, ...],
-    ) -> bool:
-        targets = self._slot_targets_flat(is_vector, values)
-        slot_values = [lk.prediction for lk in lookups]
-        predicted_all = all(v is not None for v in slot_values)
-        correct_all = predicted_all and all(
-            v == t for v, t in zip(slot_values, targets)
-        )
-
-        for lookup, target in zip(lookups, targets):
-            self._train_slot(lookup, target)
-
-        if op == _LOAD and predicted_all:
-            self.stats.predictions += 1
-            if correct_all:
-                self.stats.correct += 1
-
-        itype = _itype_flat(op, ndests, is_vector)
-        acc = self._type_accuracy.setdefault(itype, _TypeAccuracy())
-        if predicted_all:
-            acc.predictions += 1
-            if correct_all:
-                acc.correct += 1
-            self.slot_predictions += len(lookups)
-            self.slot_correct += sum(
-                1 for v, t in zip(slot_values, targets) if v == t
-            )
-
-        return correct_all
-
-    def _train_slot(self, lookup: _SlotLookup, target: int) -> None:
-        cfg = self.config
-        if lookup.provider is not None:
-            index, tag = lookup.keys[lookup.provider]
-            entry = self._tables[lookup.provider][index]
-            assert entry is not None and entry.tag == tag
-            if entry.value == target:
-                if entry.confidence < len(cfg.fpc_vector):
-                    if fpc_advance(self._rng, cfg.fpc_vector, entry.confidence):
-                        entry.confidence += 1
-                return
-            if entry.confidence == 0:
-                entry.value = target
-            else:
-                entry.confidence = 0
-            self._allocate(lookup, target)
-            return
-        self._allocate(lookup, target)
-
-    def _allocate(self, lookup: _SlotLookup, target: int) -> None:
-        """Allocate in a longer-history table whose victim is unconfident."""
-        start = 0 if lookup.provider is None else lookup.provider + 1
-        for table in range(start, len(self.config.history_lengths)):
-            index, tag = lookup.keys[table]
-            entry = self._tables[table][index]
-            if entry is None or entry.confidence == 0:
-                self._tables[table][index] = _VtageEntry(tag=tag, value=target)
-                return
+        self.finish(handle, inst)
+        return handle[0]
 
     # -- accounting ---------------------------------------------------------
 
@@ -463,4 +435,8 @@ class VtagePredictor:
 
     def type_accuracy_report(self) -> dict[str, float]:
         """Observed per-type accuracy (drives the dynamic filter)."""
-        return {t: a.accuracy for t, a in self._type_accuracy.items() if a.predictions}
+        return {
+            itype: correct / predictions
+            for itype, (predictions, correct) in self._type_accuracy.items()
+            if predictions
+        }

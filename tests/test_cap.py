@@ -106,8 +106,8 @@ class TestCapacityPressure:
         # Find a PC colliding in the LB with a different tag.
         collider = None
         for candidate in range(0x100000, 0x400000, 4):
-            if (cap._lb_index(candidate) == cap._lb_index(hot)
-                    and cap._lb_tag(candidate) != cap._lb_tag(hot)):
+            (index, tag), (hot_index, hot_tag) = cap._lb_key(candidate), cap._lb_key(hot)
+            if index == hot_index and tag != hot_tag:
                 collider = candidate
                 break
         assert collider is not None

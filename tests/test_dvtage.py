@@ -92,9 +92,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             DvtageConfig(table_entries=100)
 
-    def test_prediction_latency_charged(self):
-        assert DvtageConfig().prediction_latency == 1
-
 
 class TestHistoryContexts:
     def test_different_histories_use_different_strides(self):

@@ -145,7 +145,7 @@ class TestTwoPhase:
         for _ in range(400):
             pred_a = a.train(inst, 0)
             handle = b.begin(inst, 0)
-            pred_b = handle.prediction if handle else None
+            pred_b = handle[0] if handle else None
             b.finish(handle, inst)
             assert pred_a == pred_b
 
@@ -160,7 +160,7 @@ class TestTwoPhase:
         for _ in range(600):
             handle = vtage.begin(inst, 0)
             correct = vtage.finish(handle, inst)
-            if handle.prediction is not None:
+            if handle[0] is not None:
                 assert correct
                 return
         pytest.fail("never predicted")
