@@ -270,7 +270,7 @@ class Tage:
     def make_update_fused(self, unit_stats=None):
         """Build a closure fusing :meth:`update` + :meth:`update_history`.
 
-        For the columnar hot loop: one call per conditional branch
+        For the branch-verdict pass: one call per conditional branch
         replaces the update/_lookup/update_history/push chain, with the
         tables, counters and history captured as closure cells.  Handles
         both batched-key and live-fold modes, and trains identically to
@@ -289,6 +289,10 @@ class Tage:
         useful_max = self._useful_max
         allocate = self._allocate
         keys_live = self._keys
+        # Tables from the longest history down (the provider search order).
+        longest_first = tuple(
+            (table, tables[table]) for table in range(len(tables) - 1, -1, -1)
+        )
 
         def update_fused(pc: int, taken: bool) -> bool:
             if unit_stats is not None:
@@ -308,9 +312,9 @@ class Tage:
             provider_entry = None
             prediction = False
             alt_pred = None
-            for table in range(len(keys) - 1, -1, -1):
+            for table, rows in longest_first:
                 index, tag = keys[table]
-                entry = tables[table][index]
+                entry = rows[index]
                 if entry.tag == tag:
                     if provider is None:
                         provider = table
@@ -329,21 +333,27 @@ class Tage:
 
             if provider is None or alt_pred == prediction:
                 counter = base[base_idx]
-                base[base_idx] = (
-                    min(3, counter + 1) if taken else max(0, counter - 1)
-                )
+                if taken:
+                    if counter < 3:
+                        base[base_idx] = counter + 1
+                elif counter > 0:
+                    base[base_idx] = counter - 1
 
             if provider is not None:
                 entry = provider_entry
+                ctr = entry.ctr
                 if taken:
-                    entry.ctr = min(ctr_max, entry.ctr + 1)
-                else:
-                    entry.ctr = max(ctr_min, entry.ctr - 1)
+                    if ctr < ctr_max:
+                        entry.ctr = ctr + 1
+                elif ctr > ctr_min:
+                    entry.ctr = ctr - 1
                 if prediction != alt_pred:
+                    useful = entry.useful
                     if prediction == taken:
-                        entry.useful = min(useful_max, entry.useful + 1)
-                    else:
-                        entry.useful = max(0, entry.useful - 1)
+                        if useful < useful_max:
+                            entry.useful = useful + 1
+                    elif useful > 0:
+                        entry.useful = useful - 1
 
             if mispredicted:
                 s.mispredictions += 1

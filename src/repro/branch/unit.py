@@ -1,9 +1,11 @@
 """Front-end branch unit combining TAGE, ITTAGE and the RAS.
 
-The timing model hands every control instruction to
-:meth:`BranchUnit.resolve`, which predicts it, trains the predictors,
-and reports whether the front-end would have fetched down the wrong
-path (a flush-and-refill event).
+:meth:`BranchUnit.resolve` predicts one control instruction, trains the
+predictors, and reports whether the front-end would have fetched down
+the wrong path (a flush-and-refill event).  The object timing loop
+calls it per control instruction; the columnar path resolves a whole
+trace once, through the scalar :meth:`BranchUnit.resolve_fields` and
+the fused conditional closure (see :mod:`repro.branch.verdicts`).
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class BranchUnit:
         raise ValueError(f"not a control instruction: {inst.op!r}")
 
     def make_resolve_conditional(self):
-        """Fused BRANCH arm of :meth:`resolve_fields` for the hot loop.
+        """Fused BRANCH arm of :meth:`resolve_fields` for the verdict pass.
 
         Returns a ``(pc, taken) -> mispredicted`` closure combining the
         conditional stats and the whole TAGE update/history chain into
@@ -127,13 +129,13 @@ class BranchUnit:
     def resolve_fields(
         self, op: int, pc: int, taken: bool | None, target: int | None
     ) -> bool:
-        """Scalar-field twin of :meth:`resolve` for the columnar loop.
+        """Scalar-field twin of :meth:`resolve` for the verdict pass.
 
-        ``op`` is the plain integer opcode class — the columnar
-        simulate() path resolves branches straight from the trace
-        columns without materializing an :class:`Instruction`.  Same
-        predictor updates, same return value, pinned together by the
-        golden-equivalence suite.
+        ``op`` is the plain integer opcode class — the verdict pass
+        resolves branches straight from the trace columns without
+        materializing an :class:`Instruction`.  Same predictor updates,
+        same return value, pinned together by the golden-equivalence
+        suite.
         """
         if op == _BRANCH:
             self.stats.conditional += 1

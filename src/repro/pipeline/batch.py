@@ -279,13 +279,21 @@ class TageKeyBatch:
         lookup = self._is_lookup[s:s + n]
         # Window before event j: bit k-1 is the k-th most recent pushed
         # outcome.  Events past bit 63 go into a second (hi) column.
-        lo = np.zeros(n, dtype=np.uint64)
-        for k in range(1, min(hist, 64) + 1):
-            lo |= ext[hist - k:hist - k + n] << np.uint64(k - 1)
+        # win[i] packs ext[i], ext[i-1], ... at bits 0, 1, ...: each
+        # doubling step ORs in the window `width` events older, so
+        # log2(64) shifts build every 64-bit window.
+        win = ext.copy()
+        width = 1
+        while width < min(hist, 64):
+            win[width:] |= win[:-width] << np.uint64(width)
+            width *= 2
+        lo = win[hist - 1:hist - 1 + n]
+        if hist < width:
+            lo = lo & np.uint64((1 << hist) - 1)
         if hist > 64:
-            hi = np.zeros(n, dtype=np.uint64)
-            for k in range(65, hist + 1):
-                hi |= ext[hist - k:hist - k + n] << np.uint64(k - 65)
+            hi = win[hist - 65:hist - 65 + n]
+            if hist < 128:
+                hi = hi & np.uint64((1 << (hist - 64)) - 1)
             hi = hi[lookup]
         else:
             hi = None

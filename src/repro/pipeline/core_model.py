@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.branch import BranchUnit
+from repro.branch import BranchUnit, GlobalHistory, TageConfig
+from repro.branch import verdicts as _verdicts
 from repro.isa import (
     EXECUTION_LATENCY,
     OpClass,
@@ -45,7 +46,6 @@ from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.mdp import StoreSetsPredictor
 from repro.memory import HierarchyConfig, MemoryHierarchy, MemoryImage
 from repro.memory.prefetcher import _StrideEntry as _PfStrideEntry
-from repro.pipeline import batch as _key_batch
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.recovery import RecoveryMode
 from repro.pipeline.schemes import Scheme
@@ -53,8 +53,6 @@ from repro.pipeline.stats import EnergyEvents, FlushStats, SimResult
 from repro.trace import ColumnarTrace, Trace
 from repro.trace.columnar import (
     F_TAKEN,
-    F_TAKEN_KNOWN,
-    F_TARGET,
     OPCLASS_BY_VALUE,
     PLAIN,
     RAGGED,
@@ -157,7 +155,7 @@ def simulate(
     branch_unit = BranchUnit()
     mdp = StoreSetsPredictor()
     if scheme is not None:
-        scheme.bind(hierarchy, image, branch_unit)
+        scheme.bind(hierarchy, image, branch_unit.global_history)
     traced = tracer is not None
     if traced:
         hierarchy.attach_tracer(tracer)
@@ -582,7 +580,8 @@ def simulate(
     hierarchy.demand_accesses = demand_accesses
 
     result = _assemble_result(
-        trace.name, n, cycles, scheme, hierarchy, branch_unit, flushes, loads
+        trace.name, n, cycles, scheme, hierarchy,
+        branch_unit.stats.mispredictions, flushes, loads,
     )
     if traced:
         tracer.on_run_end(result)
@@ -595,7 +594,7 @@ def _assemble_result(
     cycles: int,
     scheme: Scheme | None,
     hierarchy: MemoryHierarchy,
-    branch_unit: BranchUnit,
+    branch_mispredictions: int,
     flushes: FlushStats,
     loads: int,
 ) -> SimResult:
@@ -635,7 +634,7 @@ def _assemble_result(
         instructions=n,
         cycles=cycles,
         flushes=flushes,
-        branch_mispredictions=branch_unit.stats.mispredictions,
+        branch_mispredictions=branch_mispredictions,
         value_predictions=value_predictions,
         value_mispredictions=value_mispredictions,
         loads=loads,
@@ -657,7 +656,13 @@ def _simulate_columnar(
 
     A line-for-line twin of the object loop in :func:`simulate`, with
     every per-instruction attribute read replaced by an array index and
-    opcode tests on plain integers.  Native flat-protocol schemes
+    opcode tests on plain integers, except for branch prediction: the
+    loop reads each control row's verdict (``trace.verdicts``, resolved
+    by :func:`repro.branch.resolve_verdicts` once per trace — here, on
+    the first run of a trace that arrives without them) and builds no
+    branch predictor.  It still pushes every conditional's outcome and
+    every call into a fold-free global-history register, the one piece
+    of front-end state the schemes read.  Native flat-protocol schemes
     (``Scheme.flat_protocol``) are driven entirely with raw column
     scalars — ``flat_fetch``/``flat_execute`` never see an
     :class:`~repro.isa.Instruction`, and ``flat_prepare`` runs once
@@ -670,16 +675,17 @@ def _simulate_columnar(
     cfg = core_config or CoreConfig()
     hierarchy = MemoryHierarchy(hierarchy_config)
     image = MemoryImage()
-    branch_unit = BranchUnit()
-    # TAGE history is trace-determined, so its per-table keys can be
-    # precomputed in chunks (no-op without numpy; the live folded
-    # registers then run exactly as in the object engine).
-    tage_batch = _key_batch.tage_key_batch(trace, branch_unit.tage)
-    if tage_batch is not None:
-        branch_unit.tage.bind_key_batch(tage_batch)
+    verdicts = trace.verdicts
+    if verdicts is None:
+        verdicts = trace.verdicts = _verdicts.resolve_verdicts(trace)
     mdp = StoreSetsPredictor()
+    # The raw global branch history, as the default front end's TAGE
+    # register holds it: what VTAGE and D-VTAGE read at fetch.
+    history = None
     if scheme is not None:
-        scheme.bind(hierarchy, image, branch_unit)
+        history = GlobalHistory(TageConfig().max_history)
+        history_push = history.push
+        scheme.bind(hierarchy, image, history)
 
     n = len(trace)
     commit_cycles = [0] * n
@@ -715,6 +721,7 @@ def _simulate_columnar(
     LOAD = int(OpClass.LOAD)
     STORE = int(OpClass.STORE)
     BRANCH = int(OpClass.BRANCH)
+    CALL = int(OpClass.CALL)
     # Opcode predicates as value-indexed lists: a list index beats a
     # frozenset probe, and op is already a small contiguous int.
     is_ls_op = [op in _LS_OPS for op in OPCLASS_BY_VALUE]
@@ -778,8 +785,6 @@ def _simulate_columnar(
     mdp_lfst_entries = mdp.config.lfst_entries
     mdp_clear_interval = mdp.config.clear_interval
     image_write = image.write
-    branch_resolve_fields = branch_unit.resolve_fields
-    branch_resolve_conditional = branch_unit.make_resolve_conditional()
     mdp_store_fetched = mdp.store_fetched
     mdp_store_executed = mdp.store_executed
     mdp_report_violation = mdp.report_violation
@@ -817,7 +822,7 @@ def _simulate_columnar(
             flags_col,
             mem_addr_col,
             mem_size_col,
-            target_col,
+            _,                          # target: the verdicts stand for it
             srcs_index,
             srcs_flat,
             dests_index,
@@ -826,6 +831,7 @@ def _simulate_columnar(
             values_lo,
             values_hi,
         ) = _window_columns(trace, base, end)
+        verdict_col = verdicts[base:end].tolist()
         for i in range(base, end):
             j = i - base
             op = ops[j]
@@ -1093,16 +1099,12 @@ def _simulate_columnar(
             # ---- branches ----------------------------------------------------
             if is_br_op[op]:
                 done = issue + branch_latency
-                fl = flags_col[j]
-                taken = bool(fl & F_TAKEN) if fl & F_TAKEN_KNOWN else None
-                if op == BRANCH:
-                    # Conditionals dominate the control stream: the fused
-                    # closure collapses the resolve/update/history chain.
-                    mispredicted = branch_resolve_conditional(pc, taken)
-                else:
-                    target = target_col[j] if fl & F_TARGET else None
-                    mispredicted = branch_resolve_fields(op, pc, taken, target)
-                if mispredicted:
+                if history is not None:
+                    if op == BRANCH:
+                        history_push(1 if flags_col[j] & F_TAKEN else 0)
+                    elif op == CALL:
+                        history_push(1)
+                if verdict_col[j]:
                     flushes.branch += 1
                     pending_redirect = done + 1
                     force_new_group = True
@@ -1175,8 +1177,10 @@ def _simulate_columnar(
 
     cycles = last_commit_cycle
     hierarchy.demand_accesses = demand_accesses
+    # Every mispredicted control row flushed once, so the flush count is
+    # the verdicts' mispredict count.
     return _assemble_result(
-        trace.name, n, cycles, scheme, hierarchy, branch_unit, flushes, loads
+        trace.name, n, cycles, scheme, hierarchy, flushes.branch, flushes, loads
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.branch import BranchUnit
+from repro.branch import GlobalHistory
 from repro.core import DlvpConfig, DlvpEngine, ValuePredictionEngine
 from repro.isa import Instruction, OpClass
 from repro.isa.fetch import FETCH_GROUP_BYTES
@@ -76,12 +76,18 @@ class Scheme(abc.ABC):
         self,
         hierarchy: MemoryHierarchy,
         image: MemoryImage,
-        branch_unit: BranchUnit,
+        history: GlobalHistory,
     ) -> None:
-        """Attach per-run substrate objects before simulation starts."""
+        """Attach per-run substrate objects before simulation starts.
+
+        ``history`` is the global branch-history register: the raw
+        outcome bits of the front end's TAGE history, the only branch
+        state a scheme may read (VTAGE's context source).  Schemes
+        never write it.
+        """
         self.hierarchy = hierarchy
         self.image = image
-        self.branch_unit = branch_unit
+        self.history = history
 
     def attach_tracer(self, tracer) -> None:
         """Propagate a tracer to this scheme's components (after bind).
@@ -217,8 +223,8 @@ class DlvpScheme(Scheme):
         self.name = "cap" if use_cap else "dlvp"
         self.engine: DlvpEngine | None = None
 
-    def bind(self, hierarchy, image, branch_unit) -> None:
-        super().bind(hierarchy, image, branch_unit)
+    def bind(self, hierarchy, image, history) -> None:
+        super().bind(hierarchy, image, history)
         address_predictor = (
             CapPredictor(self.cap_config or CapConfig(confidence_threshold=24))
             if self.use_cap
@@ -374,11 +380,9 @@ class VtageScheme(Scheme):
         self.predictor = VtagePredictor(self.config)
         self.fetch_loads_only = self.config.loads_only
 
-    def bind(self, hierarchy, image, branch_unit) -> None:
-        super().bind(hierarchy, image, branch_unit)
-        # Hot-path aliases: the history object outlives the run and the
-        # per-load flat calls read only its .value.
-        self._history = branch_unit.global_history
+    def bind(self, hierarchy, image, history) -> None:
+        super().bind(hierarchy, image, history)
+        # Hot-path aliases for the per-load flat calls.
         self._loads_only = self.config.loads_only
         self._begin = self.predictor.begin_flat
         self._finish = self.predictor.finish_flat
@@ -401,7 +405,7 @@ class VtageScheme(Scheme):
         if self._loads_only and op != _LOAD:
             return None
         is_vector = flags & F_VECTOR != 0
-        handle = self._begin(pc, op, ndests, is_vector, values, self._history.value)
+        handle = self._begin(pc, op, ndests, is_vector, values, self.history.value)
         if handle is None:
             return None
         registers = (2 * ndests) if is_vector else ndests
@@ -456,9 +460,8 @@ class DvtageScheme(Scheme):
         self.name = "dvtage"
         self.predictor = DvtagePredictor(self.config)
 
-    def bind(self, hierarchy, image, branch_unit) -> None:
-        super().bind(hierarchy, image, branch_unit)
-        self._history = branch_unit.global_history
+    def bind(self, hierarchy, image, history) -> None:
+        super().bind(hierarchy, image, history)
         self._predict = self.predictor.predict_flat
         self._train = self.predictor.train_flat
 
@@ -478,7 +481,7 @@ class DvtageScheme(Scheme):
         if op != _LOAD:
             return None
         handle = self._predict(
-            pc, op, ndests, flags & F_VECTOR != 0, self._history.value
+            pc, op, ndests, flags & F_VECTOR != 0, self.history.value
         )
         if handle is None or load_slot is None or handle[0] is None:
             return (None, False, handle, ndests)
@@ -559,10 +562,10 @@ class TournamentScheme(Scheme):
         self.chooser = TournamentChooser(entries=chooser_entries)
         self.stats = TournamentStats()
 
-    def bind(self, hierarchy, image, branch_unit) -> None:
-        super().bind(hierarchy, image, branch_unit)
-        self.dlvp.bind(hierarchy, image, branch_unit)
-        self.vtage.bind(hierarchy, image, branch_unit)
+    def bind(self, hierarchy, image, history) -> None:
+        super().bind(hierarchy, image, history)
+        self.dlvp.bind(hierarchy, image, history)
+        self.vtage.bind(hierarchy, image, history)
         # Sub-scheme flat entry points, aliased for the per-load calls.
         self._dlvp_flat_fetch = self.dlvp.flat_fetch
         self._dlvp_flat_execute = self.dlvp.flat_execute

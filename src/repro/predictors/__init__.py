@@ -13,8 +13,8 @@ point the evaluation uses:
 * :class:`VtagePredictor` — Perais & Seznec's VTAGE value predictor,
   plus the static/dynamic opcode filters the paper adds for the ARM
   multi-destination-load problem (Section 5.2.2).
-* :class:`LastValuePredictor` and :class:`StrideValuePredictor` —
-  classical value predictors used in the related-work analyses.
+* :class:`LastValuePredictor` — the classical last-value predictor,
+  whose stale values after a conflicting store motivate the paper.
 * :class:`TournamentChooser` — the PC-indexed 2-bit chooser used to
   combine DLVP and VTAGE (Figure 8).
 """
@@ -32,7 +32,6 @@ from repro.predictors.vtage import (
 )
 from repro.predictors.dvtage import DvtageConfig, DvtagePredictor
 from repro.predictors.lvp import LastValuePredictor
-from repro.predictors.stride import StrideValuePredictor
 from repro.predictors.tournament import TournamentChooser
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "DvtageConfig",
     "DvtagePredictor",
     "LastValuePredictor",
-    "StrideValuePredictor",
     "TournamentChooser",
 ]

@@ -50,7 +50,6 @@ class DvtageConfig:
     stride_bits: int = 16
     history_lengths: tuple[int, ...] = (5, 13)
     fpc_vector: tuple[float, ...] = VTAGE_FPC_VECTOR
-    loads_only: bool = True
     static_filter: bool = True
     seed: int = 0xD7A6
 

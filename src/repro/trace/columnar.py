@@ -10,8 +10,9 @@ dynamic instruction.  Two things fall out of that layout:
   allocation) and only materialize an :class:`Instruction` *view* for
   the few instructions a prediction scheme actually inspects;
 * fixed-size chunks of a columnar trace are cheap to concatenate and
-  serialize, which is what lets workload generation and the v2 trace
-  format stream million-instruction traces in bounded memory.
+  serialize, which is what lets the workload builder pack its rows
+  chunk by chunk and the v2 trace format stream million-instruction
+  traces in bounded memory.
 
 Ragged per-instruction fields (``srcs``, ``dests``, ``values``) use the
 classic prefix-index encoding: ``srcs_index`` has ``n + 1`` entries and
@@ -33,6 +34,13 @@ read-only (``append``/``extend`` raise), but the whole simulate() read
 surface — indexing, slicing, ``tolist()``, iteration — is identical,
 and the golden suite's "shared" leg pins the outcomes bit-identical.
 
+Besides its columns a trace may carry *branch verdicts*
+(:attr:`ColumnarTrace.verdicts`): one byte per row, 1 where the
+baseline front end mispredicts that control instruction.  They are a
+pure function of the trace (see :mod:`repro.branch.verdicts`), so they
+are resolved once per trace and travel with it; they are not a column,
+take no part in equality, and any row edit drops them.
+
 The module depends only on the stdlib ``array``; :func:`numpy_columns`
 exposes zero-copy numpy views when numpy is importable.
 """
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
+from itertools import accumulate, chain, islice
 
 from repro.isa import Instruction, OpClass
 from repro.trace.trace import Trace, TraceSummary
@@ -88,6 +97,11 @@ RAGGED: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("values_index", ("values_lo", "values_hi")),
 )
 
+# Instructions append_all packs per append_columns call: enough to
+# amortize the per-call packing, few enough that a streaming reader
+# (v1 re-chunking) never holds many Instruction objects at once.
+_PACK_ROWS = 128
+
 
 def _copy_rows(dst: array, src, start: int, stop: int) -> None:
     """Append ``src[start:stop]`` to ``dst`` as one buffer copy."""
@@ -107,14 +121,16 @@ class ColumnarTrace:
 
     Supports the read surface the simulator and profilers need
     (``name``, ``len``, iteration, ``instruction(i)``, ``summary()``)
-    plus append/extend so it doubles as the chunk type for streaming
-    generation and the v2 serializer.
+    plus append/extend, which the workload builder and the v2
+    serializer build on.  ``verdicts`` is None or the trace's branch
+    verdicts (see the module docstring); every row edit resets it.
     """
 
-    __slots__ = tuple(name for name, _ in COLUMNS) + ("name",)
+    __slots__ = tuple(name for name, _ in COLUMNS) + ("name", "verdicts")
 
     def __init__(self, name: str, instructions: Iterable[Instruction] = ()) -> None:
         self.name = name
+        self.verdicts = None
         self.pc = array("Q")
         self.op = array("B")
         self.flags = array("B")
@@ -138,45 +154,54 @@ class ColumnarTrace:
     def append_all(self, instructions: Iterable[Instruction]) -> None:
         """Append every instruction in order (the bulk form of :meth:`append`)."""
         self._check_writable()
-        pc = self.pc.append
-        op = self.op.append
-        flags_col = self.flags.append
-        mem_addr = self.mem_addr.append
-        mem_size = self.mem_size.append
-        target = self.target.append
-        srcs = self.srcs
-        srcs_index = self.srcs_index.append
-        dests = self.dests
-        dests_index = self.dests_index.append
-        values_lo = self.values_lo
-        values_hi = self.values_hi
-        values_index = self.values_index.append
-        for inst in instructions:
-            flags = 0
-            if inst.mem_addr is not None:
-                flags |= F_MEM
-            if inst.target is not None:
-                flags |= F_TARGET
-            if inst.is_vector:
-                flags |= F_VECTOR
-            if inst.taken is not None:
-                flags |= F_TAKEN_KNOWN
-                if inst.taken:
-                    flags |= F_TAKEN
-            pc(inst.pc)
-            op(inst.op)
-            flags_col(flags)
-            mem_addr(inst.mem_addr if inst.mem_addr is not None else 0)
-            mem_size(inst.mem_size)
-            target(inst.target if inst.target is not None else 0)
-            srcs.extend(inst.srcs)
-            srcs_index(len(srcs))
-            dests.extend(inst.dests)
-            dests_index(len(dests))
-            for v in inst.values:
-                values_lo.append(v & _MASK64)
-                values_hi.append((v >> 64) & _MASK64)
-            values_index(len(values_lo))
+        self.verdicts = None
+        it = iter(instructions)
+        while batch := list(islice(it, _PACK_ROWS)):
+            self.append_columns(
+                [inst.pc for inst in batch],
+                [inst.op for inst in batch],
+                [_flags_of(inst) for inst in batch],
+                [0 if inst.mem_addr is None else inst.mem_addr for inst in batch],
+                [inst.mem_size for inst in batch],
+                [0 if inst.target is None else inst.target for inst in batch],
+                [inst.srcs for inst in batch],
+                [inst.dests for inst in batch],
+                [inst.values for inst in batch],
+            )
+
+    def append_columns(
+        self, pc, op, flags, mem_addr, mem_size, target, srcs, dests, values
+    ) -> None:
+        """Append rows given field by field, packing each column at C speed.
+
+        The first six arguments are equal-length sequences of the plain
+        columns' scalars (``0`` for an absent address or target, whose
+        presence ``flags`` records); ``srcs``, ``dests`` and ``values``
+        hold one tuple per row.  The workload builder keeps its pending
+        rows in exactly these lists, so a trace is generated without
+        one :class:`Instruction` per row.
+        """
+        self._check_writable()
+        self.verdicts = None
+        for attr, col in zip(PLAIN, (pc, op, flags, mem_addr, mem_size, target)):
+            dst = getattr(self, attr)
+            dst.extend(array(dst.typecode, col))
+        for index, flat, groups in (
+            (self.srcs_index, self.srcs, srcs),
+            (self.dests_index, self.dests, dests),
+        ):
+            flat.extend(array(flat.typecode, list(chain.from_iterable(groups))))
+            _extend_index(index, groups)
+        flat_values = list(chain.from_iterable(values))
+        try:
+            lo = array("Q", flat_values)
+        except OverflowError:       # a 128-bit vector value (or a negative one)
+            self.values_lo.extend([v & _MASK64 for v in flat_values])
+            self.values_hi.extend([(v >> 64) & _MASK64 for v in flat_values])
+        else:
+            self.values_lo.extend(lo)
+            self.values_hi.frombytes(bytes(lo.itemsize * len(lo)))
+        _extend_index(self.values_index, values)
 
     def extend(
         self, other: "ColumnarTrace", start: int = 0, stop: int | None = None
@@ -197,6 +222,7 @@ class ColumnarTrace:
         unusable afterwards.
         """
         self._check_writable()
+        self.verdicts = None
         parts = [(src, a, b) for src, a, b in parts if a < b]
         sources = list({id(src): src for src, _, _ in parts}.values())
         for col in PLAIN:
@@ -357,3 +383,26 @@ class ColumnarTrace:
 
     def __repr__(self) -> str:
         return f"ColumnarTrace({self.name!r}, {len(self)} instructions)"
+
+
+def _flags_of(inst: Instruction) -> int:
+    """The ``flags`` byte of one :class:`Instruction`."""
+    flags = 0
+    if inst.mem_addr is not None:
+        flags |= F_MEM
+    if inst.target is not None:
+        flags |= F_TARGET
+    if inst.is_vector:
+        flags |= F_VECTOR
+    if inst.taken is not None:
+        flags |= F_TAKEN_KNOWN
+        if inst.taken:
+            flags |= F_TAKEN
+    return flags
+
+
+def _extend_index(index: array, groups) -> None:
+    """Extend a prefix index by the lengths of ``groups``, at C speed."""
+    ends = accumulate(map(len, groups), initial=index[-1])
+    next(ends)
+    index.extend(array(index.typecode, list(ends)))

@@ -14,8 +14,10 @@ Two on-disk formats, one sniffing loader:
   :class:`~repro.trace.columnar.ColumnarTrace`'s columns.  Both the
   writer and the reader work chunk-at-a-time, so a million-instruction
   trace round-trips within a bounded RSS envelope, and the writer
-  accepts a chunk *iterator* so streamed workload generation can be
-  serialized without ever holding the full trace.
+  accepts a chunk *iterator* as well as a whole trace.  A trace's
+  branch verdicts, when it carries them, follow the footer as an
+  optional trailing section; a file without one (older writers, chunk
+  iterators) still loads, and its first simulation resolves them.
 
 v1 line grammar (space-separated fields; ``-`` means absent)::
 
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import struct
 import sys
+from array import array
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from repro.isa import Instruction, OpClass
@@ -42,10 +46,13 @@ _MAGIC_V2 = b"repro-trace-v2\n"
 # ``<name> <itemsizes>\n`` (itemsizes as B:Q:I byte widths, validated on
 # read), then chunks of ``<u32 count>`` + per-column ``<u64 nbytes> +
 # raw bytes`` in COLUMNS order, a ``count == 0`` terminator, and a
-# ``<u64 total>`` footer cross-checked against the chunk sum.
+# ``<u64 total>`` footer cross-checked against the chunk sum.  An
+# optional verdict section may follow: ``_VERDICTS`` + ``<u64 total>``
+# + one byte (0 or 1) per row.
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CHUNK_END = 0
+_VERDICTS = b"verdicts"
 
 DEFAULT_CHUNK_SIZE = 8192
 
@@ -176,9 +183,8 @@ def _save_trace_v2(
     """Write the v2 binary columnar format, chunk by chunk.
 
     ``source`` may be a full trace (sliced into chunks here) or an
-    iterator of :class:`ColumnarTrace` chunks — e.g. the generator from
-    ``build_workload(..., stream=True)`` — in which case nothing larger
-    than one chunk is ever resident.
+    iterator of :class:`ColumnarTrace` chunks, in which case nothing
+    larger than one chunk is ever resident.
     """
     with open(path, "wb") as fh:
         _write_v2(fh, source, chunk_size)
@@ -187,10 +193,12 @@ def _save_trace_v2(
 def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
     """Stream the v2 byte layout into any binary file object."""
     name: str | None = None
+    verdicts = None
     if isinstance(source, (Trace, ColumnarTrace)):
         # The name is known up front, so even a zero-instruction trace
         # serializes to a well-formed header + terminator + footer.
         name = source.name
+        verdicts = getattr(source, "verdicts", None)
         chunks: Iterable[ColumnarTrace] = _chunks_of(source, chunk_size)
     else:
         chunks = iter(source)
@@ -218,11 +226,13 @@ def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         raise ValueError("cannot serialize an empty chunk stream (no name)")
     fh.write(_U32.pack(_CHUNK_END))
     fh.write(_U64.pack(total))
+    if verdicts is not None:
+        fh.write(_VERDICTS)
+        fh.write(_U64.pack(len(verdicts)))
+        fh.write(bytes(verdicts))
 
 
 def _platform_itemsizes() -> str:
-    from array import array
-
     return ":".join(
         str(array(tc).itemsize) for tc in sorted({tc for _, tc in COLUMNS})
     )
@@ -250,7 +260,8 @@ def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
     ``buf`` is any buffer holding bytes produced by :func:`v2_bytes`
     (a shared-memory segment, an mmap of a v2 file, plain bytes).
     Returns ``(name, count, {column: (offset, nbytes)})`` — the
-    attacher casts ``memoryview(buf)[off:off + nbytes]`` per column,
+    attacher casts ``memoryview(buf)[off:off + nbytes]`` per column
+    (and per ``"verdicts"``, present when the image carries them),
     which only works losslessly on little-endian hosts (the byte order
     v2 is defined in), so big-endian platforms are rejected here the
     same way a mismatched itemsize is.
@@ -303,6 +314,15 @@ def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
             f"v2 image footer declares {footer} instructions, "
             f"chunk holds {count}"
         )
+    pos += _U64.size
+    # Anything else after the footer (a shared segment may be padded)
+    # means the image carries no verdicts.
+    if bytes(view[pos:pos + len(_VERDICTS)]) == _VERDICTS:
+        pos += len(_VERDICTS)
+        start = pos + _U64.size
+        if start + count > len(view) or _U64.unpack_from(view, pos)[0] != count:
+            raise ValueError("v2 image has a torn verdict section")
+        offsets["verdicts"] = (start, count)
     return name, count, offsets
 
 
@@ -323,21 +343,20 @@ def iter_trace_chunks(
     interface over both formats.  (v2 files yield their on-disk chunk
     boundaries; ``chunk_size`` only shapes the v1 re-chunking.)
     """
-    from array import array
-
-    version = sniff_trace_format(path)
-    if version == 1:
+    if sniff_trace_format(path) == 1:
         name = _v1_name(path)
-        chunk = ColumnarTrace(name)
-        for inst in _iter_v1(path):
-            chunk.append(inst)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = ColumnarTrace(name)
-        if len(chunk):
+        instructions = _iter_v1(path)
+        while True:
+            chunk = ColumnarTrace(name)     # drops the previous chunk first
+            chunk.append_all(islice(instructions, chunk_size))
+            if not len(chunk):
+                return
             yield chunk
-        return
+    yield from _iter_v2(path)
 
+
+def _iter_v2(path: str | Path, trailer: list | None = None) -> Iterator[ColumnarTrace]:
+    """Yield a v2 file's chunks; append its verdicts (or None) to ``trailer``."""
     expected_sizes = {tc: array(tc).itemsize for _, tc in COLUMNS}
     with open(path, "rb") as fh:
         _read_exact(fh, len(_MAGIC_V2))
@@ -381,6 +400,23 @@ def iter_trace_chunks(
                 f"v2 trace {path} footer declares {footer} instructions, "
                 f"chunks held {total}"
             )
+        if trailer is not None:
+            trailer.append(_read_verdicts(fh, total, path))
+
+
+def _read_verdicts(fh, total: int, path) -> array | None:
+    """The optional verdict section after a v2 footer, or None."""
+    if fh.read(len(_VERDICTS)) != _VERDICTS:
+        return None
+    nbytes = _U64.unpack(_read_exact(fh, 8))[0]
+    if nbytes != total:
+        raise ValueError(
+            f"v2 trace {path} verdict section holds {nbytes} of {total} rows"
+        )
+    verdicts = array("B", _read_exact(fh, nbytes))
+    if verdicts.tobytes().translate(None, b"\x00\x01"):
+        raise ValueError(f"v2 trace {path} verdict section is not 0/1")
+    return verdicts
 
 
 def sniff_trace_format(path: str | Path) -> int:
@@ -406,7 +442,7 @@ def save_trace(
     """Write ``trace`` to ``path``.
 
     ``format`` selects ``"v1"`` (line text) or ``"v2"`` (binary
-    columnar).  Chunk iterators (streamed generation) require v2.
+    columnar).  Chunk iterators require v2.
     """
     if format == "v1":
         if not isinstance(trace, (Trace, ColumnarTrace)):
@@ -443,9 +479,17 @@ def load_trace(path: str | Path) -> Trace:
 
 
 def load_trace_columnar(path: str | Path) -> ColumnarTrace:
-    """Read a trace file (either format) into a :class:`ColumnarTrace`."""
+    """Read a trace file (either format) into a :class:`ColumnarTrace`.
+
+    A v2 file's verdict section, when present, comes back as the
+    trace's :attr:`~ColumnarTrace.verdicts`.
+    """
+    trailer: list = []
+    chunks = iter_trace_chunks(path) if sniff_trace_format(path) == 1 else (
+        _iter_v2(path, trailer)
+    )
     out: ColumnarTrace | None = None
-    for chunk in iter_trace_chunks(path):
+    for chunk in chunks:
         if out is None:
             out = chunk
         else:
@@ -454,4 +498,6 @@ def load_trace_columnar(path: str | Path) -> ColumnarTrace:
         # zero-instruction (but valid) trace: recover the name via the
         # full loader
         return ColumnarTrace.from_trace(load_trace(path))
+    if trailer:
+        out.verdicts = trailer[0]
     return out

@@ -13,7 +13,9 @@ Segment layout (one header + per-column buffers, as a single buffer)::
 
     b"repro-shmtrace1\\n"   fabric magic
     <u64 owner pid>         who may unlink; orphan GC checks liveness
-    <v2 single-chunk image> repro.trace.serialization.v2_bytes()
+    <v2 single-chunk image> repro.trace.serialization.v2_bytes(),
+                            branch verdicts included when the trace
+                            carries them
 
 Reusing the v2 byte layout means one parser
 (:func:`~repro.trace.serialization.map_v2_columns`) serves both
@@ -200,7 +202,12 @@ def _trace_from_buffer(buf, ref: str):
             col = image[off:off + nbytes].cast(typecode)
             views.append(col)
             columns[attr] = col
-        return ColumnarTrace.from_columns(name, columns), views
+        trace = ColumnarTrace.from_columns(name, columns)
+        if "verdicts" in offsets:
+            off, nbytes = offsets["verdicts"]
+            trace.verdicts = image[off:off + nbytes]
+            views.append(trace.verdicts)
+        return trace, views
     except Exception:
         for view in reversed(views):
             view.release()

@@ -17,10 +17,9 @@ the right way:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
+from repro.branch import verdicts as _verdicts
 from repro.trace import ColumnarTrace, Trace
-from repro.workloads.base import DEFAULT_STREAM_CHUNK, WorkloadSpec
+from repro.workloads.base import DEFAULT_CHUNK_ROWS, WorkloadSpec
 from repro.workloads.kernels import (
     bytecode_interpreter,
     conflicting_store_flood,
@@ -245,33 +244,25 @@ def _spec_for(name: str) -> WorkloadSpec:
         raise KeyError(f"unknown workload: {name!r}") from None
 
 
-def build_workload(
-    name: str,
-    n_instructions: int = DEFAULT_INSTRUCTIONS,
-    *,
-    stream: bool = False,
-    chunk_size: int = DEFAULT_STREAM_CHUNK,
-) -> Trace | Iterator[ColumnarTrace]:
-    """Generate one named workload's trace.
-
-    With ``stream=True``, returns a generator of fixed-size
-    :class:`ColumnarTrace` chunks instead of a materialized
-    :class:`Trace` — same instructions bit for bit, O(chunk) memory
-    (million-instruction traces never hold O(trace) objects).
-    """
-    spec = _spec_for(name)
-    if stream:
-        return spec.build_stream(n_instructions, chunk_size)
-    return spec.build(n_instructions)
+def build_workload(name: str, n_instructions: int = DEFAULT_INSTRUCTIONS) -> Trace:
+    """Generate one named workload's trace as an object :class:`Trace`."""
+    return _spec_for(name).build(n_instructions)
 
 
 def build_workload_columnar(
     name: str,
     n_instructions: int = DEFAULT_INSTRUCTIONS,
-    chunk_size: int = DEFAULT_STREAM_CHUNK,
+    chunk_size: int = DEFAULT_CHUNK_ROWS,
 ) -> ColumnarTrace:
-    """One named workload as a full :class:`ColumnarTrace` (one-pass build)."""
-    return _spec_for(name).build_columnar(n_instructions, chunk_size)
+    """One named workload as a full :class:`ColumnarTrace`, verdicts included.
+
+    The last step resolves the trace's branch verdicts
+    (:func:`repro.branch.resolve_verdicts`), so every simulation of
+    this trace, and every cache or fabric copy of it, reuses them.
+    """
+    trace = _spec_for(name).build_columnar(n_instructions, chunk_size)
+    trace.verdicts = _verdicts.resolve_verdicts(trace)
+    return trace
 
 
 def build_suite(

@@ -99,13 +99,10 @@ def test_pap_key_batch_matches_sequential():
 # ---------------------------------------------------------------------------
 
 
-@numpy_required
-def test_tage_key_batch_matches_sequential():
-    from repro.branch.tage import Tage
-
-    rng = random.Random(0x7A6E)
+def _random_control_stream(seed: int, n: int = 800) -> list[Instruction]:
+    rng = random.Random(seed)
     insts = []
-    for _ in range(800):
+    for _ in range(n):
         pc = rng.randrange(1 << 30) * 4
         r = rng.random()
         if r < 0.5:
@@ -115,12 +112,14 @@ def test_tage_key_batch_matches_sequential():
             insts.append(Instruction(pc=pc, op=OpClass.CALL, target=64))
         else:
             insts.append(Instruction(pc=pc, op=OpClass.ALU))
-    trace = ColumnarTrace("rand-branches", insts)
+    return insts
 
-    tage = Tage()
-    kb = batch.tage_key_batch(trace, tage)
+
+def _assert_tage_batch_matches_live(insts, tage, chunk: int) -> None:
+    """Every batched key set equals the live folds' keys, across chunks."""
+    kb = batch.tage_key_batch(ColumnarTrace("rand-branches", insts), tage)
     assert kb is not None
-    kb._chunk = 50            # cross chunk carries incl. the hi window
+    kb._chunk = chunk         # cross chunk carries incl. the hi window
     got: list = []
     while len(got) < kb.branches:
         start, keys = kb.next_chunk()
@@ -138,6 +137,30 @@ def test_tage_key_batch_matches_sequential():
     assert j == kb.branches == len(got)
     with pytest.raises(RuntimeError):
         kb.next_chunk()
+
+
+@numpy_required
+def test_tage_key_batch_matches_sequential():
+    from repro.branch.tage import Tage
+
+    _assert_tage_batch_matches_live(_random_control_stream(0x7A6E), Tage(), 50)
+
+
+@numpy_required
+@pytest.mark.parametrize("max_history,lengths", [
+    (1, (1,)), (7, (2, 7)), (40, (5, 13, 40)), (64, (4, 16, 64)),
+    (65, (5, 65)), (100, (3, 9, 33, 65, 100)),
+])
+def test_tage_key_batch_matches_sequential_at_other_history_lengths(
+    max_history, lengths
+):
+    """History registers shorter than 64 bits, exactly 64, and between
+    64 and 128 (a partial hi word) window the same bits as the live
+    register."""
+    from repro.branch.tage import Tage, TageConfig
+
+    tage = Tage(TageConfig(history_lengths=lengths, max_history=max_history))
+    _assert_tage_batch_matches_live(_random_control_stream(max_history, 600), tage, 37)
 
 
 @numpy_required

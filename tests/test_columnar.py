@@ -1,4 +1,4 @@
-"""The columnar trace engine: representation, streaming, serialization.
+"""The columnar trace engine: representation, chunked building, serialization.
 
 Four concerns share this file because they share one invariant — the
 struct-of-arrays world must be *losslessly interchangeable* with the
@@ -7,8 +7,7 @@ object world:
 * ``Trace ↔ ColumnarTrace ↔ v2 bytes`` round-trips bit for bit
   (property-based, covering ``taken=None``, multi-destination loads,
   128-bit vector values, empty ``srcs``/``values``);
-* streamed workload generation emits the same instruction stream as
-  the one-shot builder, in bounded memory;
+* the column builder packs the same trace whatever its chunk size;
 * serialization streams on both ends (the regression tests here fail
   against the old buffer-everything save/load);
 * the bench gate's three voices (``bench.py`` default, the CI
@@ -40,7 +39,12 @@ from repro.trace import (
     save_trace,
     sniff_trace_format,
 )
-from repro.workloads import build_workload, build_workload_columnar
+from repro.workloads import (
+    SUITE,
+    WorkloadBuilder,
+    build_workload,
+    build_workload_columnar,
+)
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -169,56 +173,43 @@ def test_columnar_extend_rebases_ragged_indexes():
 
 
 # ---------------------------------------------------------------------------
-# streaming generation
+# chunked column building
 # ---------------------------------------------------------------------------
 
-STREAM_KERNELS = ("gzip", "mcf", "nat", "aifirf")
+CHUNK_KERNELS = ("gzip", "mcf", "nat", "aifirf")
 
 
-@pytest.mark.parametrize("workload", STREAM_KERNELS)
-def test_stream_equals_build(workload):
-    """Chunked emission must replay the one-shot builder bit for bit."""
+@pytest.mark.parametrize("workload", CHUNK_KERNELS)
+def test_chunked_build_equals_one_pack(workload):
+    """Packing rows every 512 rows must give the trace a single pack gives."""
     n = 6_000
-    reference = build_workload(workload, n)
-    streamed = []
-    for chunk in build_workload(workload, n, stream=True):
-        assert isinstance(chunk, ColumnarTrace)
-        streamed.extend(chunk)
-    assert streamed == list(reference.instructions)
+    one_pack = build_workload_columnar(workload, n, chunk_size=n)
+    assert build_workload_columnar(workload, n, chunk_size=512) == one_pack
+    assert build_workload(workload, n).instructions == list(one_pack)
 
 
-def test_stream_chunk_sizes():
-    chunks = list(build_workload("gzip", 6_000, stream=True, chunk_size=2_048))
-    assert [len(c) for c in chunks[:-1]] == [2_048] * (len(chunks) - 1)
-    assert 0 < len(chunks[-1]) <= 2_048
-    assert sum(len(c) for c in chunks) == len(build_workload("gzip", 6_000))
+def test_builder_packs_chunk_size_rows(monkeypatch):
+    """The builder packs its pending rows every ``chunk_size`` rows."""
+    packed = []
+    append_columns = ColumnarTrace.append_columns
+
+    def counting(self, pc, *fields):
+        packed.append(len(pc))
+        append_columns(self, pc, *fields)
+
+    monkeypatch.setattr(ColumnarTrace, "append_columns", counting)
+    builder = WorkloadBuilder("gzip", seed=1, chunk_size=2_048)
+    SUITE["gzip"].kernel(builder, 6_000, **SUITE["gzip"].params)
+    trace = builder.build_columnar()
+    assert packed[:-1] == [2_048] * (len(packed) - 1)
+    assert 0 < packed[-1] <= 2_048
+    assert sum(packed) == len(trace) >= 6_000
 
 
 def test_build_workload_columnar_matches():
     assert build_workload_columnar("gzip", 4_000) == ColumnarTrace.from_trace(
         build_workload("gzip", 4_000)
     )
-
-
-def test_stream_abandonment_does_not_hang():
-    """Dropping the generator mid-stream must release the producer."""
-    gen = build_workload("gzip", 200_000, stream=True)
-    next(gen)
-    gen.close()      # must not deadlock on the bounded queue
-
-
-def test_streaming_peak_memory_is_chunk_bounded():
-    """O(chunk) generation: streaming 200k instructions must allocate
-    far less than materializing them (an object trace of that size is
-    well over 100 MB)."""
-    tracemalloc.start()
-    total = 0
-    for chunk in build_workload("gzip", 200_000, stream=True):
-        total += len(chunk)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    assert total >= 199_000
-    assert peak < 24 * 1024 * 1024, f"streaming peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +256,11 @@ def test_v2_chunked_roundtrip_of_generated_trace(tmp_path, big_trace):
 
 def test_save_trace_accepts_chunk_iterator(tmp_path):
     path = tmp_path / "streamed.trace"
-    save_trace(build_workload("gzip", 12_000, stream=True), path, format="v2")
-    assert load_trace_columnar(path) == build_workload_columnar("gzip", 12_000)
+    trace = build_workload_columnar("gzip", 12_000)
+    chunks = (trace.slice(a, min(len(trace), a + 4_096))
+              for a in range(0, len(trace), 4_096))
+    save_trace(chunks, path, format="v2")
+    assert load_trace_columnar(path) == trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,7 @@
-"""Tests for LVP, the stride value predictor and the tournament chooser."""
+"""Tests for LVP and the tournament chooser."""
 
 from repro.isa import Instruction, OpClass
-from repro.predictors import (
-    LastValuePredictor,
-    StrideValuePredictor,
-    TournamentChooser,
-)
+from repro.predictors import LastValuePredictor, TournamentChooser
 
 
 def load(pc=0x1000, dests=(1,), values=(42,)):
@@ -57,40 +53,6 @@ class TestLvp:
 
     def test_storage_positive(self):
         assert LastValuePredictor().storage_bits() > 0
-
-
-class TestStridePredictor:
-    def test_learns_strided_values(self):
-        sp = StrideValuePredictor()
-        pred = None
-        for i in range(800):
-            pred = sp.train(load(values=(100 + 3 * i,)))
-            if pred is not None:
-                assert pred == (100 + 3 * i,)
-                return
-        assert False, "never predicted a perfect stride"
-
-    def test_constant_is_zero_stride(self):
-        sp = StrideValuePredictor()
-        for i in range(600):
-            pred = sp.train(load())
-            if pred is not None:
-                assert pred == (42,)
-                return
-        assert False
-
-    def test_random_values_never_confident(self):
-        import random
-        rng = random.Random(3)
-        sp = StrideValuePredictor()
-        preds = [sp.train(load(values=(rng.getrandbits(32),))) for _ in range(400)]
-        assert all(p is None for p in preds[:50])
-        assert sp.stats.accuracy >= 0.0
-
-    def test_multi_dest_skipped(self):
-        sp = StrideValuePredictor()
-        assert sp.train(load(dests=(1, 2), values=(1, 2))) is None
-        assert sp.stats.loads_seen == 0
 
 
 class TestTournamentChooser:
