@@ -8,9 +8,9 @@ session-cached.
 
 At session end the harness refreshes the committed throughput report
 (``repro.bench.BENCH_REPORT_NAME``, currently ``BENCH_pr15.json``) at
-the repo root with the simulator's own throughput (inst/s per scheme
-and trace engine, wall time, peak RSS — see :mod:`repro.bench`), so
-every benchmark run also updates the machine-tracked perf trajectory.
+the repo root with the simulator's own throughput (inst/s per scheme,
+wall time, peak RSS — see :mod:`repro.bench`), so every benchmark run
+also updates the machine-tracked perf trajectory.
 
 Knobs:
     REPRO_BENCH_INSTRUCTIONS   trace length per workload (default 16000)
@@ -102,6 +102,6 @@ def pytest_sessionfinish(session, exitstatus):
     if tr is not None:
         rates = ", ".join(
             f"{sid} {entry['inst_per_s']:,}/s"
-            for sid, entry in report["schemes"].items()
+            for sid, entry in report["columnar_schemes"].items()
         )
         tr.write_line(f"throughput report -> {path}: {rates}")

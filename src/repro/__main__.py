@@ -75,7 +75,12 @@ from repro.runtime import (
     scheme_ids,
 )
 from repro.trace import load_store_conflicts, repeatability
-from repro.workloads import SUITE, build_workload, workload_names
+from repro.workloads import (
+    SUITE,
+    build_workload,
+    build_workload_columnar,
+    workload_names,
+)
 
 _RUN_SCHEMES = ("dlvp", "cap", "vtage", "dvtage", "tournament")
 
@@ -401,37 +406,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.target == "sweep":
         return _cmd_bench_sweep(args)
     instructions = args.instructions or 24_000
-    if args.columnar and args.object:
-        engines = ("object", "columnar")
-    elif args.columnar:
-        engines = ("columnar",)
-    elif args.object:
-        engines = ("object",)
-    else:
-        engines = bench.DEFAULT_ENGINES
     print(f"bench throughput — {args.workload} x {instructions} "
-          f"instructions, best of {args.repeats}, "
-          f"engines: {'+'.join(engines)}", file=sys.stderr)
+          f"instructions, best of {args.repeats}", file=sys.stderr)
     report = bench.run_throughput(
         workload=args.workload,
         instructions=instructions,
         schemes=args.schemes,
         repeats=args.repeats,
-        engines=engines,
         progress=lambda sid, entry: print(
-            f"  {sid:<21} {entry['inst_per_s']:>9,} inst/s "
+            f"  {sid:<12} {entry['inst_per_s']:>9,} inst/s "
             f"({entry['wall_s']:.2f}s)", file=sys.stderr),
     )
-    rows = []
-    for engine in engines:
-        section = "schemes" if engine == "object" else "columnar_schemes"
-        for sid, entry in report.get(section, {}).items():
-            rows.append([
-                engine, sid, f"{entry['inst_per_s']:,}",
-                f"{entry['inst_per_s_mean']:,}", f"{entry['wall_s']:.2f}",
-            ])
+    rows = [
+        [sid, f"{entry['inst_per_s']:,}", f"{entry['inst_per_s_mean']:,}",
+         f"{entry['wall_s']:.2f}"]
+        for sid, entry in report["columnar_schemes"].items()
+    ]
     print(format_table(
-        ["engine", "scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
+        ["scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
     ))
     print(f"peak RSS {report['peak_rss_kib']} KiB, "
           f"total wall {report['wall_s']:.1f}s")
@@ -484,7 +476,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     in the journal.
     """
     from repro import faults as faults_mod
-    from repro.observe import FaultTripwire, render_report, run_traced
+    from repro.observe import (
+        FaultTripwire,
+        chrome_events,
+        render_report,
+        run_traced,
+    )
     from repro.runtime.jobs import make_job
     from repro.runtime.journal import RunJournal
     from repro.runtime.registry import get_scheme
@@ -515,7 +512,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             # crash/hang/slow act out exactly as in a runtime worker
             faults_mod.inject(job.workload, job.scheme_id, 1, job.key, plan)
 
-    trace = build_workload(args.workload, args.instructions)
+    trace = build_workload_columnar(args.workload, args.instructions)
     try:
         run = run_traced(
             trace,
@@ -544,7 +541,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
           f"{result.instructions} instructions, {result.cycles} cycles, "
           f"ipc {result.ipc:.3f}")
     print(render_report(result.intervals))
-    print(f"wrote {args.out} ({len(run.chrome.events)} events; "
+    print(f"wrote {args.out} ({len(chrome_events(run.record))} events; "
           f"load in chrome://tracing)", file=sys.stderr)
     return 0
 
@@ -855,12 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheme ids to time (default: all built-ins)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="simulate() runs per scheme; best is reported")
-    bench.add_argument("--columnar", action="store_true",
-                       help="time the columnar (struct-of-arrays) engine "
-                            "(default: both engines)")
-    bench.add_argument("--object", action="store_true",
-                       help="time the object (Instruction-list) engine "
-                            "(default: both engines)")
     bench.add_argument("--output", default=None, metavar="FILE",
                        help="write the JSON report (e.g. BENCH_pr10.json)")
     bench.add_argument("--check", default=None, metavar="FILE",

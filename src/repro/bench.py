@@ -4,8 +4,8 @@ Two benches, one report file:
 
 * ``bench throughput`` measures how many *simulated* instructions per
   second ``simulate()`` sustains for each registered scheme on one
-  workload trace — through both trace engines (the object path over
-  ``Instruction`` lists and the columnar struct-of-arrays path).
+  columnar workload trace (the loop every run takes; an object
+  ``Trace`` would only add a ``from_trace`` conversion to it).
 * ``bench sweep`` measures end-to-end multi-scheme grid wall-clock
   through the :class:`~repro.runtime.Runtime`, fabric off (stock
   per-cell dispatch) versus fabric on (``trace_format="shared"``:
@@ -13,24 +13,27 @@ Two benches, one report file:
   grouped by trace) — asserting along the way that both modes produce
   bit-identical per-cell results.
 
-Numbers land in a ``BENCH_*.json`` report (inst/s per scheme and
-engine, sweep wall-clock per fabric mode, wall time, peak RSS of this
-process and its workers) so the simulator's own performance trajectory
-is tracked in the repository alongside its accuracy.
+Numbers land in a ``BENCH_*.json`` report (inst/s per scheme in its
+``columnar_schemes`` section, sweep wall-clock per fabric mode, wall
+time, peak RSS of this process and its workers) so the simulator's own
+performance trajectory is tracked in the repository alongside its
+accuracy.
 
 The committed report doubles as a regression baseline:
 ``--check BENCH_pr15.json`` re-measures and fails when any scheme's
 (or sweep mode's) best inst/s falls more than ``--max-regression``
-below the committed number.  The gate is **coherent by construction**:
-the default here, the CI invocation and this docstring all say the
-same 20% — best-of-N absorbs scheduler noise (which only ever slows a
-run down), and the remaining machine-to-machine variance on the hosted
-runners measures well under that margin at ``--repeats 5``.
+below the committed number.  The object-engine ``schemes`` section
+older reports carry is warned about and skipped: that loop is gone.
+The gate is **coherent by construction**: the default here, the CI
+invocation and this docstring all say the same 20% — best-of-N absorbs
+scheduler noise (which only ever slows a run down), and the remaining
+machine-to-machine variance on the hosted runners measures well under
+that margin at ``--repeats 5``.
 
 Simulated *outcomes* are deliberately out of scope here: bit-identical
 ``SimResult``\\ s are locked by ``tests/test_golden_simresults.py``
-(which exercises all engines, shared included), so this module only
-has to care about speed.
+(object, columnar and shared traces alike), so this module only has to
+care about speed.
 """
 
 from __future__ import annotations
@@ -53,16 +56,16 @@ DEFAULT_MAX_REGRESSION = 0.20
 # Every registered scheme id, cheapest first; ``tournament`` runs two
 # sub-predictors per load and dominates the wall time.
 DEFAULT_SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
-DEFAULT_ENGINES = ("object", "columnar")
 DEFAULT_SWEEP_WORKLOADS = ("gzip", "perlbmk", "nat")
 # Large enough that per-process cold-start noise (allocator, bytecode
 # warm-up) stops dominating the per-cell numbers; the measured fabric
 # speedup climbs with instruction count and is near its asymptote here.
 DEFAULT_SWEEP_INSTRUCTIONS = 40_000
 
-# report section per engine; "object" keeps the historical "schemes"
-# key so older reports stay comparable.
-_ENGINE_SECTIONS = {"object": "schemes", "columnar": "columnar_schemes"}
+# The report section of the per-scheme throughput cells, and the
+# object-engine section older reports also carry.
+_SECTION = "columnar_schemes"
+_RETIRED_SECTION = "schemes"
 
 
 def peak_rss_kib() -> int:
@@ -95,10 +98,7 @@ def child_peak_rss_kib() -> int:
 def measure_scheme(trace, scheme_id: str, repeats: int = DEFAULT_REPEATS) -> dict:
     """Time ``simulate(trace, scheme)`` ``repeats`` times; report best.
 
-    ``trace`` may be a :class:`~repro.trace.Trace` or a
-    :class:`~repro.trace.ColumnarTrace` — ``simulate()`` dispatches on
-    the type, so the same timing harness measures either engine.  A
-    fresh scheme instance is built per repeat so no predictor state
+    A fresh scheme instance is built per repeat so no predictor state
     leaks between rounds; best-of-N is reported as the headline inst/s
     because scheduler noise only ever slows a run down.
     """
@@ -129,48 +129,33 @@ def run_throughput(
     instructions: int = DEFAULT_INSTRUCTIONS,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     repeats: int = DEFAULT_REPEATS,
-    engines: Sequence[str] = DEFAULT_ENGINES,
     progress=None,
 ) -> dict:
     """Run the full throughput bench; returns the JSON-safe report.
 
-    ``engines`` selects which trace representations to time: the
-    object path fills the report's ``"schemes"`` section (its
-    historical home), the columnar path ``"columnar_schemes"``.  The
-    trace is generated once and converted, so both engines measure the
-    exact same instruction stream.
+    Every scheme is timed on the same columnar trace; the cells fill
+    the report's ``"columnar_schemes"`` section.
     """
-    from repro.trace import ColumnarTrace
-    from repro.workloads import build_workload
+    from repro.workloads import build_workload_columnar
 
-    unknown = [e for e in engines if e not in _ENGINE_SECTIONS]
-    if unknown:
-        raise ValueError(f"unknown engine(s): {unknown}")
     t0 = time.perf_counter()
-    trace = build_workload(workload, instructions)
+    trace = build_workload_columnar(workload, instructions)
     trace_s = time.perf_counter() - t0
-    traces = {"object": trace}
-    if "columnar" in engines:
-        traces["columnar"] = ColumnarTrace.from_trace(trace)
     report = {
         "bench": "throughput",
         "workload": workload,
         "instructions": instructions,
         "trace_length": len(trace),
         "trace_build_s": round(trace_s, 3),
-        "engines": list(engines),
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    for engine in engines:
-        results = {}
-        for scheme_id in schemes:
-            results[scheme_id] = measure_scheme(
-                traces[engine], scheme_id, repeats
-            )
-            if progress is not None:
-                progress(f"{engine}/{scheme_id}", results[scheme_id])
-        report[_ENGINE_SECTIONS[engine]] = results
+    results = {}
+    for scheme_id in schemes:
+        results[scheme_id] = measure_scheme(trace, scheme_id, repeats)
+        if progress is not None:
+            progress(scheme_id, results[scheme_id])
+    report[_SECTION] = results
     report["wall_s"] = round(time.perf_counter() - t0, 3)
     report["peak_rss_kib"] = peak_rss_kib()
     report["children_peak_rss_kib"] = child_peak_rss_kib()
@@ -306,16 +291,17 @@ def check_regression(
     """Compare a fresh report against a committed one.
 
     Returns a list of human-readable failures — empty means every
-    (engine, scheme) present in both reports is within
-    ``max_regression`` of its committed best-of-N inst/s.
+    scheme present in both reports' ``columnar_schemes`` sections is
+    within ``max_regression`` of its committed best-of-N inst/s.
 
     Mismatches between the two reports are *warned and skipped*, never
-    failed: cells present on only one side (adding a scheme or an
-    engine must not break CI retroactively), engine sections missing
-    from either report, and entries without a usable ``inst_per_s``
-    number (a malformed cell is a report problem, not a performance
-    regression).  Pass a list as ``warnings`` to collect one message
-    per skipped mismatch; the CLI prints them.
+    failed: cells present on only one side (adding a scheme must not
+    break CI retroactively), a section missing from either report,
+    entries without a usable ``inst_per_s`` number (a malformed cell is
+    a report problem, not a performance regression), and the retired
+    object-engine ``schemes`` section of older reports.  Pass a list as
+    ``warnings`` to collect one message per skipped mismatch; the CLI
+    prints them.
 
     The same gate covers the ``"sweep"`` section's two fabric modes
     (end-to-end inst/s), with the same warn-and-skip treatment for
@@ -323,51 +309,54 @@ def check_regression(
     """
     failures = []
     warn = warnings.append if warnings is not None else (lambda _msg: None)
-    for engine, section in _ENGINE_SECTIONS.items():
+    for side, report in (("committed", committed), ("fresh", current)):
         # sweep-only reports carry a "schemes" *list* (the grid config),
-        # not a per-scheme throughput mapping — treat it as absent
-        current_schemes = current.get(section)
-        if not isinstance(current_schemes, dict):
-            current_schemes = None
-        committed_schemes = committed.get(section)
-        if not isinstance(committed_schemes, dict):
-            committed_schemes = None
-        if current_schemes and not committed_schemes:
-            warn(f"{engine}: committed report has no {section!r} section; "
-                 f"skipping the whole engine")
-        if committed_schemes and not current_schemes:
-            warn(f"{engine}: fresh report has no {section!r} section; "
-                 f"nothing to compare")
-        current_schemes = current_schemes or {}
-        committed_schemes = committed_schemes or {}
-        for scheme_id in committed_schemes:
-            if scheme_id not in current_schemes and current_schemes:
-                warn(f"{engine}/{scheme_id}: in the committed report only; "
-                     f"skipping")
-        for scheme_id, entry in current_schemes.items():
-            base = committed_schemes.get(scheme_id)
-            if base is None:
-                if committed_schemes:
-                    warn(f"{engine}/{scheme_id}: not in the committed "
-                         f"report; skipping")
-                continue
-            baseline_rate = _usable_rate(base)
-            if baseline_rate is None or baseline_rate <= 0:
-                warn(f"{engine}/{scheme_id}: committed entry has no usable "
-                     f"inst_per_s; skipping")
-                continue
-            rate = _usable_rate(entry)
-            if rate is None:
-                warn(f"{engine}/{scheme_id}: fresh entry has no usable "
-                     f"inst_per_s; skipping")
-                continue
-            floor = baseline_rate * (1.0 - max_regression)
-            if rate < floor:
-                failures.append(
-                    f"{engine}/{scheme_id}: {rate:.0f} inst/s is "
-                    f"{1 - rate / baseline_rate:.0%} below the committed "
-                    f"{baseline_rate:.0f} inst/s (allowed: {max_regression:.0%})"
-                )
+        # not a per-scheme throughput mapping
+        if isinstance(report.get(_RETIRED_SECTION), dict):
+            warn(f"object: {side} report has an object-engine "
+                 f"{_RETIRED_SECTION!r} section; that loop is gone, skipping")
+    current_schemes = current.get(_SECTION)
+    if not isinstance(current_schemes, dict):
+        current_schemes = None
+    committed_schemes = committed.get(_SECTION)
+    if not isinstance(committed_schemes, dict):
+        committed_schemes = None
+    if current_schemes and not committed_schemes:
+        warn(f"columnar: committed report has no {_SECTION!r} section; "
+             f"skipping")
+    if committed_schemes and not current_schemes:
+        warn(f"columnar: fresh report has no {_SECTION!r} section; "
+             f"nothing to compare")
+    current_schemes = current_schemes or {}
+    committed_schemes = committed_schemes or {}
+    for scheme_id in committed_schemes:
+        if scheme_id not in current_schemes and current_schemes:
+            warn(f"columnar/{scheme_id}: in the committed report only; "
+                 f"skipping")
+    for scheme_id, entry in current_schemes.items():
+        base = committed_schemes.get(scheme_id)
+        if base is None:
+            if committed_schemes:
+                warn(f"columnar/{scheme_id}: not in the committed "
+                     f"report; skipping")
+            continue
+        baseline_rate = _usable_rate(base)
+        if baseline_rate is None or baseline_rate <= 0:
+            warn(f"columnar/{scheme_id}: committed entry has no usable "
+                 f"inst_per_s; skipping")
+            continue
+        rate = _usable_rate(entry)
+        if rate is None:
+            warn(f"columnar/{scheme_id}: fresh entry has no usable "
+                 f"inst_per_s; skipping")
+            continue
+        floor = baseline_rate * (1.0 - max_regression)
+        if rate < floor:
+            failures.append(
+                f"columnar/{scheme_id}: {rate:.0f} inst/s is "
+                f"{1 - rate / baseline_rate:.0%} below the committed "
+                f"{baseline_rate:.0f} inst/s (allowed: {max_regression:.0%})"
+            )
     current_sweep = current.get("sweep")
     committed_sweep = committed.get("sweep")
     if current_sweep and not isinstance(committed_sweep, dict):

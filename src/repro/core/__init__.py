@@ -14,7 +14,7 @@ from repro.core.config import DlvpConfig
 from repro.core.paq import PredictedAddressQueue, PaqEntry
 from repro.core.lscd import LoadStoreConflictDetector
 from repro.core.vpe import PredictedValuesTable, ValuePredictionEngine
-from repro.core.dlvp import DlvpEngine, DlvpFetchHandle, DlvpStats
+from repro.core.dlvp import DlvpEngine, DlvpStats
 
 __all__ = [
     "DlvpConfig",
@@ -24,6 +24,5 @@ __all__ = [
     "PredictedValuesTable",
     "ValuePredictionEngine",
     "DlvpEngine",
-    "DlvpFetchHandle",
     "DlvpStats",
 ]

@@ -4,8 +4,12 @@ train at execute (Section 3.2.2, Figure 3).
 The engine is deliberately decoupled from the timing model: the
 pipeline decides *when* things happen (fetch cycle, probe cycle,
 execute cycle) and the engine decides *what* happens (predictions,
-probes, training, LSCD filtering), so the same engine drives both the
-full pipeline simulations and standalone analyses.
+probes, training, LSCD filtering).  There is one load path: the
+per-run closures :meth:`DlvpEngine.make_flat_fetch` (PAP or CAP
+lookup, PAQ, L1 probe, value extraction) and
+:meth:`DlvpEngine.make_flat_execute` (validation, training, LSCD
+insertion), which ``DlvpScheme`` installs as its ``flat_fetch`` /
+``flat_execute``.
 
 Probe semantics: the probe reads the *committed* memory image — the
 simulator applies stores to the image only when they commit, so an
@@ -18,26 +22,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa import Instruction, OpClass, fetch_group_address
+from repro.isa import OpClass
 from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.memory import MemoryHierarchy, MemoryImage
-from repro.predictors.base import AddressPrediction
 from repro.predictors.cap import CapPredictor
-from repro.predictors.pap import PapPredictor, _SIZE_FROM_CODE
+from repro.predictors.pap import PapPredictor
 from repro.core.config import DlvpConfig
 from repro.core.lscd import LoadStoreConflictDetector
-from repro.core.paq import PaqEntry, PredictedAddressQueue
+from repro.core.paq import PredictedAddressQueue
 
 _PROBE_BYTES = 32      # captures LDM footprints up to 4 x 8B / VLD 2 x 16B
 _FGA_MASK = ~(FETCH_GROUP_BYTES - 1)      # fetch_group_address(), inlined
 _LOAD_INT = int(OpClass.LOAD)
 
-# Flat-protocol handle for an LSCD-blocked load.  Identity-checked in
-# flat_execute_train, so one shared tuple serves every blocked load
-# (the flat twin of DlvpFetchHandle.lscd_blocked).  The -1 fields keep
-# it distinct from every real handle: CPython merges equal constant
-# tuples across a module, so a (0, 0, None) literal elsewhere would BE
-# this object and turn ordinary unpredicted loads into blocked ones.
+# Handle of an LSCD-blocked load.  Identity-checked in the execute
+# closure, so one shared tuple serves every blocked load.  The -1
+# fields keep it distinct from every real handle: CPython merges equal
+# constant tuples across a module, so a (0, 0, None) literal elsewhere
+# would BE this object and turn ordinary unpredicted loads into blocked
+# ones.
 _FLAT_BLOCKED = (-1, -1, None)
 
 
@@ -58,7 +61,7 @@ class DlvpStats:
     way_mispredictions: int = 0
     prefetches: int = 0
     inflight_conflicts: int = 0      # addr right, value wrong -> LSCD insert
-    paq_flushed: int = 0             # PAQ entries cleared by pipeline flushes
+    paq_flushed: int = 0             # PAQ entries cleared by flushes (always 0)
 
     @property
     def coverage(self) -> float:
@@ -81,59 +84,6 @@ class DlvpStats:
     def prefetch_fraction(self) -> float:
         """Fraction of loads for which DLVP generated a prefetch (Fig 5)."""
         return self.prefetches / self.loads_seen if self.loads_seen else 0.0
-
-
-class DlvpFetchHandle:
-    """Per-load state carried from fetch to execute.
-
-    A ``__slots__`` plain class, not a dataclass: one is allocated per
-    predicted load on the simulate() hot path.
-    """
-
-    __slots__ = (
-        "load_pc", "apt_index", "apt_tag", "prediction", "lscd_blocked",
-        "probed", "probe_hit", "raw_probe_value", "dropped",
-    )
-
-    def __init__(
-        self,
-        load_pc: int,
-        apt_index: int = 0,
-        apt_tag: int = 0,
-        prediction: AddressPrediction | None = None,
-        lscd_blocked: bool = False,
-        probed: bool = False,
-        probe_hit: bool = False,
-        raw_probe_value: int | None = None,
-        dropped: bool = False,
-    ) -> None:
-        self.load_pc = load_pc
-        self.apt_index = apt_index
-        self.apt_tag = apt_tag
-        self.prediction = prediction
-        self.lscd_blocked = lscd_blocked
-        self.probed = probed
-        self.probe_hit = probe_hit
-        self.raw_probe_value = raw_probe_value     # _PROBE_BYTES bytes at predicted addr
-        self.dropped = dropped
-
-
-class DlvpOutcome:
-    """What the pipeline needs to know after a load executes."""
-
-    __slots__ = ("value_predicted", "value_correct", "address_predicted", "address_correct")
-
-    def __init__(
-        self,
-        value_predicted: bool,
-        value_correct: bool,
-        address_predicted: bool,
-        address_correct: bool,
-    ) -> None:
-        self.value_predicted = value_predicted
-        self.value_correct = value_correct
-        self.address_predicted = address_predicted
-        self.address_correct = address_correct
 
 
 class DlvpEngine:
@@ -164,20 +114,17 @@ class DlvpEngine:
         self._lscd_enabled = self.config.lscd_entries > 0
         self.lscd = LoadStoreConflictDetector(max(1, self.config.lscd_entries))
         self.stats = DlvpStats()
-        self._tracer = None
         # Resolved once: the isinstance check sat on the per-load path.
         self._is_pap = isinstance(self.predictor, PapPredictor)
-        # Fetch-side hot-path aliases consumed by fetch_probe_predict().
+        # Hot-path aliases captured by make_flat_fetch().
         self._way_pred_enabled = self.config.way_prediction
         self._prefetch_on_miss = self.config.prefetch_on_miss
         self._lscd_pcs = self.lscd._pcs
         if self._is_pap:
             p = self.predictor
             self._path_push = p.history._history.push
-            self._compute_key = p.compute_key
-            self._apt_predict = p.predict
-            # APT internals for the inlined key/predict in
-            # fetch_probe_predict (created once, mutated in place).
+            # APT internals for the inlined key/predict in the fetch
+            # closure (created once, mutated in place).
             self._apt_idx_fold = p._idx_fold
             self._apt_tag_fold = p._tag_fold
             self._apt_index_bits = p._index_bits
@@ -189,506 +136,36 @@ class DlvpEngine:
             self._apt_use_way = p._use_way
         else:
             self._path_push = None
-            self._compute_key = None
-            self._apt_predict = None
-        # Optional per-run batched APT keys (columnar loop only); see
-        # bind_key_batch().
+        # Optional per-run batched APT keys; see bind_key_batch().
         self._kb = None
-        self._kb_pos = 0
-        self._kb_start = 0
-        self._kb_end = 0
-        self._kb_idx0: list[int] = []
-        self._kb_tag0: list[int] = []
-        self._kb_idx1: list[int] = []
-        self._kb_tag1: list[int] = []
-
-    @property
-    def _uses_pap(self) -> bool:
-        return self._is_pap
 
     def bind_key_batch(self, batch) -> None:
         """Attach (or detach, with None) a per-run APT key batch.
 
         ``batch`` is a :class:`repro.pipeline.batch.PapKeyBatch` built
         over the exact trace this engine is about to consume.  With a
-        batch bound, the flat fetch path reads precomputed (index, tag)
+        batch bound, the fetch closure reads precomputed (index, tag)
         keys by load ordinal instead of hashing the live folded history —
         and therefore skips the live history pushes entirely; the batch
         already accounts for every dynamic load's path bit, and nothing
         else reads the load-path history at run time.  Blocked and
-        beyond-slot-limit loads advance the cursor without reading keys.
+        beyond-slot-limit loads advance the closure's cursor without
+        reading keys.  Bind before :meth:`make_flat_fetch`.
         """
         self._kb = batch
-        self._kb_pos = self._kb_start = self._kb_end = 0
-        self._kb_idx0 = []
-        self._kb_tag0 = []
-        self._kb_idx1 = []
-        self._kb_tag1 = []
 
-    def _kb_refill(self, pos: int) -> None:
-        """Pull batch chunks until the cursor position is in range.
-
-        A single next_chunk() is not always enough: blocked and
-        unpredicted loads advance the cursor without touching the key
-        lists, so ``pos`` may have moved past a whole chunk of loads
-        whose keys were never read.
-        """
-        while pos >= self._kb_end:
-            start, idx0, tag0, idx1, tag1 = self._kb.next_chunk()
-            self._kb_start = start
-            self._kb_end = start + len(idx0)
-            self._kb_idx0 = idx0
-            self._kb_tag0 = tag0
-            self._kb_idx1 = idx1
-            self._kb_tag1 = tag1
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt into per-event instrumentation (see :mod:`repro.observe`).
-
-        With a tracer attached, the fetch/execute fast paths dispatch to
-        the reference implementations (:meth:`on_load_fetch`,
-        :meth:`probe`, :meth:`predicted_values`, :meth:`on_load_execute`)
-        so every component hook fires; with none attached (the default)
-        the inlined fast paths run with zero added work.
-        """
-        self._tracer = tracer
-        self.paq.attach_tracer(tracer)
-        self.lscd.attach_tracer(tracer)
-
-    # -- fetch ----------------------------------------------------------
-
-    def on_load_fetch(self, inst: Instruction, fetch_cycle: int, slot: int) -> DlvpFetchHandle:
-        """Address-predict one load in the first fetch stage.
-
-        Args:
-            inst: The dynamic load (the model peeks at its PC; its
-                address/values are only consulted at execute).
-            fetch_cycle: Cycle the fetch group entered the pipeline.
-            slot: Which predicted load of the fetch group this is (0 or
-                1); PAP keys the APT with FGA + slot, the paper's
-                "fetch group PC and fetch group PC plus one".
-        """
-        pc = inst.pc
-        predictor = self.predictor
-        is_pap = self._is_pap
-        handle = DlvpFetchHandle(pc)
-
-        if self._lscd_enabled and self.lscd.blocks(pc):
-            handle.lscd_blocked = True
-            if is_pap:
-                predictor.history.push_load(pc)
-            return handle
-
-        if is_pap:
-            # "Fetch group PC and fetch group PC plus one" (Section
-            # 3.1.1): the slot number must land in bits the key hash
-            # actually uses, so it is placed at the instruction-index
-            # granularity (bit 2).
-            key_pc = fetch_group_address(pc) | (slot << 2)
-            index, tag = predictor.compute_key(key_pc)
-            handle.apt_index, handle.apt_tag = index, tag
-            prediction = handle.prediction = predictor.predict(index, tag)
-            predictor.history.push_load(pc)
-        else:
-            prediction = handle.prediction = predictor.predict_pc(pc)
-
-        if prediction is not None:
-            accepted = self.paq.push(
-                PaqEntry(prediction.addr, prediction.size, prediction.way, fetch_cycle)
-            )
-            if not accepted:
-                handle.prediction = None       # PAQ full: no value prediction
-        return handle
-
-    def on_load_fetch_unpredicted(self, inst: Instruction) -> None:
-        """A load beyond the per-group prediction limit (Section 3.1.1).
-
-        Fewer than 2% of fetch groups carry more than two loads; the
-        extras still walk the load path (history update) and count
-        toward coverage denominators, but are neither predicted nor
-        trained.
-        """
-        self.stats.loads_seen += 1
-        self._push_history(inst.pc)
-
-    def _push_history(self, load_pc: int) -> None:
-        if self._is_pap:
-            self.predictor.history.push_load(load_pc)
-
-    # -- probe ------------------------------------------------------------
-
-    def probe(self, handle: DlvpFetchHandle, probe_cycle: int) -> None:
-        """Speculatively probe the L1 with the queued predicted address.
-
-        Fills ``handle.raw_probe_value`` on an L1 hit; launches a
-        prefetch on a miss when enabled.  Way prediction: with a stale
-        or absent way, the one-way probe misses even though the block is
-        resident (counted, and the paper reports it almost never
-        happens).
-        """
-        if handle.prediction is None or handle.lscd_blocked:
-            return
-        entry = self.paq.service(probe_cycle)
-        if entry is None:
-            handle.dropped = True
-            handle.prediction = None
-            return
-        handle.probed = True
-        stats = self.stats
-        stats.probes += 1
-        way_predicted = self.config.way_prediction and entry.way is not None
-        if way_predicted:
-            # A one-way probe: reads a single predicted data way instead
-            # of the full set (the paper's ~1/4-energy probe).
-            stats.probes_way_predicted += 1
-        hit, actual_way = self.hierarchy.probe_l1(entry.addr)
-        if hit and way_predicted and entry.way != actual_way:
-            stats.way_mispredictions += 1
-            hit = False
-        if hit:
-            stats.probe_hits += 1
-            handle.probe_hit = True
-            handle.raw_probe_value = self.image.read(entry.addr, _PROBE_BYTES)
-        else:
-            stats.probe_misses += 1
-            if self.config.prefetch_on_miss:
-                self.hierarchy.prefetch_fill(entry.addr)
-                stats.prefetches += 1
-        if self._tracer is not None:
-            self._tracer.on_probe(
-                probe_cycle,
-                handle.load_pc,
-                entry.addr,
-                hit,
-                way_predicted,
-                way_predicted and not hit and actual_way is not None,
-            )
-
-    def fetch_probe_predict(
-        self, inst: Instruction, fetch_cycle: int, slot: int, probe_cycle: int
-    ) -> tuple[DlvpFetchHandle, tuple[int, ...] | None]:
-        """Fetch-side fast path: on_load_fetch + probe + predicted_values.
-
-        The fetch, PAQ push/service, probe and value-extraction bodies
-        are all inlined here (one method dispatch instead of several per
-        load on the simulate() hot path); behaviourally identical to
-        calling :meth:`on_load_fetch`, :meth:`probe` and
-        :meth:`predicted_values` in sequence — those remain the
-        reference implementations.
-        """
-        if self._tracer is not None:
-            # Traced runs take the reference path so every component
-            # hook (LSCD, PAQ, probe) fires; the `is None` check is the
-            # only cost the disabled case pays.
-            handle = self.on_load_fetch(inst, fetch_cycle, slot)
-            self.probe(handle, probe_cycle)
-            return handle, self.predicted_values(handle, inst)
-        pc = inst.pc
-        handle = DlvpFetchHandle(pc)
-        is_pap = self._is_pap
-
-        if self._lscd_enabled and pc in self._lscd_pcs:    # lscd.blocks(), inlined
-            self.lscd.filtered += 1
-            handle.lscd_blocked = True
-            if is_pap:
-                self._path_push((pc >> 2) & 1)    # path_history_bit(pc)
-            return handle, None
-
-        if is_pap:
-            # PapPredictor.compute_key + .predict, inlined.
-            key_pc = (pc & _FGA_MASK) | (slot << 2)
-            word = key_pc >> 2
-            index_bits = self._apt_index_bits
-            index = (
-                word ^ (word >> index_bits) ^ (word >> (2 * index_bits))
-                ^ self._apt_idx_fold.value
-            ) & self._apt_index_mask
-            tag = (
-                word ^ (key_pc >> self._apt_tag_shift) ^ self._apt_tag_fold.value
-            ) & self._apt_tag_mask
-            handle.apt_index = index
-            handle.apt_tag = tag
-            entry = self._apt_entries[index]
-            if entry is None or entry.tag != tag or entry.confidence < self._apt_conf_max:
-                prediction = None
-            else:
-                prediction = AddressPrediction(
-                    entry.addr,
-                    _SIZE_FROM_CODE[entry.size_code],
-                    entry.way if self._apt_use_way else None,
-                    index,
-                    tag,
-                )
-            handle.prediction = prediction
-            self._path_push((pc >> 2) & 1)        # path_history_bit(pc)
-        else:
-            prediction = handle.prediction = self.predictor.predict_pc(pc)
-
-        if prediction is None:
-            return handle, None
-
-        # PAQ push (inlined PredictedAddressQueue.push).
-        paq = self.paq
-        queue = paq._queue
-        if len(queue) >= paq.capacity:
-            paq.rejected_full += 1
-            handle.prediction = None
-            return handle, None
-        queue.append(
-            PaqEntry(
-                prediction.addr, prediction.size, prediction.way, fetch_cycle,
-                bypass=not queue,
-            )
-        )
-        paq.enqueued += 1
-
-        # PAQ drain (inlined PredictedAddressQueue.service).
-        drop_cycles = paq.drop_cycles
-        entry = None
-        while queue:
-            candidate = queue.popleft()
-            if probe_cycle - candidate.allocated_cycle > drop_cycles:
-                paq.dropped += 1
-                continue
-            paq.serviced += 1
-            if candidate.bypass:
-                paq.bypassed += 1
-            entry = candidate
-            break
-        if entry is None:
-            handle.dropped = True
-            handle.prediction = None
-            return handle, None
-        handle.probed = True
-        stats = self.stats
-        stats.probes += 1
-        way_predicted = self._way_pred_enabled and entry.way is not None
-        if way_predicted:
-            stats.probes_way_predicted += 1
-        hit, actual_way = self.hierarchy.probe_l1(entry.addr)
-        if hit and way_predicted and entry.way != actual_way:
-            stats.way_mispredictions += 1
-            hit = False
-        if hit:
-            stats.probe_hits += 1
-            handle.probe_hit = True
-            raw = handle.raw_probe_value = self.image.read(entry.addr, _PROBE_BYTES)
-            size = inst.mem_size
-            if len(inst.dests) == 1 and size <= _PROBE_BYTES:
-                return handle, (raw & ((1 << (8 * size)) - 1),)
-            return handle, self.predicted_values(handle, inst)
-        stats.probe_misses += 1
-        if self._prefetch_on_miss:
-            self.hierarchy.prefetch_fill(entry.addr)
-            stats.prefetches += 1
-        return handle, None
-
-    # -- flat fetch/execute (columnar simulate() path) ----------------------
-    #
-    # Scalar twins of fetch_probe_predict / execute_train /
-    # on_load_fetch_unpredicted: no Instruction view, no DlvpFetchHandle
-    # allocation — the handle is a plain ``(apt_index, apt_tag,
-    # predicted_addr)`` tuple (``predicted_addr`` None when the load was
-    # not address-predicted or its PAQ entry was rejected/dropped), or
-    # the shared _FLAT_BLOCKED sentinel.  The columnar loop never runs
-    # with a tracer attached, so these carry no reference-path dispatch.
-    # Outcomes are pinned to the object path by the golden suite.
-
-    def flat_load_unpredicted(self, pc: int) -> None:
-        """Flat twin of :meth:`on_load_fetch_unpredicted`."""
-        self.stats.loads_seen += 1
-        if self._is_pap:
-            if self._kb is not None:
-                self._kb_pos += 1
-            else:
-                self._path_push((pc >> 2) & 1)    # path_history_bit(pc)
-
-    def flat_fetch_probe_predict(
-        self,
-        pc: int,
-        mem_size: int,
-        ndests: int,
-        fetch_cycle: int,
-        slot: int,
-        probe_cycle: int,
-    ) -> tuple[tuple, tuple[int, ...] | None]:
-        """Flat twin of :meth:`fetch_probe_predict`; returns
-        ``(handle_tuple, predicted_values | None)``."""
-        if self._lscd_enabled and pc in self._lscd_pcs:    # lscd.blocks(), inlined
-            self.lscd.filtered += 1
-            if self._is_pap:
-                if self._kb is not None:
-                    self._kb_pos += 1
-                else:
-                    self._path_push((pc >> 2) & 1)
-            return _FLAT_BLOCKED, None
-
-        if self._is_pap:
-            if self._kb is not None:
-                pos = self._kb_pos
-                self._kb_pos = pos + 1
-                if pos >= self._kb_end:
-                    self._kb_refill(pos)
-                j = pos - self._kb_start
-                if slot:
-                    index = self._kb_idx1[j]
-                    tag = self._kb_tag1[j]
-                else:
-                    index = self._kb_idx0[j]
-                    tag = self._kb_tag0[j]
-            else:
-                # PapPredictor.compute_key, inlined (live folded history).
-                key_pc = (pc & _FGA_MASK) | (slot << 2)
-                word = key_pc >> 2
-                index_bits = self._apt_index_bits
-                index = (
-                    word ^ (word >> index_bits) ^ (word >> (2 * index_bits))
-                    ^ self._apt_idx_fold.value
-                ) & self._apt_index_mask
-                tag = (
-                    word ^ (key_pc >> self._apt_tag_shift) ^ self._apt_tag_fold.value
-                ) & self._apt_tag_mask
-                self._path_push((pc >> 2) & 1)    # path_history_bit(pc)
-            entry = self._apt_entries[index]
-            if entry is None or entry.tag != tag or entry.confidence < self._apt_conf_max:
-                return (index, tag, None), None
-            pred_addr = entry.addr
-            pred_size = _SIZE_FROM_CODE[entry.size_code]
-            pred_way = entry.way if self._apt_use_way else None
-        else:
-            index = tag = 0
-            prediction = self.predictor.predict_pc(pc)
-            if prediction is None:
-                return (0, 0, None), None
-            pred_addr = prediction.addr
-            pred_size = prediction.size
-            pred_way = prediction.way
-
-        # PAQ push (inlined PredictedAddressQueue.push).
-        paq = self.paq
-        queue = paq._queue
-        if len(queue) >= paq.capacity:
-            paq.rejected_full += 1
-            return (index, tag, None), None
-        queue.append(
-            PaqEntry(pred_addr, pred_size, pred_way, fetch_cycle, bypass=not queue)
-        )
-        paq.enqueued += 1
-
-        # PAQ drain (inlined PredictedAddressQueue.service).
-        drop_cycles = paq.drop_cycles
-        entry = None
-        while queue:
-            candidate = queue.popleft()
-            if probe_cycle - candidate.allocated_cycle > drop_cycles:
-                paq.dropped += 1
-                continue
-            paq.serviced += 1
-            if candidate.bypass:
-                paq.bypassed += 1
-            entry = candidate
-            break
-        if entry is None:
-            return (index, tag, None), None
-
-        handle = (index, tag, pred_addr)
-        stats = self.stats
-        stats.probes += 1
-        way_predicted = self._way_pred_enabled and entry.way is not None
-        if way_predicted:
-            stats.probes_way_predicted += 1
-        hit, actual_way = self.hierarchy.probe_l1(entry.addr)
-        if hit and way_predicted and entry.way != actual_way:
-            stats.way_mispredictions += 1
-            hit = False
-        if hit:
-            stats.probe_hits += 1
-            if ndests == 1:
-                if mem_size > _PROBE_BYTES:
-                    return handle, None
-                # Word-granular footprints read exactly what the load
-                # covers: read() is pure, so reading mem_size bytes is
-                # bit-identical to masking a _PROBE_BYTES read down —
-                # and hits the single-word fast path for 4-byte loads.
-                if mem_size and not mem_size & 3:
-                    return handle, (self.image.read(entry.addr, mem_size),)
-                raw = self.image.read(entry.addr, _PROBE_BYTES)
-                return handle, (raw & ((1 << (8 * mem_size)) - 1),)
-            raw = self.image.read(entry.addr, _PROBE_BYTES)
-            # predicted_values(), inlined for the multi-destination case.
-            if mem_size * (ndests or 1) > _PROBE_BYTES:
-                return handle, None
-            mask = (1 << (8 * mem_size)) - 1
-            return handle, tuple(
-                (raw >> (8 * mem_size * k)) & mask for k in range(ndests)
-            )
-        stats.probe_misses += 1
-        if self._prefetch_on_miss:
-            self.hierarchy.prefetch_fill(entry.addr)
-            stats.prefetches += 1
-        return handle, None
-
-    def flat_execute_train(
-        self,
-        handle: tuple,
-        pc: int,
-        mem_addr: int,
-        mem_size: int,
-        values: tuple[int, ...],
-        actual_way: int | None,
-        value_predicted: bool,
-        predicted: tuple[int, ...] | None,
-    ) -> tuple[bool, bool]:
-        """Flat twin of :meth:`execute_train`."""
-        stats = self.stats
-        stats.loads_seen += 1
-
-        if handle is _FLAT_BLOCKED:
-            stats.lscd_blocked += 1
-            return False, False
-
-        pred_addr = handle[2]
-        addr_correct = pred_addr is not None and pred_addr == mem_addr
-        if pred_addr is not None:
-            stats.address_predictions += 1
-            if addr_correct:
-                stats.address_correct += 1
-
-        if self._is_pap:
-            self.predictor.train(handle[0], handle[1], mem_addr, mem_size, actual_way)
-        else:
-            self.predictor.train(pc, mem_addr)
-
-        value_correct = False
-        if value_predicted:
-            mask = (1 << (8 * mem_size)) - 1
-            if len(values) == 1:
-                value_correct = predicted == (values[0] & mask,)
-            else:
-                value_correct = predicted == tuple(v & mask for v in values)
-            stats.value_predictions += 1
-            if value_correct:
-                stats.value_correct += 1
-            elif addr_correct:
-                stats.inflight_conflicts += 1
-                if self._lscd_enabled:
-                    self.lscd.insert(pc)
-
-        return value_predicted, value_correct
-
-    # -- fused columnar fast path ----------------------------------------
+    # -- the load path ----------------------------------------------------
 
     def make_flat_fetch(self):
-        """Build the fused per-load fetch closure for the columnar loop.
+        """Build the per-load fetch closure (``DlvpScheme.flat_fetch``).
 
-        A drop-in for ``DlvpScheme.flat_fetch`` (same signature and
-        return contract): the scheme wrapper, flat_fetch_probe_predict,
-        the PAQ push/drain and ``hierarchy.probe_l1`` collapsed into a
-        single call with every hot attribute captured as a closure cell
-        — per-load attribute chasing was the dominant scheme-side cost.
-        Must be rebuilt per run (``flat_prepare``) because the closure
-        owns the batched-key cursor.  Outcome equivalence with the
-        layered methods is pinned by the golden suite.
+        Address prediction (PAP keyed by fetch group and slot, or CAP by
+        PC), the PAQ, the speculative L1 probe (``hierarchy.probe_l1``,
+        inlined) and value extraction, as one call with every hot
+        attribute captured as a closure cell — per-load attribute
+        chasing was the dominant scheme-side cost.  Must be rebuilt per
+        run (``flat_prepare``) because the closure owns the batched-key
+        cursor.
         """
         lscd_enabled = self._lscd_enabled
         lscd_pcs = self._lscd_pcs
@@ -719,8 +196,6 @@ class DlvpEngine:
         else:
             predict_pc = self.predictor.predict_pc
         paq = self.paq
-        queue = paq._queue
-        paq_capacity = paq.capacity
         drop_cycles = paq.drop_cycles
         way_pred_enabled = self._way_pred_enabled
         prefetch_on_miss = self._prefetch_on_miss
@@ -737,7 +212,6 @@ class DlvpEngine:
         l1_stats = hierarchy._l1_stats
         prefetch_fill = hierarchy.prefetch_fill
         image_read = self.image.read
-        size_from_code = _SIZE_FROM_CODE
 
         def flat_fetch(
             pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -747,7 +221,11 @@ class DlvpEngine:
             if op != _LOAD_INT:
                 return None
             if load_slot is None:
-                # on_load_fetch_unpredicted: count, advance the history.
+                # Beyond the per-group prediction limit (Section 3.1.1):
+                # fewer than 2% of fetch groups carry more than two
+                # loads; the extras still walk the load path (history
+                # update) and count toward coverage denominators, but
+                # are neither predicted nor trained.
                 stats.loads_seen += 1
                 if is_pap:
                     if kb is not None:
@@ -782,7 +260,10 @@ class DlvpEngine:
                         index = kb_idx0[j]
                         tag = kb_tag0[j]
                 else:
-                    # PapPredictor.compute_key, inlined (live folds).
+                    # PapPredictor.compute_key, inlined (live folds).  The
+                    # key is "fetch group PC and fetch group PC plus one"
+                    # (Section 3.1.1), the slot placed at bit 2 where the
+                    # hash reads it.
                     key_pc = (pc & _FGA_MASK) | (load_slot << 2)
                     word = key_pc >> 2
                     index = (
@@ -806,53 +287,24 @@ class DlvpEngine:
                 pred_addr = prediction.addr
                 pred_way = prediction.way
 
-            # PAQ push + drain.  The queue is almost always empty, in
-            # which case the pushed entry is immediately drained again
-            # (bypass) — no PaqEntry, no deque traffic.
-            if not queue and paq_capacity:
-                paq.enqueued += 1
-                if probe_cycle - fetch_cycle > drop_cycles:
-                    paq.dropped += 1
-                    return (None, False, (index, tag, None), ndests)
-                paq.serviced += 1
-                paq.bypassed += 1
-                entry_addr = pred_addr
-                entry_way = pred_way
-            else:
-                if len(queue) >= paq_capacity:
-                    paq.rejected_full += 1
-                    return (None, False, (index, tag, None), ndests)
-                pred_size = (
-                    size_from_code[entry.size_code] if is_pap else prediction.size
-                )
-                queue.append(
-                    PaqEntry(pred_addr, pred_size, pred_way, fetch_cycle,
-                             bypass=not queue)
-                )
-                paq.enqueued += 1
-                drained = None
-                while queue:
-                    candidate = queue.popleft()
-                    if probe_cycle - candidate.allocated_cycle > drop_cycles:
-                        paq.dropped += 1
-                        continue
-                    paq.serviced += 1
-                    if candidate.bypass:
-                        paq.bypassed += 1
-                    drained = candidate
-                    break
-                if drained is None:
-                    return (None, False, (index, tag, None), ndests)
-                entry_addr = drained.addr
-                entry_way = drained.way
+            # PAQ push + drain.  The probe is serviced in this same
+            # fetch call, so the queue is empty at every push: the entry
+            # bypasses it (Section 3.2.2) unless it is already too old
+            # at its probe cycle.
+            paq.enqueued += 1
+            if probe_cycle - fetch_cycle > drop_cycles:
+                paq.dropped += 1
+                return (None, False, (index, tag, None), ndests)
+            paq.serviced += 1
+            paq.bypassed += 1
 
             handle = (index, tag, pred_addr)
             stats.probes += 1
-            way_predicted = way_pred_enabled and entry_way is not None
+            way_predicted = way_pred_enabled and pred_way is not None
             if way_predicted:
                 stats.probes_way_predicted += 1
             # hierarchy.probe_l1, inlined: TLB translate, L1 residency.
-            block = entry_addr >> tlb_shift
+            block = pred_addr >> tlb_shift
             set_idx = block & tlb_mask
             way = tlb_where[set_idx].get(block)
             if way is not None:
@@ -863,13 +315,13 @@ class DlvpEngine:
                 tlb_stats.hits += 1
             else:
                 tlb_stats.misses += 1
-                tlb_fill(entry_addr)
-            block = entry_addr >> l1_shift
+                tlb_fill(pred_addr)
+            block = pred_addr >> l1_shift
             actual_way = l1_where[block & l1_mask].get(block)
             if actual_way is not None:
                 l1_stats.probe_hits += 1
                 hit = True
-                if way_predicted and entry_way != actual_way:
+                if way_predicted and pred_way != actual_way:
                     stats.way_mispredictions += 1
                     hit = False
             else:
@@ -881,11 +333,15 @@ class DlvpEngine:
                 if ndests == 1:
                     if mem_size > _PROBE_BYTES:
                         return (None, False, handle, ndests)
+                    # Word-granular footprints read exactly what the load
+                    # covers: read() is pure, so reading mem_size bytes
+                    # is bit-identical to masking a _PROBE_BYTES read.
                     if mem_size and not mem_size & 3:
-                        v = image_read(entry_addr, mem_size)
+                        v = image_read(pred_addr, mem_size)
                     else:
-                        v = image_read(entry_addr, _PROBE_BYTES) & mask
-                    # _masked_values compare, flattened (scheme wrapper).
+                        v = image_read(pred_addr, _PROBE_BYTES) & mask
+                    # Correct when it matches the loaded values masked
+                    # to the access width.
                     if len(values) == 1:
                         correct = v == (values[0] & mask)
                     else:
@@ -893,7 +349,7 @@ class DlvpEngine:
                     return ((v,), correct, handle, ndests)
                 if mem_size * (ndests or 1) > _PROBE_BYTES:
                     return (None, False, handle, ndests)
-                raw = image_read(entry_addr, _PROBE_BYTES)
+                raw = image_read(pred_addr, _PROBE_BYTES)
                 pred = tuple(
                     (raw >> (8 * mem_size * k)) & mask for k in range(ndests)
                 )
@@ -901,17 +357,18 @@ class DlvpEngine:
                 return (pred, correct, handle, ndests)
             stats.probe_misses += 1
             if prefetch_on_miss:
-                prefetch_fill(entry_addr)
+                prefetch_fill(pred_addr)
                 stats.prefetches += 1
             return (None, False, handle, ndests)
 
         return flat_fetch
 
     def make_flat_execute(self):
-        """Fused execute-side twin of :meth:`make_flat_fetch`.
+        """Build the per-load execute closure (``DlvpScheme.flat_execute``).
 
-        Drop-in for ``DlvpScheme.flat_execute``: the scheme wrapper and
-        :meth:`flat_execute_train` as one closure.
+        Validates the prediction and trains the address predictor
+        (Section 3.1.2); a correctly address-predicted load whose value
+        was wrong raced an in-flight store and enters the LSCD.
         """
         stats = self.stats
         is_pap = self._is_pap
@@ -960,160 +417,3 @@ class DlvpEngine:
             return value_predicted, value_correct
 
         return flat_execute
-
-    # -- value extraction ---------------------------------------------------
-
-    def predicted_values(self, handle: DlvpFetchHandle, inst: Instruction) -> tuple[int, ...] | None:
-        """Assemble per-destination values from the probed bytes.
-
-        Returns None when no usable probe data exists or the load's
-        footprint exceeds what the probe captured.
-        """
-        raw = handle.raw_probe_value
-        if raw is None:
-            return None
-        size = inst.mem_size
-        ndests = len(inst.dests)
-        if ndests == 1:
-            # Single-destination fast path (the overwhelming majority).
-            if size > _PROBE_BYTES:
-                return None
-            return (raw & ((1 << (8 * size)) - 1),)
-        if size * max(1, ndests) > _PROBE_BYTES:
-            return None
-        mask = (1 << (8 * size)) - 1
-        return tuple((raw >> (8 * size * k)) & mask for k in range(ndests))
-
-    # -- execute --------------------------------------------------------
-
-    def on_load_execute(
-        self,
-        handle: DlvpFetchHandle,
-        inst: Instruction,
-        actual_way: int | None,
-        value_predicted: bool,
-        predicted: tuple[int, ...] | None,
-    ) -> DlvpOutcome:
-        """Validate the prediction and train the predictor (Section 3.1.2).
-
-        Args:
-            handle: The fetch-time handle.
-            inst: The executing load, with its computed address/values.
-            actual_way: L1 way the block occupies after the demand
-                access (trains way prediction).
-            value_predicted: Whether the pipeline actually consumed a
-                value prediction (it may have declined, e.g. PVT full).
-            predicted: The values that were predicted, if any.
-        """
-        mem_addr = inst.mem_addr
-        assert mem_addr is not None
-        stats = self.stats
-        stats.loads_seen += 1
-
-        if handle.lscd_blocked:
-            stats.lscd_blocked += 1
-            return DlvpOutcome(False, False, False, False)
-
-        prediction = handle.prediction
-        addr_predicted = prediction is not None
-        addr_correct = addr_predicted and prediction.addr == mem_addr
-        if addr_predicted:
-            stats.address_predictions += 1
-            if addr_correct:
-                stats.address_correct += 1
-
-        # Train the address predictor with the executed load.
-        if self._is_pap:
-            train_outcome = self.predictor.train(
-                handle.apt_index,
-                handle.apt_tag,
-                mem_addr,
-                inst.mem_size,
-                actual_way,
-            )
-            if self._tracer is not None:
-                self._tracer.on_apt_train(
-                    inst.pc, handle.apt_index, handle.apt_tag, train_outcome
-                )
-        else:
-            self.predictor.train(inst.pc, mem_addr)
-
-        value_correct = False
-        if value_predicted:
-            assert predicted is not None
-            mask = (1 << (8 * inst.mem_size)) - 1
-            masked_actual = tuple(v & mask for v in inst.values)
-            value_correct = predicted == masked_actual
-            stats.value_predictions += 1
-            if value_correct:
-                stats.value_correct += 1
-            elif addr_correct:
-                # An in-flight store changed the location between the
-                # probe and execution: exactly what LSCD filters.
-                stats.inflight_conflicts += 1
-                if self._lscd_enabled:
-                    self.lscd.insert(inst.pc)
-
-        return DlvpOutcome(value_predicted, value_correct, addr_predicted, addr_correct)
-
-    def execute_train(
-        self,
-        handle: DlvpFetchHandle,
-        inst: Instruction,
-        actual_way: int | None,
-        value_predicted: bool,
-        predicted: tuple[int, ...] | None,
-    ) -> tuple[bool, bool]:
-        """Execute-side fast path: :meth:`on_load_execute` without the
-        :class:`DlvpOutcome` allocation.
-
-        Returns ``(value_predicted, value_correct)`` — the two fields
-        the timing model consumes per load; behaviourally identical to
-        :meth:`on_load_execute`, which remains the reference
-        implementation (and the entry point for callers that want the
-        address-prediction outcome too).
-        """
-        if self._tracer is not None:
-            outcome = self.on_load_execute(
-                handle, inst, actual_way, value_predicted, predicted
-            )
-            return outcome.value_predicted, outcome.value_correct
-        mem_addr = inst.mem_addr
-        stats = self.stats
-        stats.loads_seen += 1
-
-        if handle.lscd_blocked:
-            stats.lscd_blocked += 1
-            return False, False
-
-        prediction = handle.prediction
-        addr_correct = prediction is not None and prediction.addr == mem_addr
-        if prediction is not None:
-            stats.address_predictions += 1
-            if addr_correct:
-                stats.address_correct += 1
-
-        if self._is_pap:
-            self.predictor.train(
-                handle.apt_index, handle.apt_tag, mem_addr, inst.mem_size, actual_way
-            )
-        else:
-            self.predictor.train(inst.pc, mem_addr)
-
-        value_correct = False
-        if value_predicted:
-            mask = (1 << (8 * inst.mem_size)) - 1
-            values = inst.values
-            if len(values) == 1:
-                value_correct = predicted == (values[0] & mask,)
-            else:
-                value_correct = predicted == tuple(v & mask for v in values)
-            stats.value_predictions += 1
-            if value_correct:
-                stats.value_correct += 1
-            elif addr_correct:
-                stats.inflight_conflicts += 1
-                if self._lscd_enabled:
-                    self.lscd.insert(inst.pc)
-
-        return value_predicted, value_correct

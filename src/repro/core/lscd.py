@@ -24,11 +24,6 @@ class LoadStoreConflictDetector:
         self._pcs: OrderedDict[int, None] = OrderedDict()
         self.insertions = 0
         self.filtered = 0
-        self._tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt into per-event instrumentation (see :mod:`repro.observe`)."""
-        self._tracer = tracer
 
     def __contains__(self, pc: int) -> bool:
         return pc in self._pcs
@@ -41,8 +36,6 @@ class LoadStoreConflictDetector:
         blocked = pc in self._pcs
         if blocked:
             self.filtered += 1
-            if self._tracer is not None:
-                self._tracer.on_lscd_filter(pc)
         return blocked
 
     def insert(self, pc: int) -> None:
@@ -53,16 +46,11 @@ class LoadStoreConflictDetector:
         """
         if pc in self._pcs:
             self._pcs.move_to_end(pc)
-            if self._tracer is not None:
-                self._tracer.on_lscd_insert(pc, evicted=None, refreshed=True)
             return
-        evicted = None
         if len(self._pcs) >= self.capacity:
-            evicted, _ = self._pcs.popitem(last=False)
+            self._pcs.popitem(last=False)
         self._pcs[pc] = None
         self.insertions += 1
-        if self._tracer is not None:
-            self._tracer.on_lscd_insert(pc, evicted=evicted, refreshed=False)
 
     def storage_bits(self, pc_bits: int = 32) -> int:
         return self.capacity * pc_bits

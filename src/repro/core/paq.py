@@ -56,11 +56,6 @@ class PredictedAddressQueue:
         self.serviced = 0
         self.bypassed = 0
         self.flushed = 0
-        self._tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt into per-event instrumentation (see :mod:`repro.observe`)."""
-        self._tracer = tracer
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -88,16 +83,10 @@ class PredictedAddressQueue:
         """
         if len(self._queue) >= self.capacity:
             self.rejected_full += 1
-            if self._tracer is not None:
-                self._tracer.on_paq_reject(entry.allocated_cycle, entry.addr)
             return False
         entry.bypass = not self._queue
         self._queue.append(entry)
         self.enqueued += 1
-        if self._tracer is not None:
-            self._tracer.on_paq_enqueue(
-                entry.allocated_cycle, entry.addr, len(self._queue)
-            )
         return True
 
     def service(self, cycle: int) -> PaqEntry | None:
@@ -110,16 +99,10 @@ class PredictedAddressQueue:
             entry = self._queue.popleft()
             if cycle - entry.allocated_cycle > self.drop_cycles:
                 self.dropped += 1
-                if self._tracer is not None:
-                    self._tracer.on_paq_drop(
-                        cycle, entry.addr, cycle - entry.allocated_cycle
-                    )
                 continue
             self.serviced += 1
             if entry.bypass:
                 self.bypassed += 1
-            if self._tracer is not None:
-                self._tracer.on_paq_service(cycle, entry.addr, entry.bypass)
             return entry
         return None
 
@@ -130,8 +113,5 @@ class PredictedAddressQueue:
         ``serviced + dropped + flushed + len(queue) == enqueued`` always
         holds.
         """
-        cleared = len(self._queue)
-        self.flushed += cleared
+        self.flushed += len(self._queue)
         self._queue.clear()
-        if cleared and self._tracer is not None:
-            self._tracer.on_paq_flush(cleared)

@@ -36,11 +36,6 @@ class PredictedValuesTable:
         self.reads = 0
         self.allocation_failures = 0
         self.peak_occupancy = 0
-        self._tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt into per-event instrumentation (see :mod:`repro.observe`)."""
-        self._tracer = tracer
 
     def _reclaim(self, cycle: int) -> None:
         allocations = self._allocations
@@ -65,8 +60,6 @@ class PredictedValuesTable:
         self._reclaim(cycle)
         if self._occupied + registers > self.capacity:
             self.allocation_failures += 1
-            if self._tracer is not None:
-                self._tracer.on_pvt_reject(cycle, registers, self._occupied)
             return False
         occupied = self._occupied + registers
         self._occupied = occupied
@@ -118,10 +111,6 @@ class ValuePredictionEngine:
     def __init__(self, pvt_entries: int = 32) -> None:
         self.pvt = PredictedValuesTable(entries=pvt_entries)
         self.stats = VpeStats()
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt into per-event instrumentation (see :mod:`repro.observe`)."""
-        self.pvt.attach_tracer(tracer)
 
     def admit(self, registers: int, cycle: int, free_cycle: int) -> bool:
         """Try to accept a value prediction into the PVT."""

@@ -68,7 +68,6 @@ class MemoryHierarchy:
         self.prefetcher = StridePrefetcher() if self.config.prefetch else None
         self.demand_accesses = 0
         self.prefetch_fills = 0
-        self._tracer = None
         self._l1_latency = self.config.l1d.latency
         # The TLB's backing cache array and miss penalty, resolved once:
         # every demand access and every DLVP probe translates, so the
@@ -132,20 +131,7 @@ class MemoryHierarchy:
         if self.prefetcher is not None and not is_store:
             for target in self.prefetcher.observe(pc, addr):
                 self.prefetch_fill(target)
-        if self._tracer is not None:
-            self._tracer.on_demand_access(
-                pc, addr, is_store, latency, l1_hit, tlb_hit
-            )
         return AccessResult(latency, l1_hit, tlb_hit, way)
-
-    def attach_tracer(self, tracer) -> None:
-        """Opt into per-event instrumentation (see :mod:`repro.observe`).
-
-        Only :meth:`access` emits events; the timing model's inlined
-        demand-access fast path routes through this method when (and
-        only when) a tracer is attached.
-        """
-        self._tracer = tracer
 
     def probe_l1(self, addr: int) -> tuple[bool, int | None]:
         """DLVP speculative probe: L1 residency check, non-allocating

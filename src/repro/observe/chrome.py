@@ -1,121 +1,73 @@
 """Chrome trace export — load a simulation in ``chrome://tracing``.
 
 Emits the Trace Event Format's JSON object form
-(``{"traceEvents": [...]}``).  Cycle numbers map directly onto the
-microsecond timestamp axis (1 cycle = 1 us on screen); discrete
-simulator events become instant events (phase ``"i"``) on per-subsystem
-"threads", and PAQ occupancy becomes a counter track (phase ``"C"``)
-so the queue's fill level renders as an area chart.
+(``{"traceEvents": [...]}``) from a finished
+:class:`repro.observe.RunRecord`.  Cycle numbers map directly onto the
+microsecond timestamp axis (1 cycle = 1 us on screen):
 
-Commit events are sampled (default 1 in 64) — at one instant event per
-committed instruction a 24k-instruction run would drown every other
-track and bloat the file ~20x.
+* thread-name metadata (phase ``"M"``);
+* ``run_start`` and ``run_end`` instants (phase ``"i"``) on the core
+  lane;
+* ``commit`` instants, sampled (default 1 in 64) from the record's
+  commit cycles — one per committed instruction would drown every
+  other track and bloat the file ~20x;
+* ``recovery`` instants, one per flush, on their own lane;
+* per-interval counter tracks (phase ``"C"``): ipc, coverage, accuracy
+  and probes, each sample placed at its interval's first cycle.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
 
-from repro.observe.tracer import Tracer
-
-# Trace-viewer "thread ids": one lane per subsystem.
+# Trace-viewer "thread ids": one lane per event family.
 _TID_CORE = 0
-_TID_PREDICT = 1
-_TID_PAQ = 2
-_TID_MEM = 3
-_TID_TABLES = 4
-
-_TID_FOR_KIND = {
-    "run_start": _TID_CORE,
-    "run_end": _TID_CORE,
-    "commit": _TID_CORE,
-    "recovery": _TID_CORE,
-    "fetch_predict": _TID_PREDICT,
-    "vpe_verdict": _TID_PREDICT,
-    "probe": _TID_PREDICT,
-    "paq_enqueue": _TID_PAQ,
-    "paq_reject": _TID_PAQ,
-    "paq_drop": _TID_PAQ,
-    "paq_service": _TID_PAQ,
-    "paq_flush": _TID_PAQ,
-    "demand_access": _TID_MEM,
-    "lscd_filter": _TID_TABLES,
-    "lscd_insert": _TID_TABLES,
-    "pvt_reject": _TID_TABLES,
-    "apt_train": _TID_TABLES,
-}
-
-_THREAD_NAMES = {
-    _TID_CORE: "core",
-    _TID_PREDICT: "predict",
-    _TID_PAQ: "paq",
-    _TID_MEM: "memory",
-    _TID_TABLES: "tables",
-}
+_TID_RECOVERY = 1
+_THREAD_NAMES = {_TID_CORE: "core", _TID_RECOVERY: "recovery"}
+_COUNTERS = ("ipc", "coverage", "accuracy", "probes")
 
 
-class ChromeTraceExporter(Tracer):
-    """Collect every event into a Chrome trace-event list."""
+def _instant(name: str, tid: int, ts: int, **args) -> dict:
+    return {"ph": "i", "name": name, "pid": 1, "tid": tid, "ts": ts,
+            "s": "t", "args": args}
 
-    def __init__(self, commit_sample: int = 64) -> None:
-        if commit_sample <= 0:
-            raise ValueError("commit_sample must be positive")
-        self.commit_sample = commit_sample
-        self.events: list[dict] = []
-        self._cycle = 0
-        for tid, name in _THREAD_NAMES.items():
-            self.events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": name},
-                }
-            )
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        cycle = fields.get("cycle")
-        if cycle is None:
-            cycle = self._cycle
-        else:
-            self._cycle = cycle
-        if kind == "commit":
-            if fields["index"] % self.commit_sample:
-                return
-        self.events.append(
-            {
-                "ph": "i",
-                "name": kind,
-                "pid": 1,
-                "tid": _TID_FOR_KIND.get(kind, _TID_CORE),
-                "ts": cycle,
-                "s": "t",
-                "args": {k: v for k, v in fields.items() if k != "cycle"},
-            }
-        )
-        if kind == "paq_enqueue" or kind == "paq_service":
-            occupancy = fields.get("occupancy")
-            if occupancy is None:
-                # service pops one entry; approximate from last enqueue.
-                return
-            self.events.append(
-                {
-                    "ph": "C",
-                    "name": "paq_occupancy",
-                    "pid": 1,
-                    "tid": _TID_PAQ,
-                    "ts": cycle,
-                    "args": {"entries": occupancy},
-                }
-            )
+def chrome_events(record, commit_sample: int = 64) -> list[dict]:
+    """The trace events of the finished run ``record`` holds."""
+    if commit_sample <= 0:
+        raise ValueError("commit_sample must be positive")
+    result = record.result
+    events = [
+        {"ph": "M", "name": "thread_name", "pid": 1, "tid": tid,
+         "args": {"name": name}}
+        for tid, name in _THREAD_NAMES.items()
+    ]
+    events.append(_instant(
+        "run_start", _TID_CORE, 0, trace=record.trace_name,
+        scheme=record.scheme_name, instructions=record.instructions,
+    ))
+    cycles = record.commit_cycles
+    for index in range(0, record.instructions, commit_sample):
+        events.append(_instant("commit", _TID_CORE, cycles[index], index=index))
+    for index, cycle, kind, pc in record.flushes:
+        events.append(_instant(
+            "recovery", _TID_RECOVERY, cycle, index=index, reason=kind, pc=pc,
+        ))
+    start_cycle = 0
+    for row in result.intervals:
+        for name in _COUNTERS:
+            events.append({"ph": "C", "name": name, "pid": 1,
+                           "tid": _TID_CORE, "ts": start_cycle,
+                           "args": {name: row[name]}})
+        start_cycle += row["cycles"]
+    events.append(_instant(
+        "run_end", _TID_CORE, result.cycles, cycles=result.cycles,
+        instructions=result.instructions,
+    ))
+    return events
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"traceEvents": self.events, "displayTimeUnit": "ms"}, indent=None
-        )
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+def write_chrome_trace(events: list[dict], path) -> None:
+    """Write ``events`` as a ``chrome://tracing``-loadable JSON file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)

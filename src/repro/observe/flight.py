@@ -1,9 +1,12 @@
 """Flight recorder — the last N events preceding a failure.
 
-A bounded ring buffer over the firehose: cheap enough to leave on for
-long runs, and when a simulation dies (a real exception or an injected
-``raise`` fault from :mod:`repro.faults`) the tail of the buffer is the
-black-box record of what the machine was doing right before the end.
+When a simulation dies (a real exception or an injected ``raise``
+fault from :mod:`repro.faults`), the tail of what its
+:class:`repro.observe.RunRecord` recorded is the black-box record of
+what the machine was doing right before the end: the commits (with
+their cycles) and recoveries up to the failure point, which the record
+finds as the first uncommitted instruction.  A run that finished ends
+its tail with ``run_end``, so dumps distinguish "finished" from "died".
 
 :class:`FaultTripwire` is the observe-side integration with the fault
 plan grammar: a ``raise`` rule that selects a traced run arms a
@@ -14,57 +17,58 @@ a reproducible point inside ``simulate()`` rather than before it runs.
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from typing import Any
+from bisect import bisect_left
 
 from repro.faults.plan import FaultInjected, FaultRule
-from repro.observe.tracer import Tracer
 
 DEFAULT_CAPACITY = 256
 
 
-class FlightRecorder(Tracer):
-    """Ring buffer of the most recent events, dumpable on failure."""
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._ring: deque[dict] = deque(maxlen=capacity)
-        self.seen = 0
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        self.seen += 1
-        fields["kind"] = kind
-        self._ring.append(fields)
-
-    def on_run_end(self, result: Any) -> None:
-        # Keep the tail focused on pre-failure events; a clean run end
-        # is still recorded so dumps distinguish "finished" from "died".
-        self.emit("run_end", cycles=result.cycles, instructions=result.instructions)
-
-    def dump(self) -> list[dict]:
-        """The buffered tail, oldest first."""
-        return list(self._ring)
-
-    def write(self, path) -> None:
-        payload = {
-            "events_seen": self.seen,
-            "capacity": self.capacity,
-            "tail": self.dump(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+def flight_tail(record, capacity: int = DEFAULT_CAPACITY) -> tuple[int, list[dict]]:
+    """``(events_seen, tail)``: how many events the run recorded up to
+    its failure point (or its end), and the last ``capacity`` of them,
+    oldest first."""
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    stop = record.committed()
+    cycles = record.commit_cycles
+    flushes = record.flushes
+    finished = record.result is not None
+    first = max(0, stop - capacity)
+    tail = []
+    if first == 0:
+        tail.append({"kind": "run_start", "trace": record.trace_name,
+                     "scheme": record.scheme_name,
+                     "instructions": record.instructions})
+    k = bisect_left(flushes, (first,))
+    for index in range(first, stop):
+        while k < len(flushes) and flushes[k][0] <= index:
+            tail.append(_recovery(flushes[k]))
+            k += 1
+        tail.append({"kind": "commit", "index": index, "cycle": cycles[index]})
+    # A recovery of the instruction that never committed.
+    tail.extend(_recovery(flush) for flush in flushes[k:])
+    if finished:
+        tail.append({"kind": "run_end", "cycles": record.result.cycles,
+                     "instructions": record.result.instructions})
+    seen = 1 + stop + len(flushes) + finished
+    return seen, tail[-capacity:]
 
 
-class FaultTripwire(Tracer):
+def _recovery(flush: tuple) -> dict:
+    index, cycle, kind, pc = flush
+    return {"kind": "recovery", "index": index, "cycle": cycle,
+            "reason": kind, "pc": pc}
+
+
+class FaultTripwire:
     """Raise an injected fault mid-simulation, deterministically.
 
     Armed from a ``raise`` rule of a :class:`repro.faults.FaultPlan`;
-    trips when the committed-instruction index reaches ``trip_at``
-    (default: half the run, fixed at ``on_run_start``).  The other
-    fault kinds (crash/hang/slow/corrupt_cache) stay worker-side in
+    trips once instruction ``trip_at`` has committed (default: half the
+    run, fixed when the run starts), at the snapshot window the record
+    ends right after it.  The other fault kinds
+    (crash/hang/slow/corrupt_cache) stay worker-side in
     :func:`repro.faults.inject` — only ``raise`` moves inside the run,
     because only it needs to interact with the flight recorder.
     """
@@ -76,14 +80,17 @@ class FaultTripwire(Tracer):
         self.trip_at = trip_at
         self.tripped = False
 
-    def on_run_start(self, trace_name: str, scheme_name: str, instructions: int) -> None:
+    def arm(self, instructions: int) -> int:
+        """Fix ``trip_at`` for a run of ``instructions``; returns it."""
         if self.trip_at is None:
             self.trip_at = max(1, instructions // 2)
+        return self.trip_at
 
-    def on_commit(self, index: int, cycle: int, op: Any) -> None:
-        if not self.tripped and self.trip_at is not None and index >= self.trip_at:
+    def check(self, end: int, commit_cycles: list[int]) -> None:
+        """Trip once the committed prefix ``[0, end)`` covers ``trip_at``."""
+        if not self.tripped and end > self.trip_at:
             self.tripped = True
             raise FaultInjected(
                 f"injected fault ({self.rule.clause()}) at instruction "
-                f"{index}, cycle {cycle}"
+                f"{self.trip_at}, cycle {commit_cycles[self.trip_at]}"
             )

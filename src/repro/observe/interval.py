@@ -6,22 +6,19 @@ first few thousand instructions of a phase, then coverage climbs as
 counters saturate.  Binning metrics per 10k committed instructions
 makes that ramp (and phase changes in ``mixed_phases`` workloads)
 visible; the rows land in ``SimResult.intervals`` and survive the
-result cache round-trip.
+result cache round-trip.  They are windowed differences of the
+counters a :class:`repro.observe.RunRecord` snapshots at every
+interval boundary.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.observe.tracer import Tracer
-
 DEFAULT_INTERVAL = 10_000
 
 
-class IntervalMetricsCollector(Tracer):
-    """Accumulate per-interval rows keyed by committed instruction count.
-
-    Each row is a JSON-safe dict::
+def interval_rows(record) -> list[dict]:
+    """One JSON-safe row per ``record.interval`` committed instructions
+    (the last row may be shorter)::
 
         {"start": int, "end": int, "cycles": int, "ipc": float,
          "loads": int, "value_predictions": int, "value_correct": int,
@@ -29,124 +26,47 @@ class IntervalMetricsCollector(Tracer):
          "probes": int, "probe_hits": int,
          "paq_peak_occupancy": int, "paq_flushes": int,
          "recoveries_branch": int, "recoveries_value": int}
+
+    ``paq_peak_occupancy`` is 1 when the row enqueued a predicted
+    address and 0 otherwise: every PAQ entry is serviced or dropped in
+    the fetch call that pushed it, so the queue never holds two.  For
+    the same reason no flush ever finds an entry, and ``paq_flushes``
+    is 0.
     """
-
-    def __init__(self, interval: int = DEFAULT_INTERVAL) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-        self.rows: list[dict] = []
-        self._reset_window()
-        self._window_start = 0
-        self._last_cycle = 0
-        self._prev_cycle = 0
-
-    def _reset_window(self) -> None:
-        self._loads = 0
-        self._predictions = 0
-        self._correct = 0
-        self._probes = 0
-        self._probe_hits = 0
-        self._paq_peak = 0
-        self._paq_flushes = 0
-        self._rec_branch = 0
-        self._rec_value = 0
-
-    def _close_window(self, end_index: int) -> None:
-        cycles = self._last_cycle - self._prev_cycle
-        insts = end_index - self._window_start
-        self.rows.append(
-            {
-                "start": self._window_start,
-                "end": end_index,
-                "cycles": cycles,
-                "ipc": insts / cycles if cycles else 0.0,
-                "loads": self._loads,
-                "value_predictions": self._predictions,
-                "value_correct": self._correct,
-                "coverage": self._predictions / self._loads if self._loads else 0.0,
-                "accuracy": (
-                    self._correct / self._predictions if self._predictions else 1.0
-                ),
-                "probes": self._probes,
-                "probe_hits": self._probe_hits,
-                "paq_peak_occupancy": self._paq_peak,
-                "paq_flushes": self._paq_flushes,
-                "recoveries_branch": self._rec_branch,
-                "recoveries_value": self._rec_value,
-            }
-        )
-        self._window_start = end_index
-        self._prev_cycle = self._last_cycle
-        self._reset_window()
-
-    # ---- hooks -----------------------------------------------------------
-
-    def on_run_start(self, trace_name: str, scheme_name: str, instructions: int) -> None:
-        self.rows = []
-        self._window_start = 0
-        self._last_cycle = 0
-        self._prev_cycle = 0
-        self._reset_window()
-
-    def on_commit(self, index: int, cycle: int, op: Any) -> None:
-        self._last_cycle = cycle
-        if index + 1 - self._window_start >= self.interval:
-            self._close_window(index + 1)
-
-    def on_fetch_predict(
-        self, cycle: int, pc: int, slot: int | None, predicted: bool
-    ) -> None:
-        pass
-
-    def on_demand_access(
-        self,
-        pc: int,
-        addr: int,
-        is_store: bool,
-        latency: int,
-        l1_hit: bool,
-        tlb_hit: bool,
-    ) -> None:
-        if not is_store:
-            self._loads += 1
-
-    def on_vpe_verdict(self, cycle: int, pc: int, predicted: bool, correct: bool) -> None:
-        if predicted:
-            self._predictions += 1
-            if correct:
-                self._correct += 1
-
-    def on_probe(
-        self,
-        cycle: int,
-        pc: int,
-        addr: int,
-        hit: bool,
-        way_predicted: bool,
-        way_mispredicted: bool,
-    ) -> None:
-        self._probes += 1
-        if hit:
-            self._probe_hits += 1
-
-    def on_paq_enqueue(self, cycle: int, addr: int, occupancy: int) -> None:
-        if occupancy > self._paq_peak:
-            self._paq_peak = occupancy
-
-    def on_paq_flush(self, cleared: int) -> None:
-        self._paq_flushes += 1
-
-    def on_recovery(self, cycle: int, kind: str, pc: int) -> None:
-        if kind == "branch":
-            self._rec_branch += 1
-        else:
-            self._rec_value += 1
-
-    def on_run_end(self, result: Any) -> None:
-        if self._window_start < result.instructions:
-            self._close_window(result.instructions)
-        result.intervals = self.rows
+    interval = record.interval
+    by_end = {snap[0]: snap for snap in record.snapshots}
+    bounds = [*range(interval, record.instructions, interval)]
+    if record.instructions:
+        bounds.append(record.instructions)
+    rows = []
+    prev = by_end[0]
+    for end in bounds:
+        snap = by_end[end]
+        cycles = snap[1] - prev[1]
+        loads = snap[2] - prev[2]
+        predictions = snap[3] - prev[3]
+        correct = snap[4] - prev[4]
+        rows.append({
+            "start": prev[0],
+            "end": end,
+            "cycles": cycles,
+            "ipc": (end - prev[0]) / cycles if cycles else 0.0,
+            "loads": loads,
+            "value_predictions": predictions,
+            "value_correct": correct,
+            "coverage": predictions / loads if loads else 0.0,
+            "accuracy": correct / predictions if predictions else 1.0,
+            "probes": snap[5] - prev[5],
+            "probe_hits": snap[6] - prev[6],
+            "paq_peak_occupancy": 1 if snap[7] > prev[7] else 0,
+            "paq_flushes": 0,
+            "recoveries_branch": 0,
+            "recoveries_value": 0,
+        })
+        prev = snap
+    for index, _, kind, _ in record.flushes:
+        rows[index // interval][f"recoveries_{kind}"] += 1
+    return rows
 
 
 def render_report(intervals: list[dict]) -> str:

@@ -19,7 +19,6 @@ from repro.pipeline.recovery import RecoveryMode
 from repro.pipeline.stats import SimResult
 from repro.pipeline.schemes import (
     Scheme,
-    SchemePrediction,
     DlvpScheme,
     DvtageScheme,
     VtageScheme,
@@ -32,7 +31,6 @@ __all__ = [
     "RecoveryMode",
     "SimResult",
     "Scheme",
-    "SchemePrediction",
     "DlvpScheme",
     "DvtageScheme",
     "VtageScheme",

@@ -1,7 +1,6 @@
 """numpy-batched predictor key precomputation for the columnar loop.
 
-The columnar ``simulate()`` twin executes loads strictly in trace
-order, so any per-load quantity that is a pure function of the *trace*
+The ``simulate()`` loop executes loads strictly in trace order, so any per-load quantity that is a pure function of the *trace*
 (rather than of mutable predictor state) can be computed for a whole
 chunk of loads at once.  DLVP's APT keys are exactly that: the
 load-path history register receives one bit — ``(pc >> 2) & 1`` — per
@@ -14,7 +13,7 @@ and hands the engine plain Python lists to index on the hot path.
 
 The table *reads* (APT entries, confidence banks) stay sequential:
 they depend on training performed by earlier loads, and reordering
-them would break the bit-identical contract with the object engine.
+them would change outcomes the golden suite pins bit for bit.
 
 numpy is an optional dependency (the ``fast`` extra).  When it is
 missing — or ``REPRO_NO_NUMPY=1`` disables it, which is how the

@@ -21,6 +21,13 @@ What the model captures (because the paper's results hinge on it):
 * lane/width/window contention — 2 LS + 6 generic lanes, 4-wide fetch,
   8-wide commit, ROB/LDQ/STQ occupancy.
 
+There is one per-instruction loop, and it reads a
+:class:`~repro.trace.ColumnarTrace` (an object :class:`~repro.trace.Trace`
+is converted first).  Traced runs use the same loop: a
+:class:`repro.observe.RunRecord` passed as ``record`` receives counters
+at snapshot-window ends and a log of flushes, so what is observed is
+what production runs execute.
+
 Performance: the per-instruction loop is the whole simulator's hot
 path, so it trades a little readability for throughput — method and
 attribute lookups are hoisted into locals, the per-word store tracking
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.branch import BranchUnit, GlobalHistory, TageConfig
+from repro.branch import GlobalHistory, TageConfig
 from repro.branch import verdicts as _verdicts
 from repro.isa import (
     EXECUTION_LATENCY,
@@ -112,480 +119,40 @@ class _IssuePorts:
 
 
 def simulate(
-    trace: Trace,
+    trace: Trace | ColumnarTrace,
     scheme: Scheme | None = None,
     core_config: CoreConfig | None = None,
     hierarchy_config: HierarchyConfig | None = None,
     recovery: RecoveryMode = RecoveryMode.FLUSH,
-    tracer: "object | None" = None,
+    record: "object | None" = None,
 ) -> SimResult:
     """Run one trace through the core model.
 
     Args:
-        trace: The workload trace.
+        trace: The workload trace.  An object :class:`Trace` is
+            converted with :meth:`ColumnarTrace.from_trace` first: there
+            is one loop, and it reads columns.
         scheme: Value-prediction scheme, or None for the baseline.
         core_config: Core parameters (Table 4 defaults).
         hierarchy_config: Memory-hierarchy parameters.
         recovery: Value-misprediction recovery model (Figure 10).
-        tracer: A :class:`repro.observe.Tracer` (or anything matching
-            its hook protocol) for opt-in instrumentation, or None (the
-            default).  The zero-overhead contract: with ``tracer=None``
-            every hook site below is a single pre-hoisted ``traced``
-            boolean test (or untouched fast-path code), so outcomes and
-            throughput are identical to an untraced build; with a
-            tracer attached the inlined demand-access/DLVP paths route
-            through their reference implementations so component hooks
-            fire, at identical simulated outcomes.
+        record: A :class:`repro.observe.RunRecord` (or anything with
+            its ``start``/``snapshot``/``finish`` methods and
+            ``flushes`` list), or None (the default).  With a record the
+            loop also ends its snapshot windows where the record asks,
+            hands it the counters it keeps anyway at every window end
+            and logs each flush; nothing per instruction changes, so the
+            outcome is the untraced one.
 
     Returns:
         A :class:`SimResult`; compare runs of the same trace with
         :meth:`SimResult.speedup_over`.
     """
-    if isinstance(trace, ColumnarTrace):
-        if tracer is None:
-            return _simulate_columnar(
-                trace, scheme, core_config, hierarchy_config, recovery
-            )
-        # Traced runs take the reference object path (the tracer hooks
-        # live there); observability runs are rare and not hot.
-        trace = trace.to_trace()
-    cfg = core_config or CoreConfig()
-    hierarchy = MemoryHierarchy(hierarchy_config)
-    image = MemoryImage()
-    branch_unit = BranchUnit()
-    mdp = StoreSetsPredictor()
-    if scheme is not None:
-        scheme.bind(hierarchy, image, branch_unit.global_history)
-    traced = tracer is not None
-    if traced:
-        hierarchy.attach_tracer(tracer)
-        if scheme is not None:
-            scheme.attach_tracer(tracer)
-        tracer.on_run_start(
-            trace.name,
-            scheme.name if scheme is not None else "baseline",
-            len(trace),
-        )
-
-    n = len(trace)
-    commit_cycles = [0] * n
-    reg_ready: dict[int, int] = {}
-    ls_ports = _IssuePorts(cfg.ls_lanes)
-    gen_ports = _IssuePorts(cfg.generic_lanes)
-    # word -> (store seq, store done cycle, store pc): newest store per
-    # word.  Entries are removed as their store retires (see the commit
-    # loop below), bounding both dicts by in-flight work, not trace
-    # length.
-    word_store: dict[int, tuple[int, int, int]] = {}
-    store_done: dict[int, int] = {}
-
-    fetch_cycle = 0
-    pending_redirect = 0
-    force_new_group = True
-    slots_used = 0
-    current_group = -1
-    prev_pc: int | None = None
-    loads_in_group = 0
-
-    commit_ptr = 0
-    last_commit_cycle = 0
-    commits_in_cycle = 0
-    load_commits: list[int] = []
-    store_commits: list[int] = []
-
-    flushes = FlushStats()
-    loads = 0
-
-    # ---- hot-loop local aliases ---------------------------------------
-    LOAD = OpClass.LOAD
-    STORE = OpClass.STORE
-    ls_ops = _LS_OPS
-    branch_ops = frozenset(op for op in OpClass if is_branch_op(op))
-    exec_latency = EXECUTION_LATENCY
-    fga_mask = ~(FETCH_GROUP_BYTES - 1)    # fetch_group_address(), inlined
-    fetch_width = cfg.fetch_width
-    rob_entries = cfg.rob_entries
-    ldq_entries = cfg.ldq_entries
-    stq_entries = cfg.stq_entries
-    fetch_to_execute = cfg.fetch_to_execute
-    rename_depth = cfg.rename_depth
-    commit_width = cfg.commit_width
-    branch_latency = cfg.branch_resolution_latency
-    validation_penalty = cfg.value_validation_penalty
-    forward_latency = cfg.store_forward_latency
-    # Issue-port state, inlined: the busy dicts and widths are bound
-    # locally and the issue_at scan is expanded in place below.
-    ls_busy = ls_ports._busy
-    ls_busy_get = ls_busy.get
-    ls_width = ls_ports.width
-    gen_busy = gen_ports._busy
-    gen_busy_get = gen_busy.get
-    gen_width = gen_ports.width
-    # Memory-hierarchy state, inlined: the demand-access TLB/L1 paths
-    # are expanded in place in the load/store blocks below (the aliased
-    # structures are created once by Cache.__init__ and only mutated in
-    # place, so the references stay valid for the whole run).
-    demand_accesses = hierarchy.demand_accesses
-    l1_latency = hierarchy._l1_latency
-    tlb_penalty = hierarchy._tlb_penalty
-    tlb_shift = hierarchy._tlb_shift
-    tlb_mask = hierarchy._tlb_mask
-    tlb_where = hierarchy._tlb_where
-    tlb_lru = hierarchy._tlb_lru
-    tlb_stats = hierarchy._tlb_stats
-    tlb_fill = hierarchy._tlb_array.fill
-    l1_shift = hierarchy._l1_shift
-    l1_mask = hierarchy._l1_mask
-    l1_where = hierarchy._l1_where
-    l1_lru = hierarchy._l1_lru
-    l1_stats = hierarchy._l1_stats
-    l1_fill = hierarchy.l1d.fill
-    fill_from_below = hierarchy._fill_from_below
-    prefetcher = hierarchy.prefetcher
-    prefetch_observe = prefetcher.observe if prefetcher is not None else None
-    prefetch_fill = hierarchy.prefetch_fill
-    hierarchy_access = hierarchy.access
-    image_write = image.write
-    branch_resolve = branch_unit.resolve
-    mdp_load_dependence = mdp.load_dependence
-    mdp_store_fetched = mdp.store_fetched
-    mdp_store_executed = mdp.store_executed
-    mdp_report_violation = mdp.report_violation
-    reg_ready_get = reg_ready.get
-    word_store_get = word_store.get
-    oracle_replay = recovery == RecoveryMode.ORACLE_REPLAY
-    fetch_all_ops = scheme is not None and not scheme.fetch_loads_only
-    if scheme is not None:
-        scheme_fetch_side = scheme.fetch_side
-        scheme_execute_side = scheme.execute_side
-        vpe_stats = scheme.vpe.stats
-        # vpe.admit and vpe.record_validation, split into their halves
-        # (allocate + the stat increments) so the common case is one
-        # call plus inline counter updates, not three calls.
-        pvt_try_allocate = scheme.vpe.pvt.try_allocate
-        pvt_note_read = scheme.vpe.pvt.note_consumer_read
-
-    instructions = trace.instructions
-    for i in range(n):
-        inst = instructions[i]
-        op = inst.op
-        pc = inst.pc
-
-        # ---- fetch grouping --------------------------------------------
-        if (
-            force_new_group
-            or slots_used >= fetch_width
-            or prev_pc is None
-            or pc != prev_pc + 4
-            or (pc & fga_mask) != current_group
-        ):
-            fetch_cycle = max(fetch_cycle + 1, pending_redirect)
-            slots_used = 0
-            loads_in_group = 0
-            current_group = pc & fga_mask
-            force_new_group = False
-        slots_used += 1
-        prev_pc = pc
-
-        # ---- structural stalls (ROB / LDQ / STQ) ------------------------
-        if i >= rob_entries:
-            stall = commit_cycles[i - rob_entries]
-            if stall > fetch_cycle:
-                fetch_cycle = stall
-        if op is LOAD:
-            if len(load_commits) >= ldq_entries:
-                stall = load_commits[-ldq_entries]
-                if stall > fetch_cycle:
-                    fetch_cycle = stall
-        elif op is STORE:
-            if len(store_commits) >= stq_entries:
-                stall = store_commits[-stq_entries]
-                if stall > fetch_cycle:
-                    fetch_cycle = stall
-
-        # ---- retire committed stores into the memory image --------------
-        # Retirement also prunes the in-flight store tracking: a store
-        # with commit_cycle <= fetch_cycle can never again satisfy the
-        # "in flight at issue" checks below (every future issue cycle is
-        # > the monotone fetch_cycle), so dropping it is outcome-neutral.
-        while commit_ptr < i and commit_cycles[commit_ptr] <= fetch_cycle:
-            cinst = instructions[commit_ptr]
-            if cinst.op is STORE:
-                caddr = cinst.mem_addr
-                image_write(caddr, cinst.mem_size, cinst.values[0])
-                store_done.pop(commit_ptr, None)
-                # _touched_words(), inlined (store sizes are >= 4).
-                first = caddr >> 2
-                last = (caddr + cinst.mem_size - 1) >> 2
-                for word in range(first, last + 1):
-                    entry = word_store_get(word)
-                    if entry is not None and entry[0] == commit_ptr:
-                        del word_store[word]
-            commit_ptr += 1
-
-        # ---- scheme fetch side ------------------------------------------
-        load_slot: int | None = None
-        if op is LOAD:
-            loads += 1
-            if loads_in_group < 2:
-                load_slot = loads_in_group
-            loads_in_group += 1
-        sp = None
-        if scheme is not None and (op is LOAD or fetch_all_ops):
-            # Probe on the first load-store bubble after the predicted
-            # address reaches the back-end (1 cycle predict + 1 cycle
-            # transport).  Lane *reservations* are for future issue
-            # cycles, so a bubble is essentially always available now;
-            # the paper measures <0.1% of PAQ entries aging out.
-            sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
-            if traced:
-                tracer.on_fetch_predict(
-                    fetch_cycle, pc, load_slot,
-                    sp is not None and sp.values is not None,
-                )
-
-        # ---- issue timing -----------------------------------------------
-        src_ready = 0
-        for reg in inst.srcs:
-            ready = reg_ready_get(reg, 0)
-            if ready > src_ready:
-                src_ready = ready
-        ready = fetch_cycle + fetch_to_execute
-        if src_ready > ready:
-            ready = src_ready
-
-        acc_way = None
-        if op is LOAD:
-            addr = inst.mem_addr
-            # MDP-predicted dependence: wait for the predicted store.
-            dep_seq = mdp_load_dependence(pc)
-            if dep_seq is not None and dep_seq in store_done:
-                if commit_cycles[dep_seq] > ready:
-                    dep_done = store_done[dep_seq]
-                    if dep_done > ready:
-                        ready = dep_done
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            if traced:
-                # Reference demand access: behaviourally identical to
-                # the inline copy below and fires on_demand_access; the
-                # local demand_accesses mirror keeps the end-of-run
-                # write-back consistent.
-                demand_accesses += 1
-                acc = hierarchy_access(pc, addr)
-                acc_latency = acc.latency
-                acc_way = acc.way
-            else:
-                # hierarchy.access(), inlined: TLB, then L1, then
-                # prefetcher.
-                demand_accesses += 1
-                block = addr >> tlb_shift
-                set_idx = block & tlb_mask
-                way = tlb_where[set_idx].get(block)
-                if way is not None:
-                    lru = tlb_lru[set_idx]
-                    if lru[0] != way:
-                        lru.remove(way)
-                        lru.insert(0, way)
-                    tlb_stats.hits += 1
-                    acc_latency = l1_latency
-                else:
-                    tlb_stats.misses += 1
-                    tlb_fill(addr)
-                    acc_latency = l1_latency + tlb_penalty
-                block = addr >> l1_shift
-                set_idx = block & l1_mask
-                acc_way = l1_where[set_idx].get(block)
-                if acc_way is not None:
-                    lru = l1_lru[set_idx]
-                    if lru[0] != acc_way:
-                        lru.remove(acc_way)
-                        lru.insert(0, acc_way)
-                    l1_stats.hits += 1
-                else:
-                    l1_stats.misses += 1
-                    acc_way = l1_fill(addr)
-                    acc_latency += fill_from_below(addr)
-                if prefetch_observe is not None:
-                    for target in prefetch_observe(pc, addr):
-                        prefetch_fill(target)
-            # inst.footprint_bytes, inlined (op is LOAD here).
-            nbytes = inst.mem_size * (len(inst.dests) or 1)
-            first = addr >> 2
-            last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
-            if first == last:
-                newest = word_store_get(first)
-            else:
-                newest = None
-                for word in range(first, last + 1):
-                    entry = word_store_get(word)
-                    if entry is not None and (newest is None or entry[0] > newest[0]):
-                        newest = entry
-            if newest is not None and commit_cycles[newest[0]] > issue:
-                # In-flight producing store: forward from the STQ.
-                if newest[1] > issue and (dep_seq is None or dep_seq < newest[0]):
-                    mdp_report_violation(pc, newest[2])
-                done = max(issue, newest[1]) + forward_latency
-            else:
-                # Address generation (1 cycle) then the cache access.
-                done = issue + 1 + acc_latency
-        elif op is STORE:
-            addr = inst.mem_addr
-            mdp_store_fetched(pc, i)
-            if traced:
-                demand_accesses += 1
-                acc_way = hierarchy_access(pc, addr, is_store=True).way
-            else:
-                # hierarchy.access(is_store=True), inlined: TLB then L1,
-                # no prefetcher training on stores.
-                demand_accesses += 1
-                block = addr >> tlb_shift
-                set_idx = block & tlb_mask
-                way = tlb_where[set_idx].get(block)
-                if way is not None:
-                    lru = tlb_lru[set_idx]
-                    if lru[0] != way:
-                        lru.remove(way)
-                        lru.insert(0, way)
-                    tlb_stats.hits += 1
-                else:
-                    tlb_stats.misses += 1
-                    tlb_fill(addr)
-                block = addr >> l1_shift
-                set_idx = block & l1_mask
-                acc_way = l1_where[set_idx].get(block)
-                if acc_way is not None:
-                    lru = l1_lru[set_idx]
-                    if lru[0] != acc_way:
-                        lru.remove(acc_way)
-                        lru.insert(0, acc_way)
-                    l1_stats.hits += 1
-                else:
-                    l1_stats.misses += 1
-                    acc_way = l1_fill(addr)
-                    fill_from_below(addr)
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            done = issue + 1
-            entry = (i, done, pc)
-            nbytes = inst.mem_size
-            first = addr >> 2
-            last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
-            if first == last:
-                word_store[first] = entry
-            else:
-                for word in range(first, last + 1):
-                    word_store[word] = entry
-            store_done[i] = done
-            mdp_store_executed(pc)
-        elif op in ls_ops:
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            done = issue + exec_latency[op]
-        else:
-            issue = ready
-            count = gen_busy_get(issue, 0)
-            while count >= gen_width:
-                issue += 1
-                count = gen_busy_get(issue, 0)
-            gen_busy[issue] = count + 1
-            done = issue + exec_latency[op]
-
-        # ---- branches ----------------------------------------------------
-        if op in branch_ops:
-            done = issue + branch_latency
-            if branch_resolve(inst):
-                flushes.branch += 1
-                pending_redirect = done + 1
-                force_new_group = True
-                if scheme is not None:
-                    scheme.on_branch_flush()
-                if traced:
-                    tracer.on_recovery(done, "branch", pc)
-
-        # ---- value prediction resolution ---------------------------------
-        value_predicted = False
-        if sp is not None:
-            if sp.values is not None:
-                if oracle_replay and not sp.correct:
-                    pass        # oracle replay: treat as never predicted
-                elif pvt_try_allocate(sp.registers, fetch_cycle, done):
-                    value_predicted = True
-                else:
-                    vpe_stats.pvt_rejections += 1
-            value_correct = scheme_execute_side(inst, sp, acc_way, value_predicted)[1]
-            if traced and sp.values is not None:
-                tracer.on_vpe_verdict(done, pc, value_predicted, value_correct)
-            if value_predicted:
-                vpe_stats.value_predictions += 1
-                if value_correct:
-                    vpe_stats.value_correct += 1
-                pvt_note_read(sp.registers)
-                if value_correct:
-                    ready_time = fetch_cycle + rename_depth
-                    for reg in inst.dests:
-                        reg_ready[reg] = ready_time
-                else:
-                    flushes.value += 1
-                    pending_redirect = done + 1 + validation_penalty
-                    force_new_group = True
-                    scheme.on_value_flush()
-                    if traced:
-                        tracer.on_recovery(done, "value", pc)
-                    for reg in inst.dests:
-                        reg_ready[reg] = done
-        if not value_predicted:
-            for reg in inst.dests:
-                reg_ready[reg] = done
-
-        # ---- in-order commit ---------------------------------------------
-        cc = done + 1
-        if cc < last_commit_cycle:
-            cc = last_commit_cycle
-        if cc == last_commit_cycle:
-            if commits_in_cycle >= commit_width:
-                cc += 1
-                commits_in_cycle = 1
-            else:
-                commits_in_cycle += 1
-        else:
-            commits_in_cycle = 1
-        last_commit_cycle = cc
-        commit_cycles[i] = cc
-        if traced:
-            tracer.on_commit(i, cc, op)
-        if op is LOAD:
-            load_commits.append(cc)
-        elif op is STORE:
-            store_commits.append(cc)
-
-        # ---- bounded busy-map pruning ------------------------------------
-        if not i & 1023:
-            ls_ports.prune_below(fetch_cycle)
-            gen_ports.prune_below(fetch_cycle)
-
-    cycles = last_commit_cycle
-    hierarchy.demand_accesses = demand_accesses
-
-    result = _assemble_result(
-        trace.name, n, cycles, scheme, hierarchy,
-        branch_unit.stats.mispredictions, flushes, loads,
+    if not isinstance(trace, ColumnarTrace):
+        trace = ColumnarTrace.from_trace(trace)
+    return _simulate_columnar(
+        trace, scheme, core_config, hierarchy_config, recovery, record
     )
-    if traced:
-        tracer.on_run_end(result)
-    return result
 
 
 def _assemble_result(
@@ -598,7 +165,7 @@ def _assemble_result(
     flushes: FlushStats,
     loads: int,
 ) -> SimResult:
-    """Shared end-of-run accounting for both simulate() loops."""
+    """End-of-run accounting: counters into a :class:`SimResult`."""
     energy = EnergyEvents(
         cycles=cycles,
         instructions=n,
@@ -651,26 +218,29 @@ def _simulate_columnar(
     core_config: CoreConfig | None,
     hierarchy_config: HierarchyConfig | None,
     recovery: RecoveryMode,
+    record: "object | None" = None,
 ) -> SimResult:
-    """The columnar fast loop: simulate() reading struct-of-arrays.
+    """The simulate loop, reading struct-of-arrays columns.
 
-    A line-for-line twin of the object loop in :func:`simulate`, with
-    every per-instruction attribute read replaced by an array index and
-    opcode tests on plain integers, except for branch prediction: the
-    loop reads each control row's verdict (``trace.verdicts``, resolved
-    by :func:`repro.branch.resolve_verdicts` once per trace — here, on
-    the first run of a trace that arrives without them) and builds no
-    branch predictor.  It still pushes every conditional's outcome and
-    every call into a fold-free global-history register, the one piece
-    of front-end state the schemes read.  Native flat-protocol schemes
-    (``Scheme.flat_protocol``) are driven entirely with raw column
-    scalars — ``flat_fetch``/``flat_execute`` never see an
-    :class:`~repro.isa.Instruction`, and ``flat_prepare`` runs once
-    before the loop so schemes can precompute chunk-level batched
-    predictor keys (see :mod:`repro.pipeline.batch`).  Third-party
-    object-API schemes are adapted inline, materializing one view per
-    scheme call.  Outcomes are pinned bit-identical to the object path
-    by the golden-equivalence suite's columnar leg.
+    Every per-instruction field read is a list index and every opcode
+    test compares plain integers.  Branch prediction does not run here:
+    the loop reads each control row's verdict (``trace.verdicts``,
+    resolved by :func:`repro.branch.resolve_verdicts` once per trace —
+    here, on the first run of a trace that arrives without them) and
+    builds no branch predictor.  It still pushes every conditional's
+    outcome and every call into a fold-free global-history register, the
+    one piece of front-end state the schemes read.  Schemes are driven
+    with raw column scalars through ``flat_fetch``/``flat_execute``;
+    ``flat_prepare`` runs once before the loop so schemes can precompute
+    chunk-level batched predictor keys (see :mod:`repro.pipeline.batch`).
+
+    With a ``record`` (see :func:`simulate`), snapshot windows also end
+    at the positions ``record.start`` returns, ``record.snapshot`` gets
+    ``(end, last_commit_cycle, loads, scheme)`` at every window end, each
+    flush appends ``(index, cycle, kind, pc)`` to ``record.flushes``, and
+    ``record.finish`` gets the result.  The record holds the loop's
+    ``commit_cycles`` list: positive and non-decreasing over the
+    committed prefix, 0 after it.
     """
     cfg = core_config or CoreConfig()
     hierarchy = MemoryHierarchy(hierarchy_config)
@@ -714,10 +284,8 @@ def _simulate_columnar(
     # ---- hot-loop local aliases (columns + config + substrate) --------
     # Columns are read through plain-list snapshots of one window of
     # instructions at a time (see _window_columns), so besides the
-    # columns themselves only the commit-cycle lists the object loop
-    # keeps too grow with the trace.
-    inst_view = trace.instruction
-
+    # columns themselves only the commit-cycle lists grow with the
+    # trace.
     LOAD = int(OpClass.LOAD)
     STORE = int(OpClass.STORE)
     BRANCH = int(OpClass.BRANCH)
@@ -791,20 +359,10 @@ def _simulate_columnar(
     word_store_get = word_store.get
     oracle_replay = recovery == RecoveryMode.ORACLE_REPLAY
     fetch_all_ops = scheme is not None and not scheme.fetch_loads_only
-    flat_native = False
     if scheme is not None:
-        # Native flat-protocol schemes take raw column scalars and get a
-        # pre-loop hook for chunk-level batched precomputation;
-        # third-party object-API schemes are adapted inline (one
-        # Instruction view per scheme call).
-        flat_native = scheme.flat_protocol
-        if flat_native:
-            scheme.flat_prepare(trace)
-            scheme_flat_fetch = scheme.flat_fetch
-            scheme_flat_execute = scheme.flat_execute
-        else:
-            scheme_fetch_side = scheme.fetch_side
-            scheme_execute_side = scheme.execute_side
+        scheme.flat_prepare(trace)
+        scheme_flat_fetch = scheme.flat_fetch
+        scheme_flat_execute = scheme.flat_execute
         vpe_stats = scheme.vpe.stats
         pvt_try_allocate = scheme.vpe.pvt.try_allocate
         pvt_note_read = scheme.vpe.pvt.note_consumer_read
@@ -813,9 +371,21 @@ def _simulate_columnar(
     store_fifo_append = store_fifo.append
     store_fifo_pop = store_fifo.popleft
     next_store = n                 # seq of the oldest unretired store
+    # Window ends: every _SNAPSHOT_WINDOW rows, plus where a record
+    # wants a snapshot.
+    ends = list(range(_SNAPSHOT_WINDOW, n, _SNAPSHOT_WINDOW))
+    flush_log = None
+    if record is not None:
+        ends = sorted(set(ends).union(record.start(
+            trace.name, scheme.name if scheme is not None else "baseline",
+            n, commit_cycles,
+        )))
+        flush_log = record.flushes
+    if n:
+        ends.append(n)
+    base = 0
     # i is the trace position, j its row in the current window.
-    for base in range(0, n, _SNAPSHOT_WINDOW):
-        end = min(n, base + _SNAPSHOT_WINDOW)
+    for end in ends:
         (
             pcs,
             ops,
@@ -894,30 +464,30 @@ def _simulate_columnar(
                 loads_in_group += 1
             fp = None
             if scheme is not None and (op == LOAD or fetch_all_ops):
-                if flat_native:
-                    ndests_i = dests_index[j + 1] - dests_index[j]
-                    vs = values_index[j]
-                    ve = values_index[j + 1]
-                    if ve - vs == 1:
-                        hv = values_hi[vs]
-                        vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
-                    elif ve == vs:
-                        vals = ()
-                    else:
-                        vals = tuple(
-                            (values_hi[k] << 64) | values_lo[k]
-                            if values_hi[k] else values_lo[k]
-                            for k in range(vs, ve)
-                        )
-                    fp = scheme_flat_fetch(
-                        pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
-                        ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
-                    )
+                ndests_i = dests_index[j + 1] - dests_index[j]
+                vs = values_index[j]
+                ve = values_index[j + 1]
+                if ve - vs == 1:
+                    hv = values_hi[vs]
+                    vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
+                elif ve == vs:
+                    vals = ()
                 else:
-                    inst = inst_view(i)
-                    sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
-                    if sp is not None:
-                        fp = (sp.values, sp.correct, sp, sp.registers)
+                    vals = tuple(
+                        (values_hi[k] << 64) | values_lo[k]
+                        if values_hi[k] else values_lo[k]
+                        for k in range(vs, ve)
+                    )
+                # Probe on the first load-store bubble after the
+                # predicted address reaches the back-end (1 cycle predict
+                # + 1 cycle transport).  Lane *reservations* are for
+                # future issue cycles, so a bubble is essentially always
+                # available now; the paper measures <0.1% of PAQ entries
+                # aging out.
+                fp = scheme_flat_fetch(
+                    pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
+                    ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
+                )
 
             # ---- issue timing -----------------------------------------------
             src_ready = 0
@@ -1108,8 +678,8 @@ def _simulate_columnar(
                     flushes.branch += 1
                     pending_redirect = done + 1
                     force_new_group = True
-                    if scheme is not None:
-                        scheme.on_branch_flush()
+                    if flush_log is not None:
+                        flush_log.append((i, done, "branch", pc))
 
             # ---- value prediction resolution ---------------------------------
             value_predicted = False
@@ -1122,15 +692,10 @@ def _simulate_columnar(
                         value_predicted = True
                     else:
                         vpe_stats.pvt_rejections += 1
-                if flat_native:
-                    value_correct = scheme_flat_execute(
-                        pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
-                        ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
-                    )[1]
-                else:
-                    value_correct = scheme_execute_side(
-                        inst, fp[2], acc_way, value_predicted
-                    )[1]
+                value_correct = scheme_flat_execute(
+                    pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
+                    ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
+                )[1]
                 if value_predicted:
                     vpe_stats.value_predictions += 1
                     if value_correct:
@@ -1145,6 +710,8 @@ def _simulate_columnar(
                         pending_redirect = done + 1 + validation_penalty
                         force_new_group = True
                         scheme.on_value_flush()
+                        if flush_log is not None:
+                            flush_log.append((i, done, "value", pc))
                         for k in range(dests_index[j], dests_index[j + 1]):
                             reg_ready[dests_flat[k]] = done
             if not value_predicted:
@@ -1175,13 +742,20 @@ def _simulate_columnar(
                 ls_ports.prune_below(fetch_cycle)
                 gen_ports.prune_below(fetch_cycle)
 
+        base = end
+        if record is not None:
+            record.snapshot(end, last_commit_cycle, loads, scheme)
+
     cycles = last_commit_cycle
     hierarchy.demand_accesses = demand_accesses
     # Every mispredicted control row flushed once, so the flush count is
     # the verdicts' mispredict count.
-    return _assemble_result(
+    result = _assemble_result(
         trace.name, n, cycles, scheme, hierarchy, flushes.branch, flushes, loads
     )
+    if record is not None:
+        record.finish(result)
+    return result
 
 
 def _window_columns(trace: ColumnarTrace, start: int, stop: int) -> tuple:

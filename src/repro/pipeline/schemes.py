@@ -1,12 +1,13 @@
 """Value-prediction schemes as the pipeline sees them.
 
 A scheme is the glue between the timing model and the predictors: the
-pipeline asks the scheme for a prediction at fetch (``fetch_side``),
-decides admission (PVT capacity, recovery mode), and reports back at
-execute (``execute_side``) so the scheme can train.  Three schemes
-reproduce the paper's three value predictors — DLVP (PAP-based), the
-CAP variant of DLVP, and VTAGE — plus the DLVP+VTAGE tournament of
-Figure 8.
+simulate loop asks the scheme for a prediction at fetch
+(``flat_fetch``), decides admission (PVT capacity, recovery mode), and
+reports back at execute (``flat_execute``) so the scheme can train.
+Both calls take raw column scalars, never an
+:class:`~repro.isa.Instruction`.  Three schemes reproduce the paper's
+three value predictors — DLVP (PAP-based), the CAP variant of DLVP, and
+VTAGE — plus the DLVP+VTAGE tournament of Figure 8 and D-VTAGE.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.branch import GlobalHistory
 from repro.core import DlvpConfig, DlvpEngine, ValuePredictionEngine
-from repro.isa import Instruction, OpClass
+from repro.isa import OpClass
 from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.memory import MemoryHierarchy, MemoryImage
 from repro.predictors.cap import CapConfig, CapPredictor
@@ -35,34 +36,19 @@ _LOAD = int(OpClass.LOAD)
 register_stats_type(ChooserStats)
 
 
-class SchemePrediction:
-    """Fetch-side result for one instruction.
-
-    ``__slots__`` plain class: allocated once per fetched instruction on
-    the simulate() hot path.
-    """
-
-    __slots__ = ("values", "correct", "handle", "registers")
-
-    def __init__(
-        self,
-        values: tuple[int, ...] | None,    # None: no value prediction available
-        correct: bool,                     # trace-known correctness of ``values``
-        handle: object,                    # scheme-private state for execute_side
-        registers: int,                    # PVT entries the prediction would need
-    ) -> None:
-        self.values = values
-        self.correct = correct
-        self.handle = handle
-        self.registers = registers
-
-
 class Scheme(abc.ABC):
-    """Base class for value-prediction schemes driven by the pipeline."""
+    """Base class for value-prediction schemes driven by the pipeline.
+
+    The protocol is three calls, all on raw column scalars:
+    ``flat_prepare(trace)`` once per run after :meth:`bind`, then per
+    fetched instruction ``flat_fetch`` and, when it returned a tuple,
+    ``flat_execute``.  ``values`` are the architectural (trace) values
+    of the instruction; ``predicted`` is what ``flat_fetch`` returned.
+    """
 
     name: str = "scheme"
 
-    # True when fetch_side() is a guaranteed no-op for non-load
+    # True when flat_fetch() is a guaranteed no-op for non-load
     # instructions (no prediction AND no side effects).  The timing
     # model uses it to skip the call entirely on the hot path; schemes
     # that predict non-loads (e.g. VTAGE with loads_only=False) must
@@ -89,76 +75,42 @@ class Scheme(abc.ABC):
         self.image = image
         self.history = history
 
-    def attach_tracer(self, tracer) -> None:
-        """Propagate a tracer to this scheme's components (after bind).
-
-        The base implementation covers the VPE/PVT every scheme owns;
-        schemes with more machinery (DLVP's engine, the tournament's
-        sub-schemes) extend it.
-        """
-        self.vpe.attach_tracer(tracer)
+    def flat_prepare(self, trace) -> None:
+        """Per-run hook after bind(), with the full trace, before the
+        loop starts: the place for chunk-level batched precomputation
+        (see repro.pipeline.batch).  No-op by default."""
 
     @abc.abstractmethod
-    def fetch_side(
-        self,
-        inst: Instruction,
-        fetch_cycle: int,
-        load_slot: int | None,
-        probe_cycle: int,
-    ) -> SchemePrediction | None:
+    def flat_fetch(
+        self, pc, op, mem_addr, mem_size, flags, ndests, values,
+        fetch_cycle, load_slot, probe_cycle,
+    ) -> tuple | None:
         """Attempt a prediction as the instruction is fetched.
 
         ``load_slot`` is 0/1 for the first two loads of a fetch group
-        and None beyond that (the per-cycle prediction limit).
-        Returns None when this scheme has nothing to do for ``inst``.
+        and None beyond that (the per-cycle prediction limit).  Returns
+        None when this scheme has nothing to do for the instruction,
+        else ``(values, correct, handle, registers)``: the predicted
+        values (None: no prediction), whether they match the trace, a
+        scheme-private handle for :meth:`flat_execute` and the PVT
+        entries the prediction would need.
         """
 
     @abc.abstractmethod
-    def execute_side(
-        self,
-        inst: Instruction,
-        sp: SchemePrediction,
-        way: int | None,
-        value_predicted: bool,
+    def flat_execute(
+        self, pc, op, mem_addr, mem_size, flags, ndests, values,
+        handle, predicted, way, value_predicted,
     ) -> tuple[bool, bool]:
         """Validate and train once the instruction executes.
 
         ``way`` is the L1 way the block occupies after the demand access
         (None for non-memory instructions); returns ``(value_predicted,
-        value_correct)`` as a plain tuple — one is produced per
-        predicted instruction on the simulate() hot path, so no result
-        object is allocated.
+        value_correct)``.
         """
-
-    # -- flattened dispatch (columnar simulate() path) -------------------
-    #
-    # Schemes that set ``flat_protocol = True`` speak a raw-scalar tuple
-    # protocol to the columnar loop: ``flat_fetch(pc, op, mem_addr,
-    # mem_size, flags, ndests, values, fetch_cycle, load_slot,
-    # probe_cycle)`` returns ``(values, correct, handle, registers)`` (or
-    # None), and ``flat_execute(pc, op, mem_addr, mem_size, flags,
-    # ndests, values, handle, predicted, way, value_predicted)`` returns
-    # ``(value_predicted, value_correct)`` — no Instruction view or
-    # SchemePrediction is ever materialized.  ``values`` are the
-    # architectural (trace) values; ``predicted`` is what flat_fetch
-    # returned.  Third-party schemes leave ``flat_protocol`` False and
-    # the columnar loop adapts their object API (one Instruction view
-    # per call).  Outcomes are pinned to the object path by the golden
-    # suite.  ``flat_prepare`` runs once per columnar simulation, after
-    # bind(), with the full trace — the hook for chunk-level batched
-    # precomputation (see repro.pipeline.batch).
-
-    flat_protocol = False
-
-    def flat_prepare(self, trace) -> None:
-        """Per-run hook before the columnar loop starts (no-op default)."""
 
     def on_value_flush(self) -> None:
         """A value misprediction flushed the pipeline."""
         self.vpe.flush()
-
-    def on_branch_flush(self) -> None:
-        """A branch misprediction flushed the pipeline front-end."""
 
     def way_predicted_probes(self) -> int:
         """L1 probes issued as single-way (way-predicted) reads.
@@ -181,34 +133,14 @@ class Scheme(abc.ABC):
         """Approximate (reads, writes) of the prediction tables."""
 
 
-def _masked_values(inst: Instruction, size: int | None = None) -> tuple[int, ...]:
-    """The architecturally loaded values masked to the access width."""
-    nbytes = size if size is not None else inst.mem_size
-    mask = (1 << (8 * nbytes)) - 1
-    values = inst.values
-    if len(values) == 1:
-        return (values[0] & mask,)
-    return tuple(v & mask for v in values)
-
-
-def _flat_fields(inst: Instruction) -> tuple:
-    """An Instruction as the leading ``(pc, op, mem_addr, mem_size,
-    flags, ndests, values)`` scalars of the flat protocol — how the
-    object-path adapters reach ``flat_fetch``/``flat_execute``.  Only
-    the vector bit of the flags is set: no flat scheme reads the others.
-    """
-    return (
-        inst.pc, int(inst.op), inst.mem_addr, inst.mem_size,
-        F_VECTOR if inst.is_vector else 0, len(inst.dests), inst.values,
-    )
-
-
 class DlvpScheme(Scheme):
     """DLVP proper (PAP), or the paper's "CAP" comparison point when
     constructed with ``use_cap=True``."""
 
     fetch_loads_only = True
-    flat_protocol = True
+    # flat_prepare() installs the engine's fused per-run closures as
+    # these two instance attributes.
+    flat_fetch = flat_execute = None
 
     def __init__(
         self,
@@ -236,27 +168,19 @@ class DlvpScheme(Scheme):
             image=image,
             address_predictor=address_predictor,
         )
-        # Bound-method aliases for the two per-load calls (hot path).
-        self._fetch_probe_predict = self.engine.fetch_probe_predict
-        self._execute_train = self.engine.execute_train
-        self._on_unpredicted = self.engine.on_load_fetch_unpredicted
-        self._flat_fetch_engine = self.engine.flat_fetch_probe_predict
-        self._flat_execute_engine = self.engine.flat_execute_train
-        self._flat_unpredicted = self.engine.flat_load_unpredicted
         # Drop fused closures from any previous run: they captured the
         # previous engine.  flat_prepare() rebuilds them for this one.
         self.__dict__.pop("flat_fetch", None)
         self.__dict__.pop("flat_execute", None)
 
     def flat_prepare(self, trace) -> None:
-        """Precompute batched APT keys and build the fused fast path.
+        """Precompute batched APT keys and build the per-load closures.
 
         Without numpy (or for CAP, or APT histories wider than the
         64-bit batch fold), the engine falls back to live incremental
-        folds — same bits, pinned by the golden suite.  Either way the
-        per-run flat_fetch/flat_execute instance closures (with every
-        hot attribute captured as a cell) shadow the layered class
-        methods for the columnar loop.
+        folds — same bits, pinned by the golden suite.  Either way
+        flat_fetch/flat_execute become per-run closures with every hot
+        attribute captured as a cell.
         """
         engine = self.engine
         engine.bind_key_batch(None)
@@ -277,72 +201,6 @@ class DlvpScheme(Scheme):
                 )
         self.flat_fetch = engine.make_flat_fetch()
         self.flat_execute = engine.make_flat_execute()
-
-    def attach_tracer(self, tracer) -> None:
-        super().attach_tracer(tracer)
-        if self.engine is not None:
-            self.engine.attach_tracer(tracer)
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if inst.op != OpClass.LOAD:
-            return None
-        if load_slot is None:
-            self._on_unpredicted(inst)
-            return None
-        handle, values = self._fetch_probe_predict(
-            inst, fetch_cycle, load_slot, probe_cycle
-        )
-        correct = values is not None and values == _masked_values(inst)
-        return SchemePrediction(values, correct, handle, len(inst.dests))
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        return self._execute_train(
-            sp.handle,
-            inst,
-            way,
-            value_predicted,
-            sp.values if value_predicted else None,
-        )
-
-    def flat_fetch(
-        self, pc, op, mem_addr, mem_size, flags, ndests, values,
-        fetch_cycle, load_slot, probe_cycle,
-    ):
-        if op != _LOAD:
-            return None
-        if load_slot is None:
-            self._flat_unpredicted(pc)
-            return None
-        handle, pred = self._flat_fetch_engine(
-            pc, mem_size, ndests, fetch_cycle, load_slot, probe_cycle
-        )
-        if pred is None:
-            return (None, False, handle, ndests)
-        # _masked_values(), flattened.
-        mask = (1 << (8 * mem_size)) - 1
-        if len(values) == 1:
-            correct = pred == (values[0] & mask,)
-        else:
-            correct = pred == tuple(v & mask for v in values)
-        return (pred, correct, handle, ndests)
-
-    def flat_execute(
-        self, pc, op, mem_addr, mem_size, flags, ndests, values,
-        handle, predicted, way, value_predicted,
-    ):
-        return self._flat_execute_engine(
-            handle, pc, mem_addr, mem_size, values, way, value_predicted,
-            predicted if value_predicted else None,
-        )
-
-    def on_value_flush(self) -> None:
-        super().on_value_flush()
-        assert self.engine is not None
-        self.engine.paq.flush()
-
-    def on_branch_flush(self) -> None:
-        assert self.engine is not None
-        self.engine.paq.flush()
 
     def way_predicted_probes(self) -> int:
         assert self.engine is not None
@@ -371,8 +229,6 @@ class DlvpScheme(Scheme):
 class VtageScheme(Scheme):
     """VTAGE driven by the core's global branch history."""
 
-    flat_protocol = True
-
     def __init__(self, config: VtageConfig | None = None) -> None:
         super().__init__()
         self.config = config or VtageConfig()
@@ -386,15 +242,6 @@ class VtageScheme(Scheme):
         self._loads_only = self.config.loads_only
         self._begin = self.predictor.begin_flat
         self._finish = self.predictor.finish_flat
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        fp = self.flat_fetch(*_flat_fields(inst), fetch_cycle, load_slot, probe_cycle)
-        return None if fp is None else SchemePrediction(*fp)
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        return self.flat_execute(
-            *_flat_fields(inst), sp.handle, sp.values, way, value_predicted
-        )
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -452,7 +299,6 @@ class DvtageScheme(Scheme):
     """
 
     fetch_loads_only = True
-    flat_protocol = True
 
     def __init__(self, config: DvtageConfig | None = None) -> None:
         super().__init__()
@@ -464,15 +310,6 @@ class DvtageScheme(Scheme):
         super().bind(hierarchy, image, history)
         self._predict = self.predictor.predict_flat
         self._train = self.predictor.train_flat
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        fp = self.flat_fetch(*_flat_fields(inst), fetch_cycle, load_slot, probe_cycle)
-        return None if fp is None else SchemePrediction(*fp)
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        return self.flat_execute(
-            *_flat_fields(inst), sp.handle, sp.values, way, value_predicted
-        )
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -547,7 +384,6 @@ class TournamentScheme(Scheme):
     """
 
     fetch_loads_only = True
-    flat_protocol = True
 
     def __init__(
         self,
@@ -566,9 +402,8 @@ class TournamentScheme(Scheme):
         super().bind(hierarchy, image, history)
         self.dlvp.bind(hierarchy, image, history)
         self.vtage.bind(hierarchy, image, history)
-        # Sub-scheme flat entry points, aliased for the per-load calls.
-        self._dlvp_flat_fetch = self.dlvp.flat_fetch
-        self._dlvp_flat_execute = self.dlvp.flat_execute
+        # Sub-scheme flat entry points, aliased for the per-load calls
+        # (DLVP's are per-run closures, aliased by flat_prepare).
         self._vtage_flat_fetch = self.vtage.flat_fetch
         self._vtage_flat_execute = self.vtage.flat_execute
         self._chooser_lookup = self.chooser.lookup
@@ -576,66 +411,49 @@ class TournamentScheme(Scheme):
 
     def flat_prepare(self, trace) -> None:
         self.dlvp.flat_prepare(trace)
-        # flat_prepare installs per-run fused closures on the DLVP side;
-        # re-alias so the tournament dispatch picks them up.
         self._dlvp_flat_fetch = self.dlvp.flat_fetch
         self._dlvp_flat_execute = self.dlvp.flat_execute
-
-    def attach_tracer(self, tracer) -> None:
-        super().attach_tracer(tracer)
-        self.dlvp.attach_tracer(tracer)
-        self.vtage.attach_tracer(tracer)
-
-    # The object-path adapters run DLVP's object path (its engine fires
-    # the tracer hooks there) and VTAGE's flat one; the choice and the
-    # chooser training are shared with the flat path.
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if inst.op != OpClass.LOAD:
-            return None
-        sp = self.dlvp.fetch_side(inst, fetch_cycle, load_slot, probe_cycle)
-        d = None if sp is None else (sp.values, sp.correct, sp, sp.registers)
-        v = self.vtage.flat_fetch(
-            *_flat_fields(inst), fetch_cycle, load_slot, probe_cycle
-        )
-        return SchemePrediction(*self._choose(inst.pc, len(inst.dests), d, v))
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        d, v, final_is_dlvp, _ = handle = sp.handle
-        d_correct = v_correct = False
-        if d is not None:
-            d_correct = self.dlvp.execute_side(
-                inst, d[2], way, value_predicted and final_is_dlvp
-            )[1]
-        if v is not None:
-            v_correct = self.vtage.flat_execute(
-                *_flat_fields(inst), v[2], v[0], way, False
-            )[1]
-        return self._settle(handle, value_predicted, d_correct, v_correct)
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
         fetch_cycle, load_slot, probe_cycle,
     ):
+        """The final prediction: the chooser's pick when that side
+        predicted, else whichever side did (DLVP first)."""
         if op != _LOAD:
             return None
-        return self._choose(
-            pc, ndests,
-            self._dlvp_flat_fetch(
-                pc, op, mem_addr, mem_size, flags, ndests, values,
-                fetch_cycle, load_slot, probe_cycle,
-            ),
-            self._vtage_flat_fetch(
-                pc, op, mem_addr, mem_size, flags, ndests, values,
-                fetch_cycle, load_slot, probe_cycle,
-            ),
+        d = self._dlvp_flat_fetch(
+            pc, op, mem_addr, mem_size, flags, ndests, values,
+            fetch_cycle, load_slot, probe_cycle,
         )
+        v = self._vtage_flat_fetch(
+            pc, op, mem_addr, mem_size, flags, ndests, values,
+            fetch_cycle, load_slot, probe_cycle,
+        )
+        stats = self.stats
+        stats.loads += 1
+        index, prefer_dlvp = self._chooser_lookup(pc)
+        d_values = d[0] if d is not None else None
+        v_values = v[0] if v is not None else None
+        if d_values is None and v_values is None:
+            return (None, False, (d, v, prefer_dlvp, index), ndests)
+        if d_values is not None and (prefer_dlvp or v_values is None):
+            final_is_dlvp, chosen = True, d
+            stats.final_by_dlvp += 1
+        else:
+            final_is_dlvp, chosen = False, v
+            stats.final_by_vtage += 1
+        self.chooser.record_choice(final_is_dlvp)
+        stats.final_predictions += 1
+        return (chosen[0], chosen[1], (d, v, final_is_dlvp, index), chosen[3])
 
     def flat_execute(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
         handle, predicted, way, value_predicted,
     ):
-        d, v, final_is_dlvp, _ = handle
+        """Train both sides and the chooser (with each side's fetch-time
+        verdict); the result is the final prediction's."""
+        d, v, final_is_dlvp, index = handle
         d_correct = v_correct = False
         if d is not None:
             d_correct = self._dlvp_flat_execute(
@@ -647,32 +465,6 @@ class TournamentScheme(Scheme):
                 pc, op, mem_addr, mem_size, flags, ndests, values,
                 v[2], v[0], way, False,
             )[1]
-        return self._settle(handle, value_predicted, d_correct, v_correct)
-
-    def _choose(self, pc, ndests, d, v):
-        """The final prediction from the two sub-scheme fetch tuples: the
-        chooser's pick when that side predicted, else whichever side
-        did (DLVP first)."""
-        self.stats.loads += 1
-        index, prefer_dlvp = self._chooser_lookup(pc)
-        d_values = d[0] if d is not None else None
-        v_values = v[0] if v is not None else None
-        if d_values is None and v_values is None:
-            return (None, False, (d, v, prefer_dlvp, index), ndests)
-        if d_values is not None and (prefer_dlvp or v_values is None):
-            final_is_dlvp, chosen = True, d
-            self.stats.final_by_dlvp += 1
-        else:
-            final_is_dlvp, chosen = False, v
-            self.stats.final_by_vtage += 1
-        self.chooser.record_choice(final_is_dlvp)
-        self.stats.final_predictions += 1
-        return (chosen[0], chosen[1], (d, v, final_is_dlvp, index), chosen[3])
-
-    def _settle(self, handle, value_predicted, d_correct, v_correct):
-        """Train the chooser with each side's fetch-time verdict and
-        return the final prediction's ``(value_predicted, correct)``."""
-        d, v, final_is_dlvp, index = handle
         self._chooser_update(
             index,
             d[1] if d is not None and d[0] is not None else None,
@@ -686,9 +478,6 @@ class TournamentScheme(Scheme):
         super().on_value_flush()
         self.dlvp.on_value_flush()
         self.vtage.on_value_flush()
-
-    def on_branch_flush(self) -> None:
-        self.dlvp.on_branch_flush()
 
     def way_predicted_probes(self) -> int:
         return self.dlvp.way_predicted_probes()

@@ -126,8 +126,8 @@ class SimResult:
     tlb_miss_rate: float = 0.0
     energy: EnergyEvents = field(default_factory=EnergyEvents)
     scheme_stats: object | None = None
-    # Per-interval metric rows (list of JSON-safe dicts) filled in by
-    # the interval-metrics tracer backend; ``None`` for untraced runs.
+    # Per-interval metric rows (list of JSON-safe dicts) filled in from
+    # a repro.observe.RunRecord; ``None`` for untraced runs.
     intervals: list | None = None
 
     @property

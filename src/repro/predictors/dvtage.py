@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.isa import Instruction, OpClass
+from repro.isa import OpClass
 from repro.predictors.base import PredictorStats
 from repro.predictors.confidence import VTAGE_FPC_VECTOR, fpc_advance
 from repro.branch.history import fold_history
@@ -220,29 +220,6 @@ class DvtagePredictor:
             if prediction == value:
                 self.stats.correct += 1
         return prediction
-
-    # -- Instruction adapters -----------------------------------------------
-
-    def eligible(self, inst: Instruction) -> bool:
-        """May this instruction be predicted / may it update the tables?"""
-        return self.predict_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector, 0
-        ) is not None
-
-    def predict(self, inst: Instruction, history: int) -> int | None:
-        """Predicted value (last value + provider stride), or None."""
-        handle = self.predict_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector, history
-        )
-        return None if handle is None else handle[0]
-
-    def train(self, inst: Instruction, history: int) -> int | None:
-        """Predict-and-train; returns the prediction that was made."""
-        op = int(inst.op)
-        handle = self.predict_flat(
-            inst.pc, op, len(inst.dests), inst.is_vector, history
-        )
-        return self.train_flat(handle, op, inst.values)
 
     def storage_bits(self) -> int:
         cfg = self.config

@@ -202,7 +202,7 @@ class PapPredictor:
 
         Returns one of the ``TRAIN_*`` outcome codes (a module-level
         string constant — returning one costs nothing on the hot path,
-        which ignores it; the tracer's ``apt_train`` events consume it).
+        which ignores it).
         """
         cfg = self.config
         entry = self._entries[index]

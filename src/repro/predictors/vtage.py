@@ -155,16 +155,10 @@ class VtagePredictor:
 
     # -- eligibility ----------------------------------------------------
 
-    def eligible(self, inst: Instruction) -> bool:
-        """May this instruction be predicted / may it update the tables?"""
-        return self.eligible_flat(
-            int(inst.op), len(inst.dests), inst.is_vector, inst.values
-        )
-
     def eligible_flat(
         self, op: int, ndests: int, is_vector: bool, values: tuple[int, ...]
     ) -> bool:
-        """:meth:`eligible` over raw column scalars."""
+        """May this instruction be predicted / may it update the tables?"""
         if not ndests or not values:
             return False
         if self.config.loads_only and op != _LOAD:
@@ -389,41 +383,6 @@ class VtagePredictor:
                     (tag_base ^ tag_fold) & self._tag_mask, target
                 )
                 return
-
-    # -- Instruction adapters ---------------------------------------------
-
-    def begin(self, inst: Instruction, history: int) -> tuple | None:
-        """:meth:`begin_flat` for one :class:`~repro.isa.Instruction`."""
-        return self.begin_flat(
-            inst.pc, int(inst.op), len(inst.dests), inst.is_vector,
-            inst.values, history,
-        )
-
-    def finish(self, handle: tuple, inst: Instruction) -> bool:
-        """:meth:`finish_flat` for one :class:`~repro.isa.Instruction`."""
-        return self.finish_flat(
-            handle, int(inst.op), len(inst.dests), inst.is_vector, inst.values
-        )
-
-    def predict(self, inst: Instruction, history: int) -> tuple[int, ...] | None:
-        """Predicted destination values, or None; trains and counts nothing."""
-        loads_seen = self.stats.loads_seen
-        handle = self.begin(inst, history)
-        self.stats.loads_seen = loads_seen
-        return None if handle is None else handle[0]
-
-    def train(self, inst: Instruction, history: int) -> tuple[int, ...] | None:
-        """Predict-and-train for one instruction; returns the prediction.
-
-        Combines the fetch-time lookup with the execute-time update under
-        the same history value — the idealised speculative-history
-        management the standalone drivers use.
-        """
-        handle = self.begin(inst, history)
-        if handle is None:
-            return None
-        self.finish(handle, inst)
-        return handle[0]
 
     # -- accounting ---------------------------------------------------------
 

@@ -261,9 +261,9 @@ def _simulate_cell(job: Job, trace) -> dict:
     spec = get_scheme(job.scheme_id)
     scheme = spec.build()
     if job.trace_dir:
-        # Observability path: full tracer stack, Chrome trace written
-        # beside the flight dump.  Results stay bit-identical to the
-        # untraced fast path (golden-verified), just with intervals.
+        # Observability path: a recorded run on the same loop, Chrome
+        # trace written beside the flight dump.  Results are the
+        # untraced ones plus interval rows.
         from repro.observe import run_traced
 
         out_dir = Path(job.trace_dir)

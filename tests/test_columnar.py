@@ -364,28 +364,33 @@ def test_bench_gate_is_coherent():
     report_path = REPO_ROOT / bench.BENCH_REPORT_NAME
     assert report_path.exists(), f"committed {bench.BENCH_REPORT_NAME} missing"
     report = json.loads(report_path.read_text())
-    # the committed reference carries both engines' numbers
-    assert report.get("schemes"), "object-engine section missing"
+    # the committed reference carries the columnar loop's numbers (older
+    # reports also carry the retired object engine's, which --check skips)
     assert report.get("columnar_schemes"), "columnar-engine section missing"
-    for section in ("schemes", "columnar_schemes"):
-        for scheme_id, entry in report[section].items():
-            assert entry["inst_per_s"] > 0, (section, scheme_id)
+    for scheme_id, entry in report["columnar_schemes"].items():
+        assert entry["inst_per_s"] > 0, scheme_id
 
 
 def test_check_regression_covers_both_engines():
+    """The columnar cells gate; the retired object-engine section is
+    warned about and skipped, even when it reads as a regression."""
     committed = {
         "schemes": {"dlvp": {"inst_per_s": 100_000}},
         "columnar_schemes": {"dlvp": {"inst_per_s": 100_000}},
     }
     current = {
-        "schemes": {"dlvp": {"inst_per_s": 99_000}},
+        "schemes": {"dlvp": {"inst_per_s": 10_000}},
         "columnar_schemes": {"dlvp": {"inst_per_s": 50_000}},
     }
-    failures = bench.check_regression(current, committed, 0.20)
+    warnings: list[str] = []
+    failures = bench.check_regression(current, committed, 0.20,
+                                      warnings=warnings)
     assert len(failures) == 1
     assert failures[0].startswith("columnar/dlvp")
-    # schemes/engines on only one side never fail retroactively
-    assert bench.check_regression({"schemes": {}}, committed, 0.20) == []
+    assert sum("object-engine" in w for w in warnings) == 2
+    # schemes on only one side never fail retroactively
+    assert bench.check_regression({"columnar_schemes": {}}, committed,
+                                  0.20) == []
 
 
 def test_check_regression_warns_and_skips_mismatched_reports():
@@ -396,7 +401,7 @@ def test_check_regression_warns_and_skips_mismatched_reports():
     skipped with one collected warning, and only genuine slowdowns of
     comparable cells fail."""
     committed = {
-        "schemes": {
+        "columnar_schemes": {
             "dlvp": {"inst_per_s": 100_000},
             "retired": {"inst_per_s": 90_000},
             "broken_fresh": {"inst_per_s": 50_000},
@@ -404,13 +409,12 @@ def test_check_regression_warns_and_skips_mismatched_reports():
         },
     }
     current = {
-        "schemes": {
+        "columnar_schemes": {
             "dlvp": {"inst_per_s": 95_000},
             "brand_new": {"inst_per_s": 10},
             "broken_fresh": {"wall_s": 1.0},
             "broken_committed": {"inst_per_s": 70_000},
         },
-        "columnar_schemes": {"dlvp": {"inst_per_s": 99_000}},
     }
     warnings: list[str] = []
     failures = bench.check_regression(current, committed, 0.20,
@@ -421,11 +425,14 @@ def test_check_regression_warns_and_skips_mismatched_reports():
     assert "brand_new" in text          # fresh-only cell skipped
     assert "broken_fresh" in text       # fresh cell lacks inst_per_s
     assert "broken_committed" in text   # committed baseline unusable
-    assert "columnar_schemes" in text   # whole engine missing a baseline
+    warnings = []
+    assert bench.check_regression(current, {}, 0.20, warnings=warnings) == []
+    assert "columnar_schemes" in "\n".join(warnings)   # no baseline section
     # a genuine regression still fails alongside the warnings
-    current["schemes"]["dlvp"]["inst_per_s"] = 10_000
+    current["columnar_schemes"]["dlvp"]["inst_per_s"] = 10_000
     failures = bench.check_regression(current, committed, 0.20,
                                       warnings=[])
-    assert len(failures) == 1 and failures[0].startswith("object/dlvp")
+    assert len(failures) == 1 and failures[0].startswith("columnar/dlvp")
     # and the warnings list stays optional
-    assert bench.check_regression({"schemes": {}}, committed, 0.20) == []
+    assert bench.check_regression({"columnar_schemes": {}}, committed,
+                                  0.20) == []

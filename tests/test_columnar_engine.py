@@ -6,20 +6,28 @@ chunk.  These tests cover what only longer traces exercise:
 
 * window seams — stores executed in one window and retired in the
   next, prefix indexes rebased per window, key batches refilled
-  mid-run (the TAGE batch by the verdict pass) — against the object
-  engine, cell for cell;
+  mid-run (the TAGE batch by the verdict pass) — against results the
+  object engine produced before it was deleted, frozen cell for cell
+  in ``frozen_seams.json``;
 * the memory bounds the windowing exists for (no whole-trace column
   snapshots, no 65,536-entry key chunks);
 * the one-pass columnar build (one kernel run, no thread, a peak
   near one trace);
 * v2 writes of multi-chunk columnar traces by column slicing.
+
+Only regenerate the frozen seam results after a *deliberate* model
+change::
+
+    PYTHONPATH=src python tests/test_columnar_engine.py --regen
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -49,17 +57,28 @@ SEAM_INSTRUCTIONS = 7_000
 # every batch several times.
 SEAM_PAP_CHUNK = 256
 SEAM_TAGE_CHUNK = 128
+SEAMS_PATH = Path(__file__).parent / "frozen_seams.json"
+RECOVERIES = list(RecoveryMode)
 
-_TRACES: dict[str, tuple] = {}
+_TRACES: dict[str, ColumnarTrace] = {}
 
 
-def _traces(workload: str):
-    pair = _TRACES.get(workload)
-    if pair is None:
-        pair = (build_workload(workload, SEAM_INSTRUCTIONS),
-                build_workload_columnar(workload, SEAM_INSTRUCTIONS))
-        _TRACES[workload] = pair
-    return pair
+def _trace(workload: str) -> ColumnarTrace:
+    trace = _TRACES.get(workload)
+    if trace is None:
+        trace = _TRACES[workload] = build_workload_columnar(
+            workload, SEAM_INSTRUCTIONS
+        )
+    return trace
+
+
+def _seam_key(workload: str, scheme_id: str, recovery: RecoveryMode) -> str:
+    return f"{workload}/{scheme_id}/{recovery.value}"
+
+
+@pytest.fixture(scope="module")
+def frozen_seams() -> dict:
+    return json.loads(SEAMS_PATH.read_text())
 
 
 @pytest.fixture
@@ -89,16 +108,24 @@ def test_seam_schemes_are_the_registered_builtins():
     assert set(SCHEMES) <= set(scheme_ids())
 
 
-@pytest.mark.parametrize("recovery", list(RecoveryMode), ids=lambda r: r.value)
+def test_frozen_seams_cover_every_cell(frozen_seams):
+    assert frozen_seams["instructions"] == SEAM_INSTRUCTIONS
+    assert set(frozen_seams["cells"]) == {
+        _seam_key(w, s, r)
+        for w in SEAM_WORKLOADS for s in SCHEMES for r in RECOVERIES
+    }
+
+
+@pytest.mark.parametrize("recovery", RECOVERIES, ids=lambda r: r.value)
 @pytest.mark.parametrize("scheme_id", SCHEMES)
 @pytest.mark.parametrize("workload", SEAM_WORKLOADS)
 def test_window_seams_match_the_object_engine(
-    workload, scheme_id, recovery, counted_key_chunks
+    workload, scheme_id, recovery, counted_key_chunks, frozen_seams
 ):
-    obj, col = _traces(workload)
+    """The columnar loop against the object engine's frozen results."""
+    col = _trace(workload)
     assert len(col) >= 3 * core_model._SNAPSHOT_WINDOW
-    expected = simulate(obj, scheme=get_scheme(scheme_id).build(),
-                        recovery=recovery).to_dict()
+    expected = frozen_seams["cells"][_seam_key(workload, scheme_id, recovery)]
     # A row-for-row copy carries no verdicts, so this run resolves them.
     col = col.slice(0, len(col))
     counted_key_chunks.update(pap=0, tage=0)
@@ -114,8 +141,8 @@ def test_window_seams_match_the_object_engine(
 
 
 def test_seam_traces_hold_vector_and_multi_destination_loads():
-    _, eon = _traces("eon")
-    _, iirflt = _traces("iirflt")
+    eon = _trace("eon")
+    iirflt = _trace("iirflt")
     loads = [eon.instruction(i) for i in range(len(eon))
              if eon.op[i] == OpClass.LOAD]
     assert any(inst.is_vector and max(inst.values) >> 64 for inst in loads)
@@ -252,3 +279,32 @@ def test_slice_rebases_prefix_indexes():
     part = trace.slice(start, stop)
     assert part.srcs_index[0] == part.dests_index[0] == part.values_index[0] == 0
     assert list(part) == [trace.instruction(i) for i in range(start, stop)]
+
+
+def _regen() -> None:
+    """Freeze ``simulate()`` of every seam cell's object trace."""
+    cells = {}
+    for workload in SEAM_WORKLOADS:
+        trace = build_workload(workload, SEAM_INSTRUCTIONS)
+        for scheme_id in SCHEMES:
+            for recovery in RECOVERIES:
+                key = _seam_key(workload, scheme_id, recovery)
+                cells[key] = simulate(
+                    trace, scheme=get_scheme(scheme_id).build(),
+                    recovery=recovery,
+                ).to_dict()
+                print(f"  {key}")
+    SEAMS_PATH.write_text(json.dumps(
+        {"instructions": SEAM_INSTRUCTIONS, "cells": cells},
+        indent=1, sort_keys=True,
+    ) + "\n")
+    print(f"wrote {SEAMS_PATH} ({len(cells)} cells)")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        _regen()
+    else:
+        print(__doc__)

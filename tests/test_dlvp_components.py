@@ -236,32 +236,6 @@ class TestLscd:
         # PC must not consume a second slot
         assert len({pc for pc in range(10) if pc in lscd}) == len(lscd)
 
-    def test_tracer_events_on_insert_and_filter(self):
-        from repro.observe import Tracer
-
-        class Recorder(Tracer):
-            def __init__(self):
-                self.events = []
-
-            def emit(self, kind, **fields):
-                self.events.append((kind, fields))
-
-        rec = Recorder()
-        lscd = LoadStoreConflictDetector(entries=2)
-        lscd.attach_tracer(rec)
-        lscd.insert(0x1)
-        lscd.insert(0x2)
-        lscd.insert(0x1)            # refresh
-        lscd.insert(0x3)            # evicts 0x2 (0x1 was refreshed)
-        lscd.blocks(0x3)
-        lscd.blocks(0x999)          # not present: no event
-        kinds = [k for k, _ in rec.events]
-        assert kinds == ["lscd_insert"] * 4 + ["lscd_filter"]
-        inserts = [f for k, f in rec.events if k == "lscd_insert"]
-        assert inserts[2] == {"pc": 0x1, "evicted": None, "refreshed": True}
-        assert inserts[3] == {"pc": 0x3, "evicted": 0x2, "refreshed": False}
-        assert rec.events[-1] == ("lscd_filter", {"pc": 0x3})
-
 
 class TestPvt:
     def test_allocate_and_reclaim(self):

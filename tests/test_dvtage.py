@@ -1,4 +1,6 @@
-"""Tests for the D-VTAGE differential value predictor."""
+"""Tests for the D-VTAGE differential value predictor, driven through
+the two flat entry points the pipeline uses (``predict_flat`` at fetch,
+``train_flat`` at execute)."""
 
 import pytest
 
@@ -12,10 +14,31 @@ def load(pc=0x1000, value=42, dests=(1,)):
                        else tuple(value for _ in dests))
 
 
+def lookup(p, inst, history=0):
+    """Fetch side for one instruction: the handle, or None."""
+    return p.predict_flat(inst.pc, int(inst.op), len(inst.dests),
+                          inst.is_vector, history)
+
+
+def predict(p, inst, history=0):
+    """Predicted value (last value + provider stride), or None."""
+    handle = lookup(p, inst, history)
+    return None if handle is None else handle[0]
+
+
+def train(p, inst, history=0):
+    """Fetch then execute; returns the prediction that was made."""
+    return p.train_flat(lookup(p, inst, history), int(inst.op), inst.values)
+
+
+def eligible(p, inst):
+    return lookup(p, inst) is not None
+
+
 def train_until(p, values, history=0):
     first = None
     for i, v in enumerate(values):
-        pred = p.train(load(value=v), history)
+        pred = train(p, load(value=v), history)
         if pred is not None and first is None:
             first = i
     return first
@@ -26,7 +49,7 @@ class TestPrediction:
         p = DvtagePredictor()
         first = train_until(p, [42] * 600)
         assert first is not None
-        assert p.predict(load(), 0) == 42
+        assert predict(p, load()) == 42
 
     def test_learns_stride(self):
         """The whole point of D-VTAGE vs VTAGE: strided value sequences."""
@@ -39,9 +62,13 @@ class TestPrediction:
     def test_vtage_cannot_learn_the_same_stride(self):
         from repro.predictors import VtagePredictor
         v = VtagePredictor()
+        op = int(OpClass.LOAD)
         predicted = 0
         for i in range(600):
-            if v.train(load(value=100 + 8 * i), 0) is not None:
+            values = (100 + 8 * i,)
+            handle = v.begin_flat(0x1000, op, 1, False, values, 0)
+            v.finish_flat(handle, op, 1, False, values)
+            if handle[0] is not None:
                 predicted += 1
         assert predicted == 0
 
@@ -60,25 +87,25 @@ class TestPrediction:
     def test_stride_change_resets_confidence(self):
         p = DvtagePredictor()
         train_until(p, [10 + 2 * i for i in range(500)])
-        p.train(load(value=99_999), 0)
-        p.train(load(value=99_999 + 7), 0)
-        assert p.predict(load(value=0), 0) is None
+        train(p, load(value=99_999))
+        train(p, load(value=99_999 + 7))
+        assert predict(p, load(value=0)) is None
 
 
 class TestEligibility:
     def test_multi_dest_filtered(self):
         p = DvtagePredictor()
-        assert not p.eligible(load(dests=(1, 2)))
+        assert not eligible(p, load(dests=(1, 2)))
 
     def test_loads_seen_counts_everything(self):
         p = DvtagePredictor()
-        p.train(load(dests=(1, 2)), 0)
+        train(p, load(dests=(1, 2)))
         assert p.stats.loads_seen == 1
         assert p.stats.predictions == 0
 
     def test_unfiltered_config(self):
         p = DvtagePredictor(DvtageConfig(static_filter=False))
-        assert p.eligible(load(dests=(1, 2))) is False   # still 1-dest only
+        assert eligible(p, load(dests=(1, 2))) is False   # still 1-dest only
 
 
 class TestConfig:
@@ -102,10 +129,10 @@ class TestHistoryContexts:
         for i in range(2000):
             if i % 2 == 0:
                 value += 4
-                p.train(load(value=value), history=0b10101)
+                train(p, load(value=value), history=0b10101)
             else:
                 value += 12
-                p.train(load(value=value), history=0b01010)
+                train(p, load(value=value), history=0b01010)
         correct = p.stats.correct
         assert p.stats.predictions > 50
         assert correct / p.stats.predictions > 0.9

@@ -18,8 +18,8 @@ odd cases:
 columnar loop.  At that length no VTAGE flavour predicts a vector or
 multi-register load, so a seeded synthetic stream of scalar, LDP, LDM,
 vector, ALU and store instructions also drives VTAGE (every flavour,
-with a fast FPC) and D-VTAGE (both filter settings) through their
-``Instruction`` methods and freezes what they predicted.
+with a fast FPC) and D-VTAGE (both filter settings) through their flat
+fetch/execute methods and freezes what they predicted.
 
 Only regenerate after a *deliberate* model change::
 
@@ -39,7 +39,7 @@ import pytest
 
 from repro.experiments import fig7_vtage_flavors
 from repro.experiments.fig4_address_prediction import evaluate_cap
-from repro.isa import Instruction, OpClass
+from repro.isa import OpClass
 from repro.pipeline import DlvpScheme, DvtageScheme, RecoveryMode, VtageScheme, simulate
 from repro.predictors import CapConfig, DvtageConfig, DvtagePredictor, VtagePredictor
 from repro.workloads import build_workload_columnar
@@ -109,7 +109,8 @@ _FAST_FPC = (1.0, 0.5)
 
 
 def _stream():
-    """Seeded (instruction, branch history) pairs."""
+    """Seeded ``((pc, op, ndests, is_vector, values), branch history)``
+    pairs."""
     rng = random.Random(7)
     values: dict[int, tuple[int, ...]] = {}
     for _ in range(STREAM_LENGTH):
@@ -123,11 +124,9 @@ def _stream():
         elif roll < 0.3:
             current = tuple((v + 8) % (1 << width) for v in current)
         values[kind] = current
-        is_mem = op != OpClass.ALU
-        yield Instruction(
-            pc=pc, op=op, dests=dests, mem_addr=0x2000 if is_mem else None,
-            mem_size=size, values=current, is_vector=vector,
-        ), rng.choice((0, 0b1011, 0x1F3A, 0x7FFF))
+        yield (pc, int(op), len(dests), vector, current), rng.choice(
+            (0, 0b1011, 0x1F3A, 0x7FFF)
+        )
 
 
 def _stream_predictors() -> dict[str, Callable[[], object]]:
@@ -151,24 +150,51 @@ def _stream_predictors() -> dict[str, Callable[[], object]]:
 STREAM_PREDICTORS = _stream_predictors()
 
 
+def _vtage_predict(predictor, pc, op, ndests, vector, values, history):
+    """What a fetch would predict, without counting the load."""
+    loads_seen = predictor.stats.loads_seen
+    handle = predictor.begin_flat(pc, op, ndests, vector, values, history)
+    predictor.stats.loads_seen = loads_seen
+    return None if handle is None else handle[0]
+
+
+def _vtage_train(predictor, pc, op, ndests, vector, values, history):
+    """Fetch then execute under one history; the prediction made."""
+    handle = predictor.begin_flat(pc, op, ndests, vector, values, history)
+    if handle is None:
+        return None
+    predictor.finish_flat(handle, op, ndests, vector, values)
+    return handle[0]
+
+
+def _dvtage_train(predictor, pc, op, ndests, vector, values, history):
+    handle = predictor.predict_flat(pc, op, ndests, vector, history)
+    return predictor.train_flat(handle, op, values)
+
+
 def stream_cell(name: str) -> dict:
-    """Drive one predictor over the stream, alternating its one-call
-    ``train`` with ``predict`` followed by the two-phase entry points
-    (``begin``/``finish`` for VTAGE, ``train`` for D-VTAGE)."""
+    """Drive one predictor over the stream, alternating a fetch+execute
+    pair with a side-effect-free peek at the fetch-time prediction
+    followed by the fetch and execute entry points called apart."""
     predictor = STREAM_PREDICTORS[name]()
     is_vtage = isinstance(predictor, VtagePredictor)
     made = []
-    for i, (inst, history) in enumerate(_stream()):
+    for i, (fields, history) in enumerate(_stream()):
+        pc, op, ndests, vector, values = fields
         if i % 2:
-            made.append(predictor.train(inst, history))
+            train = _vtage_train if is_vtage else _dvtage_train
+            made.append(train(predictor, *fields, history))
         elif is_vtage:
-            made.append(predictor.predict(inst, history))
-            handle = predictor.begin(inst, history)
+            made.append(_vtage_predict(predictor, *fields, history))
+            handle = predictor.begin_flat(pc, op, ndests, vector, values, history)
             if handle is not None:
-                made.append(predictor.finish(handle, inst))
+                made.append(
+                    predictor.finish_flat(handle, op, ndests, vector, values)
+                )
         else:
-            made.append(predictor.predict(inst, history))
-            predictor.train(inst, history)
+            handle = predictor.predict_flat(pc, op, ndests, vector, history)
+            made.append(None if handle is None else handle[0])
+            _dvtage_train(predictor, *fields, history)
     cell = {
         "predictions": hashlib.sha256(repr(made).encode()).hexdigest(),
         "stats": dataclasses.asdict(predictor.stats),

@@ -1,11 +1,10 @@
-"""Tests for repro.observe: tracer protocol, backends, CLI integration.
+"""Tests for repro.observe: records, their projections, CLI integration.
 
 The two properties that matter most:
 
-* **Zero semantic overhead** — attaching a tracer must not change any
-  simulated outcome: the traced run dispatches to the reference
-  implementations, which are golden-verified against the inlined fast
-  paths, so results are bit-identical either way.
+* **Zero semantic overhead** — a record rides the production loop and
+  changes nothing per instruction, so a recorded run's result is the
+  untraced one bit for bit (plus interval rows).
 * **Event fidelity** — the interval rows must reconcile with the
   aggregate counters the simulation reports anyway.
 """
@@ -17,14 +16,13 @@ import pytest
 from repro.__main__ import main
 from repro.faults import FaultInjected, FaultPlan
 from repro.observe import (
-    ChromeTraceExporter,
     FaultTripwire,
-    FlightRecorder,
-    IntervalMetricsCollector,
-    MultiTracer,
-    Tracer,
+    RunRecord,
+    chrome_events,
+    flight_tail,
     render_report,
     run_traced,
+    write_chrome_trace,
 )
 from repro.pipeline import SimResult, simulate
 from repro.runtime import Runtime
@@ -34,21 +32,15 @@ from repro.workloads import build_workload
 SCHEME_IDS = ("dlvp", "cap", "vtage", "dvtage", "tournament")
 
 
-class Recorder(Tracer):
-    """Flat list of (kind, fields) for assertions."""
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, kind, **fields):
-        self.events.append((kind, fields))
-
-    def kinds(self):
-        return [k for k, _ in self.events]
-
-
 def _trace(n=3000, name="aifirf"):
     return build_workload(name, n)
+
+
+def _recorded(n, scheme_id="dlvp", **record_kwargs):
+    """A finished record of ``scheme_id`` on ``n`` aifirf instructions."""
+    record = RunRecord(**record_kwargs)
+    simulate(_trace(n), scheme=get_scheme(scheme_id).build(), record=record)
+    return record
 
 
 class TestZeroOverheadContract:
@@ -57,63 +49,18 @@ class TestZeroOverheadContract:
         trace = _trace()
         build = (lambda: None) if scheme_id is None else get_scheme(scheme_id).build
         untraced = simulate(trace, scheme=build())
-        traced = simulate(trace, scheme=build(), tracer=Recorder())
+        traced = simulate(trace, scheme=build(), record=RunRecord(interval=700))
         u, t = untraced.to_dict(), traced.to_dict()
-        u.pop("intervals"), t.pop("intervals")
+        assert u.pop("intervals") is None
+        assert t.pop("intervals")
         assert u == t
-
-    def test_untraced_components_hold_no_tracer(self):
-        scheme = get_scheme("dlvp").build()
-        trace = _trace()
-        simulate(trace, scheme=scheme)
-        assert scheme.engine._tracer is None
-        assert scheme.engine.paq._tracer is None
-
-
-class TestTracerProtocol:
-    def test_default_hooks_are_noops(self):
-        tracer = Tracer()
-        tracer.on_commit(0, 1, "LOAD")
-        tracer.on_recovery(5, "branch", 0x40)
-        tracer.on_lscd_insert(0x40, evicted=None, refreshed=False)
-
-    def test_hooks_flow_through_emit(self):
-        rec = Recorder()
-        rec.on_recovery(5, "value", 0x40)
-        rec.on_paq_service(9, 0x1000, True)
-        assert rec.events == [
-            ("recovery", {"cycle": 5, "reason": "value", "pc": 0x40}),
-            ("paq_service", {"cycle": 9, "addr": 0x1000, "bypass": True}),
-        ]
-
-    def test_full_event_stream_from_dlvp_run(self):
-        rec = Recorder()
-        # long enough for the FPC confidence ramp to produce address
-        # predictions (and hence PAQ/probe/verdict traffic)
-        simulate(_trace(6000), scheme=get_scheme("dlvp").build(), tracer=rec)
-        kinds = set(rec.kinds())
-        assert {"run_start", "commit", "fetch_predict", "demand_access",
-                "probe", "paq_enqueue", "paq_service", "apt_train",
-                "vpe_verdict", "run_end"} <= kinds
-        assert rec.kinds()[0] == "run_start"
-        assert rec.kinds()[-1] == "run_end"
-
-    def test_multitracer_fans_out(self):
-        a, b = Recorder(), Recorder()
-        multi = MultiTracer(a, b, None)
-        assert len(multi.tracers) == 2
-        multi.on_commit(3, 7, "ALU")
-        assert a.events == b.events == [
-            ("commit", {"index": 3, "cycle": 7, "op": "ALU"})
-        ]
 
 
 class TestIntervalMetrics:
     def test_rows_reconcile_with_aggregates(self):
-        collector = IntervalMetricsCollector(interval=1000)
-        trace = _trace(6000)
-        result = simulate(trace, scheme=get_scheme("dlvp").build(),
-                          tracer=collector)
+        record = RunRecord(interval=1000)
+        result = simulate(_trace(6000), scheme=get_scheme("dlvp").build(),
+                          record=record)
         rows = result.intervals
         assert rows is not None and len(rows) == 6
         assert rows[0]["start"] == 0
@@ -129,34 +76,30 @@ class TestIntervalMetrics:
             result.flushes.value
         assert sum(r["recoveries_branch"] for r in rows) == \
             result.flushes.branch
+        assert sum(r["loads"] for r in rows) == result.loads
+        assert sum(r["probes"] for r in rows) == result.scheme_stats.probes
 
     def test_confidence_ramp_visible(self):
         # The FPC confidence ramp: early intervals must show lower
         # coverage than late ones on a DLVP-friendly workload.
-        collector = IntervalMetricsCollector(interval=8000)
-        result = simulate(_trace(24000), scheme=get_scheme("dlvp").build(),
-                          tracer=collector)
+        result = _recorded(24000, interval=8000).result
         rows = result.intervals
         assert rows[0]["coverage"] < rows[-1]["coverage"]
 
     def test_intervals_survive_serialization(self):
-        collector = IntervalMetricsCollector(interval=1000)
-        result = simulate(_trace(), scheme=get_scheme("dlvp").build(),
-                          tracer=collector)
+        result = _recorded(3000, interval=1000).result
         round_tripped = SimResult.from_dict(result.to_dict())
         assert round_tripped.intervals == result.intervals
 
     def test_render_report(self):
-        collector = IntervalMetricsCollector(interval=1000)
-        result = simulate(_trace(2000), scheme=get_scheme("dlvp").build(),
-                          tracer=collector)
+        result = _recorded(2000, interval=1000).result
         text = render_report(result.intervals)
         assert "cov%" in text and "0-1000" in text
         assert render_report([]) == "(no interval data)"
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            IntervalMetricsCollector(interval=0)
+            RunRecord(interval=0)
 
 
 class TestSchemaVersioning:
@@ -184,50 +127,84 @@ class TestSchemaVersioning:
 
 class TestChromeTrace:
     def test_export_loads_as_trace_event_json(self, tmp_path):
-        exporter = ChromeTraceExporter()
-        simulate(_trace(6000), scheme=get_scheme("dlvp").build(),
-                 tracer=exporter)
+        record = _recorded(6000, interval=1000)
         out = tmp_path / "out.trace.json"
-        exporter.write(out)
+        write_chrome_trace(chrome_events(record), out)
         payload = json.loads(out.read_text())
         events = payload["traceEvents"]
         assert isinstance(events, list) and events
         phases = {e["ph"] for e in events}
         assert "i" in phases          # instant events
-        assert "C" in phases          # PAQ occupancy counter track
+        assert "C" in phases          # per-interval counter tracks
         assert "M" in phases          # thread-name metadata
         for e in events:
             assert {"ph", "name", "pid", "tid"} <= set(e)
             if e["ph"] != "M":
                 assert isinstance(e["ts"], int)
+        names = {e["name"] for e in events}
+        assert {"run_start", "commit", "recovery", "run_end", "ipc",
+                "coverage", "accuracy", "probes"} <= names
+        counters = [e for e in events if e["name"] == "coverage"]
+        assert len(counters) == 6     # one per interval row
+        recoveries = [e for e in events if e["name"] == "recovery"]
+        assert len(recoveries) == len(record.flushes)
+        assert {e["args"]["reason"] for e in recoveries} <= {"branch", "value"}
 
     def test_commit_sampling_bounds_size(self):
-        dense = ChromeTraceExporter(commit_sample=1)
-        sparse = ChromeTraceExporter(commit_sample=64)
-        simulate(_trace(), scheme=get_scheme("dlvp").build(), tracer=dense)
-        simulate(_trace(), scheme=get_scheme("dlvp").build(), tracer=sparse)
-        dense_commits = sum(1 for e in dense.events if e["name"] == "commit")
-        sparse_commits = sum(1 for e in sparse.events if e["name"] == "commit")
+        record = _recorded(3000)
+        dense = chrome_events(record, commit_sample=1)
+        sparse = chrome_events(record, commit_sample=64)
+        dense_commits = sum(1 for e in dense if e["name"] == "commit")
+        sparse_commits = sum(1 for e in sparse if e["name"] == "commit")
+        assert dense_commits == 3000
         assert dense_commits > sparse_commits * 32
+        cycles = [e["ts"] for e in dense if e["name"] == "commit"]
+        assert cycles == sorted(cycles) and cycles[0] > 0
 
 
 class TestFlightRecorder:
     def test_ring_keeps_last_n(self):
-        flight = FlightRecorder(capacity=16)
-        simulate(_trace(), scheme=get_scheme("dlvp").build(), tracer=flight)
-        tail = flight.dump()
+        record = _recorded(3000)
+        seen, tail = flight_tail(record, capacity=16)
         assert len(tail) == 16
-        assert flight.seen > 16
+        assert seen > 16
+        assert seen == 3000 + len(record.flushes) + 2   # + run_start/_end
         assert tail[-1]["kind"] == "run_end"
+        assert tail[-2] == {"kind": "commit", "index": 2999,
+                            "cycle": record.result.cycles}
+        _, whole = flight_tail(record, capacity=10_000)
+        assert whole[0]["kind"] == "run_start"
+        assert len(whole) == seen
 
     def test_tripwire_raises_mid_run(self):
         plan = FaultPlan.parse("raise@aifirf/dlvp")
         rule = plan.rule_for("aifirf", "dlvp", 1, "key")
         tripwire = FaultTripwire(rule)
-        with pytest.raises(FaultInjected, match="instruction 1500"):
+        record = RunRecord(tripwire=tripwire)
+        with pytest.raises(FaultInjected, match="instruction 1500") as info:
             simulate(_trace(3000), scheme=get_scheme("dlvp").build(),
-                     tracer=tripwire)
+                     record=record)
         assert tripwire.tripped
+        # The failure point: instruction 1500 committed, 1501 did not.
+        assert record.committed() == 1501
+        _, tail = flight_tail(record, capacity=8)
+        assert tail[-1]["kind"] == "commit" and tail[-1]["index"] == 1500
+        assert str(info.value).endswith(
+            f"at instruction 1500, cycle {tail[-1]['cycle']}"
+        )
+
+    def test_tripwire_at_the_last_instruction_and_past_the_end(self):
+        rule = FaultPlan.parse("raise@aifirf/dlvp").rules[0]
+        trace = _trace(2000)
+        n = len(trace)
+        last = FaultTripwire(rule, trip_at=n - 1)
+        with pytest.raises(FaultInjected, match=f"at instruction {n - 1}, "):
+            simulate(trace, scheme=get_scheme("dlvp").build(),
+                     record=RunRecord(tripwire=last))
+        beyond = FaultTripwire(rule, trip_at=n)
+        record = RunRecord(tripwire=beyond)
+        simulate(trace, scheme=get_scheme("dlvp").build(), record=record)
+        assert not beyond.tripped and record.committed() == n
 
     def test_tripwire_requires_raise_rule(self):
         plan = FaultPlan.parse("crash@*/*")
@@ -253,12 +230,21 @@ class TestFlightRecorder:
         dump_path = tmp_path / "run.trace.flight.json"
         assert dump_path.exists()
         dump = json.loads(dump_path.read_text())
+        assert set(dump) == {"events_seen", "capacity", "tail"}
         assert dump["tail"] and dump["events_seen"] > 0
+        assert len(dump["tail"]) == dump["capacity"] == 256
+        assert dump["tail"][-1] == {"kind": "commit", "index": 1500,
+                                    "cycle": dump["tail"][-1]["cycle"]}
         kinds = [k for k, _ in journal.events]
         assert kinds == ["flight_recorder_dump"]
         fields = journal.events[0][1]
-        assert fields["trace"] == "aifirf"
+        assert set(fields) == {"trace", "scheme", "error", "events_seen",
+                               "dump_path", "tail"}
+        assert fields["trace"] == "aifirf" and fields["scheme"] == "dlvp"
         assert "FaultInjected" in fields["error"]
+        assert fields["events_seen"] == dump["events_seen"]
+        assert fields["dump_path"] == str(dump_path)
+        assert fields["tail"] == dump["tail"][-32:]
         assert not out.exists()       # no chrome trace for a dead run
 
     def test_run_traced_success_writes_chrome_trace(self, tmp_path):
@@ -305,7 +291,11 @@ class TestCli:
                      "--interval", "1000"]) == 0
         printed = capsys.readouterr()
         assert "cov%" in printed.out
-        assert json.loads(out.read_text())["traceEvents"]
+        events = json.loads(out.read_text())["traceEvents"]
+        assert {"commit", "recovery"} <= {
+            e["name"] for e in events if e["ph"] == "i"
+        }
+        assert any(e["ph"] == "C" for e in events)
 
     def test_trace_unknown_scheme(self):
         assert main(["trace", "aifirf", "--scheme", "bogus"]) == 2

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core import DlvpConfig
 from repro.core.dlvp import DlvpStats
 from repro.pipeline import (
     DlvpScheme,
+    RecoveryMode,
     TournamentScheme,
     VtageScheme,
     simulate,
@@ -12,7 +14,7 @@ from repro.pipeline import (
 from repro.pipeline.schemes import TournamentStats
 from repro.predictors import CapConfig
 from repro.predictors.base import PredictorStats
-from repro.workloads import build_workload
+from repro.workloads import build_workload, build_workload_columnar
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +93,58 @@ class TestTournamentScheme:
         total = scheme.predictor_storage_bits()
         assert total > scheme.dlvp.predictor_storage_bits()
         assert total > scheme.vtage.predictor_storage_bits()
+
+
+class TestPaqConservation:
+    """Every PAQ entry is serviced or dropped in the fetch call that
+    pushed it, so the queue is empty between loads, a flush never finds
+    an entry, and ``enqueued == serviced + dropped``."""
+
+    @pytest.mark.parametrize("recovery", list(RecoveryMode), ids=lambda r: r.value)
+    @pytest.mark.parametrize("workload", ["storeflood", "perlbmk"])
+    @pytest.mark.parametrize("drop_cycles", [None, 1])
+    @pytest.mark.parametrize("scheme_id", ["dlvp", "cap", "tournament"])
+    def test_queue_drains_in_the_pushing_fetch(
+        self, scheme_id, drop_cycles, workload, recovery
+    ):
+        config = None if drop_cycles is None else DlvpConfig(
+            paq_drop_cycles=drop_cycles
+        )
+        scheme = {
+            "dlvp": lambda: DlvpScheme(config),
+            "cap": lambda: DlvpScheme(config, use_cap=True),
+            "tournament": lambda: TournamentScheme(dlvp_config=config),
+        }[scheme_id]()
+        result = simulate(_conservation_trace(workload), scheme=scheme,
+                          recovery=recovery)
+        paq = scheme_engine(scheme).paq
+        assert len(paq) == 0
+        assert paq.flushed == 0
+        assert paq.enqueued > 0
+        assert paq.enqueued == paq.serviced + paq.dropped
+        if drop_cycles is None:
+            assert paq.serviced > 0
+        else:
+            # The probe issues two cycles after fetch: past a one-cycle
+            # drop window, every entry ages out.
+            assert paq.dropped == paq.enqueued
+        assert result.flushes.value + result.flushes.branch > 0
+
+
+_CONSERVATION_TRACES: dict = {}
+
+
+def _conservation_trace(workload):
+    trace = _CONSERVATION_TRACES.get(workload)
+    if trace is None:
+        # Long enough for CAP (confidence 24, 48-load update lag) to
+        # predict on both workloads.
+        trace = _CONSERVATION_TRACES[workload] = build_workload_columnar(
+            workload, 12_000
+        )
+    return trace
+
+
+def scheme_engine(scheme):
+    """The DLVP engine of a dlvp/cap scheme or of a tournament's DLVP side."""
+    return getattr(scheme, "dlvp", scheme).engine

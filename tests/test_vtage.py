@@ -1,4 +1,6 @@
-"""Tests for VTAGE and its ARM-specific opcode filters."""
+"""Tests for VTAGE and its ARM-specific opcode filters, driven
+through the two flat entry points the pipeline uses (``begin_flat`` at
+fetch, ``finish_flat`` at execute)."""
 
 import pytest
 
@@ -16,9 +18,43 @@ def load(pc=0x1000, dests=(1,), values=(42,), size=8, vector=False):
                        mem_size=size, values=values, is_vector=vector)
 
 
+def begin(vtage, inst, history=0):
+    """Fetch side for one instruction: the handle, or None."""
+    return vtage.begin_flat(inst.pc, int(inst.op), len(inst.dests),
+                            inst.is_vector, inst.values, history)
+
+
+def finish(vtage, handle, inst):
+    """Execute side: train from ``handle``; True when fully correct."""
+    return vtage.finish_flat(handle, int(inst.op), len(inst.dests),
+                             inst.is_vector, inst.values)
+
+
+def train(vtage, inst, history=0):
+    """Fetch then execute under one history; returns the prediction."""
+    handle = begin(vtage, inst, history)
+    if handle is None:
+        return None
+    finish(vtage, handle, inst)
+    return handle[0]
+
+
+def predict(vtage, inst, history=0):
+    """The prediction a fetch would make, without counting the load."""
+    loads_seen = vtage.stats.loads_seen
+    handle = begin(vtage, inst, history)
+    vtage.stats.loads_seen = loads_seen
+    return None if handle is None else handle[0]
+
+
+def eligible(vtage, inst):
+    return vtage.eligible_flat(int(inst.op), len(inst.dests),
+                               inst.is_vector, inst.values)
+
+
 def train_until_predicts(vtage, inst, history=0, rounds=800):
     for i in range(rounds):
-        if vtage.train(inst, history) is not None:
+        if train(vtage, inst, history) is not None:
             return i
     return None
 
@@ -48,7 +84,7 @@ class TestPrediction:
         vtage = VtagePredictor()
         first = train_until_predicts(vtage, load())
         assert first is not None
-        assert vtage.predict(load(), 0) == (42,)
+        assert predict(vtage, load()) == (42,)
 
     def test_confidence_requires_many_observations(self):
         """The 3-bit FPC needs on the order of 64-128 observations —
@@ -60,9 +96,9 @@ class TestPrediction:
     def test_value_change_resets(self):
         vtage = VtagePredictor()
         train_until_predicts(vtage, load())
-        vtage.train(load(values=(99,)), 0)
-        vtage.train(load(values=(99,)), 0)
-        assert vtage.predict(load(values=(99,)), 0) is None
+        train(vtage, load(values=(99,)))
+        train(vtage, load(values=(99,)))
+        assert predict(vtage, load(values=(99,))) is None
 
     def test_multi_dest_all_or_nothing(self):
         vtage = VtagePredictor()
@@ -75,44 +111,44 @@ class TestPrediction:
         vtage = VtagePredictor(VtageConfig(filter_mode=OpcodeFilterMode.NONE))
         inst = load(dests=(1, 2), values=(10, 20))
         assert train_until_predicts(vtage, inst) is not None
-        assert vtage.predict(inst, 0) == (10, 20)
+        assert predict(vtage, inst) == (10, 20)
 
     def test_vector_value_reassembled(self):
         vtage = VtagePredictor(VtageConfig(filter_mode=OpcodeFilterMode.NONE))
         value = (0xABCD << 64) | 0x1234
         inst = load(values=(value,), size=16, vector=True)
         assert train_until_predicts(vtage, inst) is not None
-        assert vtage.predict(inst, 0) == (value,)
+        assert predict(vtage, inst) == (value,)
 
     def test_history_contexts_are_distinct(self):
         vtage = VtagePredictor()
         train_until_predicts(vtage, load(), history=0b1111)
         # Different (long enough) branch history looks up other entries.
-        assert vtage.predict(load(), 0b1010101010101) is None or True
-        assert vtage.predict(load(), 0b1111) == (42,)
+        assert predict(vtage, load(), 0b1010101010101) is None or True
+        assert predict(vtage, load(), 0b1111) == (42,)
 
 
 class TestFilters:
     def test_static_filter_blocks_types(self):
         vtage = VtagePredictor()   # static filter default
-        assert not vtage.eligible(load(dests=(1, 2), values=(1, 2)))
-        assert not vtage.eligible(load(values=(1,), size=16, vector=True))
-        assert vtage.eligible(load())
+        assert not eligible(vtage, load(dests=(1, 2), values=(1, 2)))
+        assert not eligible(vtage, load(values=(1,), size=16, vector=True))
+        assert eligible(vtage, load())
 
     def test_loads_only_blocks_alu(self):
         vtage = VtagePredictor()
         alu = Instruction(pc=0, op=OpClass.ALU, dests=(1,), values=(3,))
-        assert not vtage.eligible(alu)
+        assert not eligible(vtage, alu)
 
     def test_all_instructions_mode(self):
         vtage = VtagePredictor(VtageConfig(loads_only=False))
         alu = Instruction(pc=0, op=OpClass.ALU, dests=(1,), values=(3,))
-        assert vtage.eligible(alu)
+        assert eligible(vtage, alu)
 
     def test_stores_never_eligible(self):
         vtage = VtagePredictor(VtageConfig(loads_only=False))
         store = Instruction(pc=0, op=OpClass.STORE, mem_addr=0x10, values=(1,))
-        assert not vtage.eligible(store)
+        assert not eligible(vtage, store)
 
     def test_dynamic_filter_learns_bad_types(self):
         # Fast-saturating FPC so the test is cheap: the LDP's second
@@ -128,38 +164,43 @@ class TestFilters:
         for cycle in range(200):
             stable = (10, cycle)
             for _ in range(12):
-                vtage.train(load(dests=(1, 2), values=stable), 0)
-            if not vtage.eligible(load(dests=(1, 2), values=(0, 0))):
+                train(vtage, load(dests=(1, 2), values=stable))
+            if not eligible(vtage, load(dests=(1, 2), values=(0, 0))):
                 blocked = True
                 break
         assert blocked
         # Scalar loads remain eligible.
-        assert vtage.eligible(load())
+        assert eligible(vtage, load())
 
 
 class TestTwoPhase:
     def test_begin_finish_matches_train(self):
+        """A fetch-time lookup that is never executed changes nothing:
+        interleaving them leaves the fetch/execute sequence's
+        predictions (and RNG-driven confidence) untouched."""
         a = VtagePredictor(VtageConfig(seed=9))
         b = VtagePredictor(VtageConfig(seed=9))
         inst = load()
         for _ in range(400):
-            pred_a = a.train(inst, 0)
-            handle = b.begin(inst, 0)
+            pred_a = train(a, inst)
+            peek = predict(b, inst)
+            handle = begin(b, inst)
             pred_b = handle[0] if handle else None
-            b.finish(handle, inst)
-            assert pred_a == pred_b
+            finish(b, handle, inst)
+            assert pred_a == pred_b == peek
+        assert a.stats == b.stats
 
     def test_begin_counts_all_loads(self):
         vtage = VtagePredictor()
-        vtage.begin(load(dests=(1, 2), values=(1, 2)), 0)   # filtered type
+        begin(vtage, load(dests=(1, 2), values=(1, 2)))   # filtered type
         assert vtage.stats.loads_seen == 1
 
     def test_finish_reports_correctness(self):
         vtage = VtagePredictor()
         inst = load()
         for _ in range(600):
-            handle = vtage.begin(inst, 0)
-            correct = vtage.finish(handle, inst)
+            handle = begin(vtage, inst)
+            correct = finish(vtage, handle, inst)
             if handle[0] is not None:
                 assert correct
                 return
@@ -174,7 +215,7 @@ class TestAccounting:
     def test_coverage_denominator_is_all_loads(self):
         vtage = VtagePredictor()
         for _ in range(10):
-            vtage.train(load(dests=(1, 2), values=(1, 2)), 0)   # filtered
+            train(vtage, load(dests=(1, 2), values=(1, 2)))   # filtered
         assert vtage.stats.loads_seen == 10
         assert vtage.stats.coverage == 0.0
 
@@ -187,6 +228,6 @@ class TestAccounting:
     def test_type_accuracy_report(self):
         vtage = VtagePredictor()
         for _ in range(300):
-            vtage.train(load(), 0)
+            train(vtage, load())
         report = vtage.type_accuracy_report()
         assert report.get("load", 1.0) >= 0.99
