@@ -310,6 +310,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"chaos: no fault plan; pass --fault SPEC or set "
               f"${FAULT_SPEC_ENV}", file=sys.stderr)
         return 2
+    if args.jobs <= 1 and any(rule.kind == "crash" for rule in plan.rules):
+        # --jobs 1 runs jobs in this process, which the crash would kill
+        print("chaos: a crash fault needs worker processes; "
+              "rerun with --jobs 2", file=sys.stderr)
+        return 2
     known = scheme_ids()
     unknown = [s for s in args.schemes if s not in known]
     if unknown:

@@ -237,22 +237,7 @@ class Runtime:
 
         def _finish(outcome: JobOutcome) -> None:
             nonlocal interrupted
-            fields = dict(
-                key=outcome.job.key,
-                workload=outcome.job.workload,
-                scheme=outcome.job.scheme_id,
-                status=outcome.status,
-                duration=round(outcome.duration, 6),
-                attempts=outcome.attempts,
-                error=outcome.error,
-            )
-            if outcome.trace_source is not None:
-                fields["trace_source"] = outcome.trace_source
-            if outcome.ok:
-                assert outcome.result is not None
-                # the journaled payload is what --resume replays
-                fields["result"] = outcome.result.to_dict()
-            self.journal.event("job_finished", **fields)
+            self.journal.event("job_finished", **outcome.finished_fields())
             outcomes[outcome.job.key] = outcome
             interrupted = interrupted or outcome.status == "interrupted"
             if outcome.ok and self.cache is not None:

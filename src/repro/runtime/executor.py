@@ -1,35 +1,60 @@
-"""Executors — run jobs serially or across a process pool.
+"""Executors — one attempt machine, three transports.
 
-Two interchangeable drivers with identical semantics and results:
+Every job reaches the simulator through one attempt machine with three
+parts, so the retry/timeout/escalation policy is decided in one place:
 
-* :class:`SerialExecutor` — in-process, one job at a time.  No worker
-  processes, so it is the ``--jobs 1`` default and the safe choice on
-  platforms where ``fork`` is unavailable (Windows) or undesirable.
-* :class:`ParallelExecutor` — a ``concurrent.futures``
-  ``ProcessPoolExecutor`` fan-out with per-job timeouts, bounded
-  retries, and crash isolation: a worker dying (segfault, ``os._exit``,
-  OOM kill) breaks only its own cell, not the run — the pool is rebuilt
-  and the surviving jobs resubmitted, while a job that repeatedly kills
-  its worker exhausts its attempts and is reported as failed.
+* **start** (``_start``) charges an attempt to each job of a submitted
+  batch, waits once for the largest retry backoff the batch owes, and
+  emits ``job_started``;
+* **settle** (``_settle``) is the one decision point: it turns an
+  attempt's result — a worker envelope (``ok``, ``timeout`` or
+  ``error``), a worker that died running only this job, or an exception
+  raised on the way — into a terminal :class:`JobOutcome` or a retry,
+  escalates timeouts and emits ``trace_built``;
+* **the driver loop** (``_drive``) runs rounds of attempts until every
+  job has a terminal outcome and, on ``KeyboardInterrupt`` (Ctrl-C,
+  SIGTERM converted by the runtime, or a cancelled lease), marks
+  whatever is left ``"interrupted"`` — callers keep (and cache) the
+  finished cells.
 
-A third driver, :class:`JobLease`, is the leasable unit behind the
-:mod:`repro.serve` scheduler: one dedicated single-worker pool running
-one job at a time, with the same failure policy and a :meth:`cancel`
-hook for graceful server shutdown.
+The three executors keep their public methods and supply only a
+*transport*, the way an attempt is carried out:
 
-Shared failure policy (both drivers):
+* :class:`SerialExecutor` — an in-process call, each job run to a
+  terminal outcome before the next starts.  No worker processes, so it
+  is the ``--jobs 1`` default and the safe choice on platforms where
+  ``fork`` is unavailable (Windows) or undesirable.
+* :class:`ParallelExecutor` — one shared ``ProcessPoolExecutor`` per
+  round.  A worker dying (segfault, ``os._exit``, OOM kill) breaks the
+  whole pool and the parent cannot tell culprit from victim, so the
+  attempts in flight are uncharged and every later round gives each job
+  its own single-worker pool, where a dying worker indicts exactly one
+  job.  A job that keeps killing its worker exhausts its attempts and
+  becomes one failed cell; everything else completes normally.
+* :class:`JobLease` — the leasable unit behind the :mod:`repro.serve`
+  scheduler: one persistent single-worker pool running one job at a
+  time, with ``worker_heartbeat`` events and the :meth:`~JobLease.cancel`
+  and :meth:`~JobLease.reap` hooks.
 
-* **Deterministic retry backoff** — attempt *n*'s resubmission is
-  delayed by ``backoff * 2**(n-1)`` seconds, a fixed schedule with no
-  jitter so chaos runs and their journals are reproducible.
+Trace groups (cells sharing one trace key, see
+:meth:`SerialExecutor.run_grouped`) ride the in-process and pool
+transports: the first round submits each group as one call that
+acquires the trace once and runs every cell, and each cell is settled
+on its own; a cell that needs another attempt is resubmitted alone.
+
+The failure policy:
+
+* **Bounded retries** — an error or a dead worker is retried while the
+  job has attempts left (``retries`` extra attempts).
+* **Deterministic retry backoff** — attempt *n* waits
+  ``backoff * 2**(n-2)`` seconds, a fixed schedule with no jitter so
+  chaos runs and their journals are reproducible.  A batch of attempts
+  waits once, for the largest delay among them.
 * **Timeout escalation** — with ``timeout_factor`` set, a timed-out
   job is retried (within its bounded attempts) with its timeout
   multiplied by the factor, which turns "this cell is slow today" into
-  a recoverable condition instead of a dead cell.
-* **Graceful interruption** — a ``KeyboardInterrupt`` (Ctrl-C, or
-  SIGTERM converted by the runtime) stops scheduling, cancels what it
-  can, and returns the completed outcomes with the rest marked
-  ``"interrupted"`` — callers keep (and cache) the finished cells.
+  a recoverable condition instead of a dead cell.  Without it a timeout
+  is final.
 
 Timeouts are enforced *inside* the worker via ``SIGALRM`` (each pool
 worker runs jobs on its main thread), so a timed-out job ends cleanly
@@ -46,10 +71,11 @@ import threading
 import time
 import traceback
 import warnings
-from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections.abc import Callable, Generator, Iterator, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as PoolWaitTimeout
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 from repro.pipeline import SimResult
@@ -95,6 +121,28 @@ class JobOutcome:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    def finished_fields(self) -> dict:
+        """The fields of this outcome's ``job_finished`` journal event.
+
+        An ok outcome embeds its result payload: it is what ``--resume``
+        and the farm's recovery replay.
+        """
+        fields = dict(
+            key=self.job.key,
+            workload=self.job.workload,
+            scheme=self.job.scheme_id,
+            status=self.status,
+            duration=round(self.duration, 6),
+            attempts=self.attempts,
+            error=self.error,
+        )
+        if self.trace_source is not None:
+            fields["trace_source"] = self.trace_source
+        if self.ok:
+            assert self.result is not None
+            fields["result"] = self.result.to_dict()
+        return fields
+
 
 _timeout_degraded_warned = False
 
@@ -139,83 +187,61 @@ def _call_with_timeout(fn: Callable[[], object], timeout: float | None) -> objec
         signal.signal(signal.SIGALRM, previous)
 
 
+def _run_attempt(job: Job, call: Callable[[], tuple[dict, dict]]) -> dict:
+    """One attempt of ``job`` under its timeout, as an envelope.
+
+    ``call`` returns ``(payload, trace info)``.  The envelope is
+    ``{"status": "ok", "result": payload, "duration": s, **info}`` or
+    ``{"status": "timeout" | "error", "error": message, "duration": s}``;
+    the duration is measured where the job runs, so it excludes time
+    spent queued in a pool.
+    """
+    started = time.monotonic()
+    try:
+        payload, info = _call_with_timeout(call, job.timeout)
+    except JobTimeoutError as exc:
+        status, error = "timeout", str(exc)
+    except Exception as exc:
+        status, error = "error", _format_error(exc)
+    else:
+        return {"status": "ok", "result": payload,
+                "duration": time.monotonic() - started, **info}
+    return {"status": status, "error": error,
+            "duration": time.monotonic() - started}
+
+
 def _worker_run(
-    job: Job,
+    jobs: Sequence[Job],
     cache_dir: str | None,
     attempt: int = 1,
     fault_spec: str | None = None,
-) -> dict:
-    """Pool-worker entry point: execute one job under its timeout.
+) -> list[dict]:
+    """Run one attempt of each job; one :func:`_run_attempt` envelope each.
 
-    Returns an envelope ``{"result": payload, "duration": seconds,
-    "trace_source": ..., "trace_built_attempt"?}`` — the duration is
-    measured here, in the worker, so it reflects actual execution time
-    rather than time spent queued in the pool, and the trace fields
-    report how the worker obtained its trace (see
-    :func:`repro.runtime.jobs.execute_job_info`).
+    The entry point of every transport, in a pool worker or in the
+    calling process.  A lone job runs through :func:`execute_job_info`.
+    Several jobs are a trace group sharing one trace key: the trace is
+    acquired once (attach → memo → cache → build) and every cell
+    simulates against it under its own timeout.  Cells are independent
+    — one raising or timing out does not stop its siblings — and the
+    first cell's envelope reports the group's ``trace_built_attempt``.
+    A group whose trace cannot be acquired raises.
     """
-    started = time.monotonic()
-    payload, info = _call_with_timeout(
-        lambda: execute_job_info(job, cache_dir, attempt=attempt,
-                                 fault_spec=fault_spec),
-        job.timeout,
-    )
-    return {"result": payload, "duration": time.monotonic() - started, **info}
-
-
-class _RemoteCellFailure(Exception):
-    """A group cell's failure, already formatted by the worker."""
-
-
-def _worker_run_group(
-    jobs: Sequence[Job],
-    cache_dir: str | None,
-    fault_spec: str | None = None,
-) -> dict:
-    """Pool-worker entry point for a trace group: one trace, N cells.
-
-    All jobs share a trace key; the trace is acquired once (attach →
-    memo → cache → build) and every cell simulates against it under its
-    own per-cell timeout.  Cells are independent — one raising or
-    timing out does not stop its siblings — and each reports back as a
-    small envelope, so the parent can settle successes and route
-    failures through the ordinary per-cell retry machinery.
-    """
-    started = time.monotonic()
-    cells = []
+    if len(jobs) == 1:
+        job = jobs[0]
+        return [_run_attempt(job, lambda: execute_job_info(
+            job, cache_dir, attempt=attempt, fault_spec=fault_spec))]
     with TraceGroup(list(jobs), cache_dir) as group:
-        for job in jobs:
-            cell_started = time.monotonic()
-            try:
-                payload = _call_with_timeout(
-                    lambda job=job: group.run_cell(job, attempt=1,
-                                                   fault_spec=fault_spec),
-                    job.timeout,
-                )
-            except JobTimeoutError as exc:
-                cells.append({
-                    "key": job.key, "status": "timeout", "error": str(exc),
-                    "duration": time.monotonic() - cell_started,
-                })
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                cells.append({
-                    "key": job.key, "status": "error",
-                    "error": _format_error(exc),
-                    "duration": time.monotonic() - cell_started,
-                })
-            else:
-                cells.append({
-                    "key": job.key, "status": "ok", "result": payload,
-                    "duration": time.monotonic() - cell_started,
-                })
-    return {
-        "cells": cells,
-        "trace_source": group.trace_source,
-        "trace_built_attempt": group.trace_built_attempt,
-        "duration": time.monotonic() - started,
-    }
+        source = {"trace_source": group.trace_source}
+        cells = [
+            _run_attempt(job, lambda job=job: (
+                group.run_cell(job, attempt=attempt, fault_spec=fault_spec),
+                source))
+            for job in jobs
+        ]
+    if group.trace_built_attempt is not None:
+        cells[0]["trace_built_attempt"] = group.trace_built_attempt
+    return cells
 
 
 def _no_events(kind: str, job: Job, fields: dict) -> None:
@@ -261,12 +287,43 @@ def _make_pool(max_workers: int) -> ProcessPoolExecutor:
 
 @dataclass
 class _Attempt:
-    job: Job
-    attempts: int = 0
+    """One job's way through the attempt machine."""
+
+    job: Job            # as its next attempt runs it (timeout escalated)
+    attempts: int = 0   # attempts charged so far
 
 
-class _FailurePolicy:
-    """Retry/backoff/escalation knobs shared by both executors."""
+# What a transport yields per finished attempt: the job's state, the
+# attempt's envelope or the exception its submission raised, and the
+# seconds since submission.
+Settling = tuple[_Attempt, dict | Exception, float]
+# A transport carries out one round: (batches, cache_dir, events,
+# fault_spec) -> the round's finished attempts.  A batch of several jobs
+# is a trace group, submitted as one call.
+Transport = Callable[
+    [list[list[_Attempt]], str | None, EventFn, str | None],
+    Iterator[Settling],
+]
+
+
+def _results(batch: list[_Attempt], result: list[dict] | Exception,
+             duration: float) -> list[Settling]:
+    """Pair each job of a submitted batch with its attempt's result:
+    its envelope, or the exception the whole submission raised."""
+    if isinstance(result, Exception):
+        return [(state, result, duration) for state in batch]
+    return [(state, envelope, duration)
+            for state, envelope in zip(batch, result)]
+
+
+def _uncharge(batches: list[list[_Attempt]]) -> None:
+    for batch in batches:
+        for state in batch:
+            state.attempts -= 1
+
+
+class _AttemptMachine:
+    """Start, settle and the driver loop, shared by every executor."""
 
     def __init__(
         self,
@@ -278,10 +335,103 @@ class _FailurePolicy:
         self.backoff = max(0.0, backoff)
         self.timeout_factor = timeout_factor
 
-    def backoff_before(self, attempt: int) -> None:
-        """Deterministic exponential delay before retry ``attempt``."""
-        if self.backoff > 0.0 and attempt > 1:
-            time.sleep(self.backoff * 2 ** (attempt - 2))
+    def _drive(
+        self,
+        units: list[list[list[Job]]],
+        transport: Transport,
+        cache_dir: str | None,
+        events: EventFn | None,
+        fault_spec: str | None,
+        on_outcome: OutcomeFn | None,
+    ) -> list[JobOutcome]:
+        """The one driver loop: every job to a terminal outcome.
+
+        ``units`` run one after another, each a list of trace groups
+        (lists of jobs with distinct keys; callers deduplicate).  A
+        unit's first round submits each group as one batch; later rounds
+        resubmit every job still without an outcome alone, until none is
+        left.  Returns the outcomes in job order.
+        """
+        events = events or _no_events
+        on_outcome = on_outcome or _no_outcome
+        order = [job for unit in units for group in unit for job in group]
+        states = {job.key: _Attempt(job) for job in order}
+        done: dict[str, JobOutcome] = {}
+        try:
+            for unit in units:
+                batches = [[states[job.key] for job in group]
+                           for group in unit if group]
+                while batches:
+                    with closing(transport(batches, cache_dir, events,
+                                           fault_spec)) as finished:
+                        for state, result, duration in finished:
+                            outcome = self._settle(state, result, duration,
+                                                   events)
+                            if outcome is not None:
+                                done[state.job.key] = outcome
+                                on_outcome(outcome)
+                    batches = [[state] for batch in batches
+                               for state in batch
+                               if state.job.key not in done]
+        except KeyboardInterrupt:
+            for key, state in states.items():
+                if key not in done:
+                    done[key] = JobOutcome(
+                        state.job, "interrupted", error=INTERRUPTED_ERROR,
+                        attempts=state.attempts,
+                    )
+                    on_outcome(done[key])
+        return [done[job.key] for job in order]
+
+    def _start(self, batch: list[_Attempt], events: EventFn) -> None:
+        """Charge each job of ``batch`` an attempt, wait the batch's
+        backoff once, then announce every attempt."""
+        for state in batch:
+            state.attempts += 1
+        retry = max(state.attempts for state in batch)
+        if self.backoff > 0.0 and retry > 1:
+            time.sleep(self.backoff * 2 ** (retry - 2))
+        for state in batch:
+            events("job_started", state.job, {"attempt": state.attempts})
+
+    def _settle(
+        self,
+        state: _Attempt,
+        result: dict | Exception,
+        duration: float,
+        events: EventFn,
+    ) -> JobOutcome | None:
+        """The one decision point: an attempt's result becomes a
+        terminal ok/timeout/error outcome, or None to retry the job.
+
+        ``result`` is the attempt's envelope (:func:`_run_attempt`) or
+        the exception its submission raised — ``BrokenProcessPool``
+        only where the dead worker ran this job alone.  ``duration``
+        counts for exceptions; an envelope carries its own.
+        """
+        if isinstance(result, BrokenProcessPool):
+            status, error = "error", "worker process died (crash or kill)"
+        elif isinstance(result, Exception):
+            status, error = "error", _format_error(result)
+        else:
+            built = result.get("trace_built_attempt")
+            if built is not None:
+                events("trace_built", state.job, {"attempt": built})
+            status, error = result["status"], result.get("error")
+            duration = result["duration"]
+        if status == "ok":
+            return JobOutcome(
+                state.job, "ok", result=result_from_payload(result["result"]),
+                duration=duration, attempts=state.attempts,
+                trace_source=result.get("trace_source"),
+            )
+        if status == "timeout":
+            if self.escalate_timeout(state):
+                return None
+        elif state.attempts <= self.retries:
+            return None
+        return JobOutcome(state.job, status, error=error, duration=duration,
+                          attempts=state.attempts)
 
     def escalate_timeout(self, state: _Attempt) -> bool:
         """Retry a timed-out attempt with a scaled timeout, if enabled."""
@@ -297,8 +447,13 @@ class _FailurePolicy:
         return True
 
 
-class SerialExecutor(_FailurePolicy):
-    """Run jobs one at a time in the calling process."""
+class SerialExecutor(_AttemptMachine):
+    """Run jobs one at a time in the calling process.
+
+    Each job runs to a terminal outcome before the next starts, so a
+    retry finds the trace its first attempt built still in the worker
+    memo, and the journal reads job by job.
+    """
 
     def run(
         self,
@@ -308,80 +463,8 @@ class SerialExecutor(_FailurePolicy):
         fault_spec: str | None = None,
         on_outcome: OutcomeFn | None = None,
     ) -> list[JobOutcome]:
-        events = events or _no_events
-        on_outcome = on_outcome or _no_outcome
-        outcomes = []
-        try:
-            for job in jobs:
-                outcome = self._run_one(job, cache_dir, events, fault_spec)
-                on_outcome(outcome)
-                outcomes.append(outcome)
-        except KeyboardInterrupt:
-            for job in jobs[len(outcomes):]:
-                outcome = JobOutcome(
-                    job, "interrupted", error=INTERRUPTED_ERROR, attempts=0,
-                )
-                on_outcome(outcome)
-                outcomes.append(outcome)
-        return outcomes
-
-    def _run_one(
-        self,
-        job: Job,
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-    ) -> JobOutcome:
-        return self._drive(_Attempt(job), cache_dir, events, fault_spec)
-
-    def _drive(
-        self,
-        state: _Attempt,
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-    ) -> JobOutcome:
-        """Run ``state`` to a terminal outcome, starting at its next
-        attempt — fresh jobs arrive with zero attempts, group cells
-        whose first attempt already failed in a trace group arrive
-        with one charged."""
-        job = state.job
-        while True:
-            state.attempts += 1
-            self.backoff_before(state.attempts)
-            events("job_started", state.job, {"attempt": state.attempts})
-            started = time.monotonic()
-            try:
-                envelope = _worker_run(state.job, cache_dir, state.attempts,
-                                       fault_spec)
-            except JobTimeoutError as exc:
-                if self.escalate_timeout(state):
-                    continue
-                return JobOutcome(
-                    job, "timeout", error=str(exc),
-                    duration=time.monotonic() - started,
-                    attempts=state.attempts,
-                )
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                if state.attempts <= self.retries:
-                    continue
-                return JobOutcome(
-                    job, "error", error=_format_error(exc),
-                    duration=time.monotonic() - started,
-                    attempts=state.attempts,
-                )
-            else:
-                built = envelope.get("trace_built_attempt")
-                if built is not None:
-                    events("trace_built", job, {"attempt": built})
-                return JobOutcome(
-                    job, "ok",
-                    result=result_from_payload(envelope["result"]),
-                    duration=envelope["duration"], attempts=state.attempts,
-                    trace_source=envelope.get("trace_source"),
-                )
+        return self._drive([[[job]] for job in jobs], self._in_process,
+                           cache_dir, events, fault_spec, on_outcome)
 
     def run_grouped(
         self,
@@ -393,98 +476,47 @@ class SerialExecutor(_FailurePolicy):
     ) -> list[JobOutcome]:
         """Run trace groups: each group's cells share one acquired trace.
 
-        Success settles straight from the group envelope; a failed cell
-        drops into the ordinary per-cell retry loop with its first
-        (group) attempt already charged, so the bounded-attempt policy
-        is identical to :meth:`run`.
+        Every cell settles on its own from the group call; a cell that
+        needs another attempt is retried alone with its first (group)
+        attempt already charged, so the bounded-attempt policy is
+        identical to :meth:`run`.
         """
-        events = events or _no_events
-        on_outcome = on_outcome or _no_outcome
-        all_jobs = [job for group in groups for job in group]
-        done: dict[str, JobOutcome] = {}
-        try:
-            for group in groups:
-                group = list(group)
-                for job in group:
-                    events("job_started", job, {"attempt": 1})
-                try:
-                    envelope = _worker_run_group(group, cache_dir, fault_spec)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    # Group-level failure (the trace itself could not be
-                    # acquired): every cell rides the per-cell path.
-                    envelope = {"cells": [
-                        {"key": job.key, "status": "error",
-                         "error": _format_error(exc), "duration": 0.0}
-                        for job in group
-                    ]}
-                built = envelope.get("trace_built_attempt")
-                if built is not None:
-                    events("trace_built", group[0], {"attempt": built})
-                source = envelope.get("trace_source")
-                cells = {cell["key"]: cell for cell in envelope["cells"]}
-                for job in group:
-                    outcome = self._settle_cell(
-                        job, cells.get(job.key), source, cache_dir, events,
-                        fault_spec,
-                    )
-                    on_outcome(outcome)
-                    done[job.key] = outcome
-        except KeyboardInterrupt:
-            for job in all_jobs:
-                if job.key not in done:
-                    outcome = JobOutcome(
-                        job, "interrupted", error=INTERRUPTED_ERROR,
-                        attempts=0,
-                    )
-                    on_outcome(outcome)
-                    done[job.key] = outcome
-        return [done[job.key] for job in all_jobs]
+        return self._drive([[list(group)] for group in groups],
+                           self._in_process, cache_dir, events, fault_spec,
+                           on_outcome)
 
-    def _settle_cell(
+    def _in_process(
         self,
-        job: Job,
-        cell: dict | None,
-        source: str | None,
+        batches: list[list[_Attempt]],
         cache_dir: str | None,
         events: EventFn,
         fault_spec: str | None,
-    ) -> JobOutcome:
-        if cell is None:
-            cell = {"status": "error", "duration": 0.0,
-                    "error": "group worker returned no envelope for cell"}
-        if cell["status"] == "ok":
-            return JobOutcome(
-                job, "ok", result=result_from_payload(cell["result"]),
-                duration=cell["duration"], attempts=1, trace_source=source,
-            )
-        state = _Attempt(job, attempts=1)
-        if cell["status"] == "timeout":
-            if self.escalate_timeout(state):
-                return self._drive(state, cache_dir, events, fault_spec)
-            return JobOutcome(
-                job, "timeout", error=cell["error"],
-                duration=cell["duration"], attempts=1,
-            )
-        if state.attempts <= self.retries:
-            return self._drive(state, cache_dir, events, fault_spec)
-        return JobOutcome(
-            job, "error", error=cell["error"],
-            duration=cell["duration"], attempts=1,
-        )
+    ) -> Iterator[Settling]:
+        """The in-process transport: each batch is one call, in turn."""
+        for batch in batches:
+            self._start(batch, events)
+            started = time.monotonic()
+            try:
+                result = _worker_run([state.job for state in batch],
+                                     cache_dir, batch[0].attempts, fault_spec)
+            except Exception as exc:    # a group's trace acquisition
+                result = exc
+            yield from _results(batch, result, time.monotonic() - started)
 
 
-class JobLease(_FailurePolicy):
+class JobLease(_AttemptMachine):
     """One leased worker slot: a dedicated single-worker pool running
     one job at a time, with the shared failure policy.
 
     This is the executor-side unit the :mod:`repro.serve` scheduler
     hands out — it holds ``workers`` leases and feeds each from its
-    fairness queue.  Because every lease owns its own single-worker
-    pool, a crashing job breaks only that pool (rebuilt lazily for the
-    next attempt) and blame is never ambiguous the way it is in a
-    shared pool; a neighbouring tenant's cell is untouchable.
+    fairness queue.  The worker process persists across
+    :meth:`run_one` calls, so same-trace cells dispatched to one lease
+    in turn find the trace in its memo.  Because every lease owns its
+    own single-worker pool, a crashing job breaks only that pool
+    (rebuilt lazily for the next attempt) and blame is never ambiguous
+    the way it is in a shared pool; a neighbouring tenant's cell is
+    untouchable.
 
     :meth:`run_one` is synchronous and never raises for job failures —
     it always returns a terminal :class:`JobOutcome` — so callers can
@@ -525,110 +557,56 @@ class JobLease(_FailurePolicy):
         fault_spec: str | None = None,
     ) -> JobOutcome:
         """Run one job to a terminal outcome (never raises job errors)."""
-        return self._drive(_Attempt(job), cache_dir, events or _no_events,
-                           fault_spec)
+        return self._drive([[[job]]], self._on_lease, cache_dir, events,
+                           fault_spec, None)[0]
 
-    def _drive(
+    def _on_lease(
         self,
-        state: _Attempt,
+        batches: list[list[_Attempt]],
         cache_dir: str | None,
         events: EventFn,
         fault_spec: str | None,
-    ) -> JobOutcome:
-        while True:
-            if self._cancelled:
-                return JobOutcome(
-                    state.job, "interrupted", error=INTERRUPTED_ERROR,
-                    attempts=state.attempts,
-                )
-            state.attempts += 1
-            self.backoff_before(state.attempts)
-            events("job_started", state.job, {"attempt": state.attempts})
-            if self._pool is None:
-                self._pool = _make_pool(1)
-            started = time.monotonic()
-            try:
-                future = self._pool.submit(
-                    _worker_run, state.job, cache_dir, state.attempts,
-                    fault_spec,
-                )
-                if self.heartbeat is None:
-                    envelope = future.result()
-                else:
-                    while True:
-                        try:
-                            envelope = future.result(timeout=self.heartbeat)
-                            break
-                        except PoolWaitTimeout:
-                            events("worker_heartbeat", state.job, {
-                                "attempt": state.attempts,
-                                "elapsed": round(
-                                    time.monotonic() - started, 3),
-                            })
-            except BrokenProcessPool:
-                duration = time.monotonic() - started
-                self.close()    # dead pool; the next attempt gets a new one
-                if self._cancelled:
-                    return JobOutcome(
-                        state.job, "interrupted", error=INTERRUPTED_ERROR,
-                        duration=duration, attempts=state.attempts,
-                    )
-                if state.attempts > self.retries:
-                    return JobOutcome(
-                        state.job, "error",
-                        error="worker process died (crash or kill)",
-                        duration=duration, attempts=state.attempts,
-                    )
-            except JobTimeoutError as exc:
-                if self.escalate_timeout(state):
-                    continue
-                return JobOutcome(
-                    state.job, "timeout", error=str(exc),
-                    duration=time.monotonic() - started,
-                    attempts=state.attempts,
-                )
-            except Exception as exc:
-                if state.attempts > self.retries:
-                    return JobOutcome(
-                        state.job, "error", error=_format_error(exc),
-                        duration=time.monotonic() - started,
-                        attempts=state.attempts,
-                    )
-            else:
-                built = envelope.get("trace_built_attempt")
-                if built is not None:
-                    events("trace_built", state.job, {"attempt": built})
-                return JobOutcome(
-                    state.job, "ok",
-                    result=result_from_payload(envelope["result"]),
-                    duration=envelope["duration"], attempts=state.attempts,
-                    trace_source=envelope.get("trace_source"),
-                )
+    ) -> Iterator[Settling]:
+        """The lease transport: the attempt on the lease's worker.
 
-    def run_group(
-        self,
-        jobs: Sequence[Job],
-        cache_dir: str | None = None,
-        events: EventFn | None = None,
-        fault_spec: str | None = None,
-    ) -> list[JobOutcome]:
-        """Run a trace group on this lease, one cell at a time.
-
-        The cells share the lease's persistent single-worker pool, so
-        the worker process acquires the shared trace once — fabric
-        attach or the capacity-1 worker memo — and every later cell in
-        the group hits it warm.  Cells run *sequentially* rather than
-        as one batched submission on purpose: each cell's
-        ``job_started`` fires as it actually begins executing (which is
-        what lets a serve-side watchdog attribute a hang to the right
-        cell instead of a waiting or finished groupmate), and retries,
-        fault injection, heartbeats and crash blame are exactly
-        :meth:`run_one`'s — a cell that kills the worker costs only its
-        own attempts, and the next cell gets a fresh (cold) pool.
+        A cancelled lease raises ``KeyboardInterrupt``, so the driver
+        loop settles the job ``"interrupted"`` as it does for Ctrl-C.
         """
-        events = events or _no_events
-        return [self.run_one(job, cache_dir, events, fault_spec)
-                for job in jobs]
+        ((state,),) = batches
+        if self._cancelled:
+            raise KeyboardInterrupt(INTERRUPTED_ERROR)
+        self._start([state], events)
+        if self._pool is None:
+            self._pool = _make_pool(1)
+        started = time.monotonic()
+        try:
+            future = self._pool.submit(_worker_run, [state.job], cache_dir,
+                                       state.attempts, fault_spec)
+            if self._cancelled:
+                # cancel() ran while submit was still starting the
+                # worker, so its reap found no process to kill
+                self.reap()
+            result = self._await(future, state, started, events)
+        except BrokenProcessPool as exc:
+            self.close()    # dead pool; the next attempt gets a new one
+            if self._cancelled:
+                raise KeyboardInterrupt(INTERRUPTED_ERROR) from None
+            result = exc
+        except Exception as exc:
+            result = exc
+        yield from _results([state], result, time.monotonic() - started)
+
+    def _await(self, future: Future, state: _Attempt, started: float,
+               events: EventFn) -> list[dict]:
+        """The attempt's result, with a heartbeat while it runs."""
+        while True:
+            try:
+                return future.result(timeout=self.heartbeat)
+            except PoolWaitTimeout:
+                events("worker_heartbeat", state.job, {
+                    "attempt": state.attempts,
+                    "elapsed": round(time.monotonic() - started, 3),
+                })
 
     def cancel(self) -> None:
         """Abort the in-flight attempt: terminate the worker process.
@@ -668,7 +646,7 @@ class JobLease(_FailurePolicy):
             self._pool = None
 
 
-class ParallelExecutor(_FailurePolicy):
+class ParallelExecutor(_AttemptMachine):
     """Fan jobs out over a ``ProcessPoolExecutor``.
 
     Crash isolation: when a worker dies, ``ProcessPoolExecutor`` breaks
@@ -700,89 +678,8 @@ class ParallelExecutor(_FailurePolicy):
         fault_spec: str | None = None,
         on_outcome: OutcomeFn | None = None,
     ) -> list[JobOutcome]:
-        events = events or _no_events
-        on_outcome = on_outcome or _no_outcome
-        order = [job.key for job in jobs]
-        pending = {job.key: _Attempt(job) for job in jobs}
-        done: dict[str, JobOutcome] = {}
-        # At most one shared round can break (isolation latches on), and
-        # isolation rounds charge an attempt to every job they submit,
-        # so the loop terminates within retries + 2 rounds.
-        isolate = False
-        try:
-            while pending:
-                if isolate:
-                    self._isolated_round(pending, done, cache_dir, events,
-                                         fault_spec, on_outcome)
-                else:
-                    isolate = self._shared_round(pending, done, cache_dir,
-                                                 events, fault_spec,
-                                                 on_outcome)
-        except KeyboardInterrupt:
-            for state in pending.values():
-                outcome = JobOutcome(
-                    state.job, "interrupted", error=INTERRUPTED_ERROR,
-                    attempts=state.attempts,
-                )
-                on_outcome(outcome)
-                done[state.job.key] = outcome
-        return [done[key] for key in order]
-
-    def _shared_round(
-        self,
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-        on_outcome: OutcomeFn,
-    ) -> bool:
-        """One pass through a shared pool; True if the pool broke."""
-        pool = _make_pool(self.max_workers)
-        futures = {}
-        broke = False
-        settled = False
-        try:
-            for state in list(pending.values()):
-                state.attempts += 1
-                self.backoff_before(state.attempts)
-                events("job_started", state.job, {"attempt": state.attempts})
-                try:
-                    future = pool.submit(_worker_run, state.job, cache_dir,
-                                         state.attempts, fault_spec)
-                except BrokenProcessPool:
-                    # died mid-submission; uncharge and leave the rest
-                    # of the batch for the isolation rounds
-                    state.attempts -= 1
-                    broke = True
-                    break
-                futures[future] = (state, time.monotonic())
-            for future in as_completed(futures):
-                state, started = futures[future]
-                duration = time.monotonic() - started
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    # culprit unknown — uncharge the attempt and let the
-                    # isolation rounds assign blame
-                    state.attempts -= 1
-                    broke = True
-                except Exception as exc:
-                    self._settle(state, None, exc, pending, done, duration,
-                                 on_outcome, events)
-                else:
-                    self._settle(state, payload, None, pending, done,
-                                 duration, on_outcome, events)
-            settled = True
-        finally:
-            # Once every future has resolved, workers are idle or dead
-            # and joining the pool's helper threads is cheap — and
-            # necessary before the isolation rounds fork fresh pools:
-            # forking while a dying pool's queue-feeder threads still
-            # hold their locks can deadlock the new workers.  Only an
-            # interrupt (a worker may be mid-job) skips the join.
-            pool.shutdown(wait=settled, cancel_futures=True)
-        return broke
+        return self._drive([[[job] for job in jobs]], self._pool_transport(),
+                           cache_dir, events, fault_spec, on_outcome)
 
     def run_grouped(
         self,
@@ -796,185 +693,118 @@ class ParallelExecutor(_FailurePolicy):
 
         The first round ships whole groups (each worker acquires its
         group's trace once and runs every cell); any cell that fails in
-        its group — or whose group broke the pool — flows through the
-        same shared/isolation retry rounds as :meth:`run`, carrying its
-        ``trace_ref`` so retries re-attach instead of regenerating.
+        its group — or whose group broke the pool — is resubmitted alone
+        in the later rounds, carrying its ``trace_ref`` so retries
+        re-attach instead of regenerating.
         """
-        events = events or _no_events
-        on_outcome = on_outcome or _no_outcome
-        order = [job.key for group in groups for job in group]
-        pending = {job.key: _Attempt(job) for group in groups for job in group}
-        done: dict[str, JobOutcome] = {}
-        try:
-            isolate = self._group_round(groups, pending, done, cache_dir,
-                                        events, fault_spec, on_outcome)
-            while pending:
-                if isolate:
-                    self._isolated_round(pending, done, cache_dir, events,
-                                         fault_spec, on_outcome)
-                else:
-                    isolate = self._shared_round(pending, done, cache_dir,
-                                                 events, fault_spec,
-                                                 on_outcome)
-        except KeyboardInterrupt:
-            for state in pending.values():
-                outcome = JobOutcome(
-                    state.job, "interrupted", error=INTERRUPTED_ERROR,
-                    attempts=state.attempts,
-                )
-                on_outcome(outcome)
-                done[state.job.key] = outcome
-        return [done[key] for key in order]
+        return self._drive([[list(group) for group in groups]],
+                           self._pool_transport(), cache_dir, events,
+                           fault_spec, on_outcome)
 
-    def _group_round(
+    def _pool_transport(self) -> Transport:
+        """Shared-pool rounds until one breaks, isolation rounds after.
+
+        At most one shared round can break (isolation latches on), and
+        isolation rounds charge an attempt to every job they submit, so
+        a run ends within ``retries + 2`` rounds.
+        """
+        isolate = False
+
+        def rounds(batches, cache_dir, events, fault_spec):
+            nonlocal isolate
+            if isolate:
+                yield from self._isolated_round(batches, cache_dir, events,
+                                                fault_spec)
+            else:
+                isolate = yield from self._shared_round(
+                    batches, cache_dir, events, fault_spec)
+
+        return rounds
+
+    def _shared_round(
         self,
-        groups: Sequence[Sequence[Job]],
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
+        batches: list[list[_Attempt]],
         cache_dir: str | None,
         events: EventFn,
         fault_spec: str | None,
-        on_outcome: OutcomeFn,
-    ) -> bool:
-        """One pass shipping whole groups; True if the pool broke.
-
-        A broken pool uncharges every cell of the affected group —
-        blame is as ambiguous for a group as for a lone cell — and the
-        survivors fall to the isolation rounds, exactly like
-        :meth:`_shared_round`.
-        """
+    ) -> Generator[Settling, None, bool]:
+        """One submission per batch to one shared pool; returns True if
+        the pool broke (its attempts in flight are uncharged)."""
+        self._start([state for batch in batches for state in batch], events)
         pool = _make_pool(self.max_workers)
         futures = {}
         broke = False
         settled = False
         try:
-            for group in groups:
-                states = [pending[job.key] for job in group
-                          if job.key in pending]
-                if not states:
-                    continue
-                for state in states:
-                    state.attempts += 1
-                    events("job_started", state.job,
-                           {"attempt": state.attempts})
+            for index, batch in enumerate(batches):
                 try:
                     future = pool.submit(
-                        _worker_run_group, [s.job for s in states], cache_dir,
-                        fault_spec,
+                        _worker_run, [state.job for state in batch],
+                        cache_dir, batch[0].attempts, fault_spec,
                     )
                 except BrokenProcessPool:
-                    for state in states:
-                        state.attempts -= 1
+                    # died mid-submission; uncharge the unsent batches
+                    # and leave them for the isolation rounds
+                    _uncharge(batches[index:])
                     broke = True
                     break
-                futures[future] = (states, time.monotonic())
+                futures[future] = (batch, time.monotonic())
             for future in as_completed(futures):
-                states, started = futures[future]
-                duration = time.monotonic() - started
+                batch, submitted = futures[future]
                 try:
-                    envelope = future.result()
+                    result = future.result()
                 except BrokenProcessPool:
-                    for state in states:
-                        state.attempts -= 1
+                    # culprit unknown — uncharge the attempt and let the
+                    # isolation rounds assign blame
+                    _uncharge([batch])
                     broke = True
+                    continue
                 except Exception as exc:
-                    for state in states:
-                        self._settle(state, None, exc, pending, done,
-                                     duration, on_outcome, events)
-                else:
-                    self._settle_group(states, envelope, pending, done,
-                                       on_outcome, events)
+                    result = exc
+                yield from _results(batch, result,
+                                    time.monotonic() - submitted)
             settled = True
         finally:
+            # Once every future has resolved, workers are idle or dead
+            # and joining the pool's helper threads is cheap — and
+            # necessary before the isolation rounds fork fresh pools:
+            # forking while a dying pool's queue-feeder threads still
+            # hold their locks can deadlock the new workers.  Only an
+            # interrupt (a worker may be mid-job) skips the join.
             pool.shutdown(wait=settled, cancel_futures=True)
         return broke
 
-    def _settle_group(
-        self,
-        states: list[_Attempt],
-        envelope: dict,
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
-        on_outcome: OutcomeFn,
-        events: EventFn,
-    ) -> None:
-        built = envelope.get("trace_built_attempt")
-        if built is not None:
-            events("trace_built", states[0].job, {"attempt": built})
-        source = envelope.get("trace_source")
-        cells = {cell["key"]: cell for cell in envelope.get("cells", [])}
-        for state in states:
-            cell = cells.get(state.job.key)
-            if cell is None:
-                exc: Exception = _RemoteCellFailure(
-                    "group worker returned no envelope for cell")
-                self._settle(state, None, exc, pending, done, 0.0,
-                             on_outcome, events)
-            elif cell["status"] == "ok":
-                cell_envelope = {"result": cell["result"],
-                                 "duration": cell["duration"],
-                                 "trace_source": source}
-                self._settle(state, cell_envelope, None, pending, done,
-                             cell["duration"], on_outcome, events)
-            elif cell["status"] == "timeout":
-                self._settle(state, None, JobTimeoutError(cell["error"]),
-                             pending, done, cell["duration"], on_outcome,
-                             events)
-            else:
-                self._settle(state, None, _RemoteCellFailure(cell["error"]),
-                             pending, done, cell["duration"], on_outcome,
-                             events)
-
     def _isolated_round(
         self,
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
+        batches: list[list[_Attempt]],
         cache_dir: str | None,
         events: EventFn,
         fault_spec: str | None,
-        on_outcome: OutcomeFn,
-    ) -> None:
-        """Run each pending job in its own single-worker pool."""
-        states = list(pending.values())
-        for start in range(0, len(states), self.max_workers):
-            batch = states[start : start + self.max_workers]
+    ) -> Iterator[Settling]:
+        """Each job in its own single-worker pool, ``max_workers`` at a
+        time: a dead worker indicts exactly its job."""
+        states = [state for batch in batches for state in batch]
+        for first in range(0, len(states), self.max_workers):
+            chunk = states[first:first + self.max_workers]
+            self._start(chunk, events)
             pools: list[ProcessPoolExecutor] = []
             futures = {}
             settled = False
             try:
-                for state in batch:
-                    state.attempts += 1
-                    self.backoff_before(state.attempts)
-                    events("job_started", state.job, {"attempt": state.attempts})
+                for state in chunk:
                     pool = _make_pool(1)
                     pools.append(pool)
-                    futures[pool.submit(_worker_run, state.job, cache_dir,
-                                        state.attempts, fault_spec)] = (
-                        state,
-                        time.monotonic(),
-                    )
+                    future = pool.submit(_worker_run, [state.job], cache_dir,
+                                         state.attempts, fault_spec)
+                    futures[future] = (state, time.monotonic())
                 for future in as_completed(futures):
-                    state, started = futures[future]
-                    duration = time.monotonic() - started
+                    state, submitted = futures[future]
                     try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        # single-worker pool: this job *is* the culprit
-                        if state.attempts > self.retries:
-                            outcome = JobOutcome(
-                                state.job, "error",
-                                error="worker process died (crash or kill)",
-                                duration=duration, attempts=state.attempts,
-                            )
-                            on_outcome(outcome)
-                            done[state.job.key] = outcome
-                            del pending[state.job.key]
+                        result = future.result()
                     except Exception as exc:
-                        self._settle(state, None, exc, pending, done,
-                                     duration, on_outcome, events)
-                    else:
-                        self._settle(state, payload, None, pending, done,
-                                     duration, on_outcome, events)
+                        result = exc
+                    yield from _results([state], result,
+                                        time.monotonic() - submitted)
                 settled = True
             finally:
                 # join on the settled path for the same fork-safety
@@ -982,56 +812,6 @@ class ParallelExecutor(_FailurePolicy):
                 for pool in pools:
                     pool.shutdown(wait=settled, cancel_futures=True)
 
-    def _settle(
-        self,
-        state: _Attempt,
-        envelope: dict | None,
-        exc: BaseException | None,
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
-        duration: float,
-        on_outcome: OutcomeFn,
-        events: EventFn = _no_events,
-    ) -> None:
-        """Resolve one attempt's (worker envelope, exception) pair.
-
-        ``duration`` is parent-measured from submit time and only used
-        for failures; successful jobs carry their worker-measured
-        duration in the envelope, which excludes pool queue wait.
-        """
-        job = state.job
-        outcome: JobOutcome | None = None
-        if exc is None:
-            assert envelope is not None
-            built = envelope.get("trace_built_attempt")
-            if built is not None:
-                events("trace_built", job, {"attempt": built})
-            outcome = JobOutcome(
-                job, "ok", result=result_from_payload(envelope["result"]),
-                duration=envelope["duration"], attempts=state.attempts,
-                trace_source=envelope.get("trace_source"),
-            )
-        elif isinstance(exc, JobTimeoutError):
-            if self.escalate_timeout(state):
-                return            # stays pending with a longer timeout
-            outcome = JobOutcome(
-                job, "timeout", error=str(exc),
-                duration=duration, attempts=state.attempts,
-            )
-        elif state.attempts > self.retries:
-            outcome = JobOutcome(
-                job, "error", error=_format_error(exc),
-                duration=duration, attempts=state.attempts,
-            )
-        if outcome is not None:
-            on_outcome(outcome)
-            done[job.key] = outcome
-            del pending[job.key]
-        # else: stays pending, retried next round
-
 
 def _format_error(exc: BaseException) -> str:
-    if isinstance(exc, _RemoteCellFailure):
-        return str(exc)     # already formatted by the group worker
-    head = "".join(traceback.format_exception_only(type(exc), exc)).strip()
-    return head
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()

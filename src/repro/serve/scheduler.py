@@ -851,19 +851,10 @@ class Scheduler:
         entry = self._inflight.pop(key, None)
         if entry is None:
             return
-        job = entry.job
-        fields = dict(
-            key=key, workload=job.workload, scheme=job.scheme_id,
-            status=outcome.status, duration=round(outcome.duration, 6),
-            attempts=outcome.attempts, error=outcome.error,
-            tenants=sorted({t.tenant for t in entry.tickets}),
-        )
-        if outcome.ok:
-            assert outcome.result is not None
-            # journaled payload keeps the farm journal resume-compatible
-            fields["result"] = outcome.result.to_dict()
-            if outcome.attempts > 0 and self.cache is not None:
-                self.cache.put(key, outcome.result, job.identity())
+        fields = outcome.finished_fields()
+        fields["tenants"] = sorted({t.tenant for t in entry.tickets})
+        if outcome.ok and outcome.attempts > 0 and self.cache is not None:
+            self.cache.put(key, outcome.result, entry.job.identity())
         self.journal.event("job_finished", **fields)
         self.counters["executed"] += 1 if outcome.attempts else 0
         self.counters[outcome.status if not outcome.ok else "ok"] += 1

@@ -109,3 +109,28 @@ class TestTraceMemoAcrossRetries:
         assert built[0]["attempt"] == 1
         finished = [e for e in events if e["event"] == "job_finished"]
         assert finished[-1]["trace_source"] == "memo"
+
+
+class TestGroupCellFailures:
+    """A cell that fails inside its trace group is settled on its own."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_cell_is_retried_alone(self, tmp_path, jobs):
+        runtime = Runtime(jobs=jobs, cache_dir=tmp_path, retries=1,
+                          trace_format="shared", faults="raise@gzip/dlvp:1")
+        grid = runtime.run_grid(SCHEMES, ["gzip"], N)
+        assert not grid.failures()
+        attempts = {s: grid.outcome(s, "gzip").attempts for s in SCHEMES}
+        assert attempts == {"baseline": 1, "dlvp": 2, "cap": 1}
+        started = [e["attempt"] for e in runtime.journal.events
+                   if e["event"] == "job_started" and e["scheme"] == "dlvp"]
+        assert started == [1, 2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timed_out_cell_fails_alone(self, tmp_path, jobs):
+        runtime = Runtime(jobs=jobs, cache_dir=tmp_path, timeout=0.5,
+                          trace_format="shared", faults="hang@gzip/dlvp")
+        grid = runtime.run_grid(SCHEMES, ["gzip"], N)
+        statuses = {s: grid.outcome(s, "gzip").status for s in SCHEMES}
+        assert statuses == {"baseline": "ok", "dlvp": "timeout", "cap": "ok"}
+        assert grid.outcome("dlvp", "gzip").attempts == 1

@@ -29,9 +29,12 @@ from repro.faults import (
     corrupt_file,
 )
 from repro.runtime import (
+    JobLease,
+    ParallelExecutor,
     ResultCache,
     RunJournal,
     Runtime,
+    SerialExecutor,
     completed_results,
     make_job,
     read_journal,
@@ -155,6 +158,20 @@ class TestInjectedFailures:
         assert outcome.status == "ok"
         assert time.monotonic() - started >= 0.2   # backoff before attempt 2
 
+    def test_parallel_retries_wait_their_backoff_once_per_batch(self):
+        runtime = Runtime(jobs=2, use_cache=False, retries=1, backoff=0.5,
+                          faults="raise@*/baseline:1")
+        started = time.monotonic()
+        grid = runtime.run_grid(["baseline"], ["gzip", "nat", "mcf", "aifirf"],
+                                N)
+        assert not grid.failures()
+        assert time.monotonic() - started >= 0.5
+        retried = [e["ts"] for e in runtime.journal.events
+                   if e["event"] == "job_started" and e["attempt"] == 2]
+        assert len(retried) == 4
+        # one wait for the whole batch, not one per job in turn
+        assert max(retried) - min(retried) < 0.25
+
 
 class TestWorkerKillIsolation:
     def test_crash_fault_breaks_exactly_one_cell(self):
@@ -177,6 +194,93 @@ class TestWorkerKillIsolation:
         outcome = grid.outcome("dlvp", "gzip")
         assert outcome.status == "ok"
         assert outcome.attempts == 2
+
+
+def _run_serial(job, policy, fault, events):
+    return SerialExecutor(**policy).run([job], events=events,
+                                        fault_spec=fault)[0]
+
+
+def _run_pool(job, policy, fault, events):
+    return ParallelExecutor(2, **policy).run([job], events=events,
+                                             fault_spec=fault)[0]
+
+
+def _run_lease(job, policy, fault, events):
+    lease = JobLease(**policy)
+    try:
+        return lease.run_one(job, events=events, fault_spec=fault)
+    finally:
+        lease.close()
+
+
+# (fault, job timeout, timeout_factor, status, attempts) on gzip/dlvp
+# with the default retries=1.  A crash is only survivable where the job
+# runs in a worker process, so the in-process driver skips that row.
+FAILURE_POLICY = [
+    ("raise@gzip/dlvp:1", None, None, "ok", 2),
+    ("raise@gzip/dlvp", None, None, "error", 2),
+    ("hang@gzip/dlvp", 0.5, None, "timeout", 1),
+    ("slow@gzip/dlvp=1.0", 0.4, 10.0, "ok", 2),
+    ("crash@gzip/dlvp:1", None, None, "ok", 2),
+]
+DRIVERS = {"serial": _run_serial, "pool": _run_pool, "lease": _run_lease}
+
+
+class TestFailurePolicyTable:
+    """Every driver settles the same fault the same way."""
+
+    @pytest.mark.parametrize("driver,row", [
+        pytest.param(driver, row, id=f"{driver}-{row[0]}")
+        for row in FAILURE_POLICY for driver in DRIVERS
+        if not (driver == "serial" and row[0].startswith("crash"))
+    ])
+    def test_fault_settles_by_the_shared_policy(self, driver, row):
+        fault, timeout, factor, status, attempts = row
+        events = []
+        outcome = DRIVERS[driver](
+            make_job("gzip", N, "dlvp", timeout=timeout),
+            {"retries": 1, "timeout_factor": factor}, fault,
+            lambda kind, job, fields: events.append((kind, fields)),
+        )
+        assert (outcome.status, outcome.attempts) == (status, attempts)
+        started = [f["attempt"] for kind, f in events if kind == "job_started"]
+        expected = list(range(1, attempts + 1))
+        if driver == "pool" and fault.startswith("crash"):
+            # the broken shared pool's attempt is uncharged and re-run
+            # in isolation, so attempt 1 starts twice
+            expected = [1] + expected
+        assert started == expected
+        assert sum(kind == "trace_built" for kind, _ in events) <= 1
+
+
+class TestLeaseCancel:
+    def test_cancel_mid_attempt_settles_interrupted(self):
+        lease = JobLease()
+        started = threading.Event()
+        outcome = {}
+
+        def events(kind, job, fields):
+            if kind == "job_started":
+                started.set()
+
+        runner = threading.Thread(target=lambda: outcome.update(
+            o=lease.run_one(make_job("gzip", N, "dlvp"), events=events,
+                            fault_spec="hang@gzip/dlvp")), daemon=True)
+        runner.start()
+        try:
+            assert started.wait(timeout=30)
+            # the first pool of a process may still be starting its
+            # worker: cancel must not be lost in that window either
+            time.sleep(0.3)
+            lease.cancel()
+            runner.join(timeout=30)
+        finally:
+            lease.close()
+        assert not runner.is_alive()
+        cancelled = outcome["o"]
+        assert (cancelled.status, cancelled.attempts) == ("interrupted", 1)
+        assert cancelled.error == "interrupted by signal before completion"
 
 
 class TestCacheIntegrity:
@@ -461,6 +565,19 @@ class TestChaosCli:
         out, err = capsys.readouterr()
         assert "worker process died" in out
         assert "3 ok, 1 error" in err
+
+    def test_chaos_crash_fault_needs_worker_processes(self, tmp_path):
+        # in a subprocess: at --jobs 1 a crash fault that got through
+        # would os._exit the process running the grid
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--fault",
+             "crash@gzip/dlvp", "--workloads", "gzip", "nat",
+             "--instructions", str(N)],
+            env=_subprocess_env(tmp_path), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--jobs 2" in proc.stderr
 
     def test_chaos_without_plan_is_an_error(self, capsys, monkeypatch):
         from repro.__main__ import main

@@ -250,6 +250,11 @@ class TestGroupDispatch:
         assert sorted(groups[0]["schemes"]) == ["baseline", "cap", "dlvp"]
         # exactly-once still holds cell by cell
         assert set(started_counts(events).values()) == {1}
+        # the lease's worker builds the trace once; its groupmates hit
+        # the worker memo
+        finished = [e for e in events if e["event"] == "job_finished"]
+        assert [e.get("trace_source") for e in finished] == [
+            "built", "memo", "memo"]
 
     def test_group_cells_one_disables_grouping(self, tmp_path):
         server, handle = start_server(tmp_path, workers=1, group_cells=1)
