@@ -71,6 +71,7 @@ from repro.runtime import (
     ResultCache,
     RunInterrupted,
     Runtime,
+    UnsafeFaultPlan,
     default_cache_dir,
     scheme_ids,
 )
@@ -309,11 +310,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if plan is None or not plan.rules:
         print(f"chaos: no fault plan; pass --fault SPEC or set "
               f"${FAULT_SPEC_ENV}", file=sys.stderr)
-        return 2
-    if args.jobs <= 1 and any(rule.kind == "crash" for rule in plan.rules):
-        # --jobs 1 runs jobs in this process, which the crash would kill
-        print("chaos: a crash fault needs worker processes; "
-              "rerun with --jobs 2", file=sys.stderr)
         return 2
     known = scheme_ids()
     unknown = [s for s in args.schemes if s not in known]
@@ -1035,6 +1031,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UnsafeFaultPlan as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # backstop: the runtime normally absorbs the signal and returns
         # partial results, but a Ctrl-C outside run_jobs lands here

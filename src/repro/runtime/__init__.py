@@ -16,7 +16,12 @@ Typical use::
     print(runtime.journal.format_summary())
 """
 
-from repro.runtime.api import GridResult, RunInterrupted, Runtime
+from repro.runtime.api import (
+    GridResult,
+    RunInterrupted,
+    Runtime,
+    UnsafeFaultPlan,
+)
 from repro.runtime.cache import (
     CACHE_DIR_ENV,
     CACHE_SCHEMA_VERSION,
@@ -57,6 +62,7 @@ __all__ = [
     "Runtime",
     "GridResult",
     "RunInterrupted",
+    "UnsafeFaultPlan",
     "INTERRUPTED_ERROR",
     "Job",
     "JobLease",

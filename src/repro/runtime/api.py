@@ -76,6 +76,10 @@ class RunInterrupted(RuntimeError):
         self.grid = grid
 
 
+class UnsafeFaultPlan(ValueError):
+    """A crash fault planned for jobs that would run in the caller."""
+
+
 class Runtime:
     """Schedule simulation jobs with caching, fan-out and journaling.
 
@@ -96,7 +100,10 @@ class Runtime:
             its bounded attempts) with its timeout multiplied by this.
         faults: A :class:`~repro.faults.FaultPlan` or spec string for
             deterministic fault injection; None falls back to
-            ``$REPRO_FAULT_SPEC`` (normally unset: no faults).
+            ``$REPRO_FAULT_SPEC`` (normally unset: no faults).  A plan
+            with a ``crash`` rule needs ``jobs >= 2``; at ``jobs=1``
+            the crash would kill this process, so
+            :class:`UnsafeFaultPlan` refuses it.
         resume_from: A journal path (or pre-read event list) whose
             completed jobs should be skipped and replayed from their
             journaled result payloads.
@@ -137,6 +144,15 @@ class Runtime:
         if trace_format not in TRACE_FORMATS:
             raise ValueError(f"unknown trace format: {trace_format!r}")
         self.jobs = max(1, jobs)
+        if isinstance(faults, str):
+            faults = FaultPlan.parse(faults)
+        self.faults = faults if faults is not None else active_plan()
+        if self.jobs == 1 and self.faults is not None and any(
+            rule.kind == "crash" for rule in self.faults.rules
+        ):
+            raise UnsafeFaultPlan(
+                "a crash fault needs worker processes: at jobs=1 it would "
+                "kill this process; rerun with --jobs 2")
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.trace_format = trace_format
         self.cache = (
@@ -149,9 +165,6 @@ class Runtime:
         )
         self.journal = journal if journal is not None else RunJournal(journal_path)
         self.timeout = timeout
-        if isinstance(faults, str):
-            faults = FaultPlan.parse(faults)
-        self.faults = faults if faults is not None else active_plan()
         self._resume = (
             completed_results(resume_from) if resume_from is not None else {}
         )

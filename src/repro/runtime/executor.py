@@ -66,6 +66,7 @@ one-time :class:`RuntimeWarning` makes the degradation visible.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -116,6 +117,9 @@ class JobOutcome:
     # "built" | "cache" | "memo" | "shared" (None for cache hits and
     # failures — no simulation happened).
     trace_source: str | None = None
+    # pid of the process that ran the final attempt (None when no
+    # attempt reported back: a cache hit, or a worker that died)
+    worker_pid: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -138,6 +142,8 @@ class JobOutcome:
         )
         if self.trace_source is not None:
             fields["trace_source"] = self.trace_source
+        if self.worker_pid is not None:
+            fields["worker_pid"] = self.worker_pid
         if self.ok:
             assert self.result is not None
             fields["result"] = self.result.to_dict()
@@ -192,22 +198,23 @@ def _run_attempt(job: Job, call: Callable[[], tuple[dict, dict]]) -> dict:
 
     ``call`` returns ``(payload, trace info)``.  The envelope is
     ``{"status": "ok", "result": payload, "duration": s, **info}`` or
-    ``{"status": "timeout" | "error", "error": message, "duration": s}``;
-    the duration is measured where the job runs, so it excludes time
-    spent queued in a pool.
+    ``{"status": "timeout" | "error", "error": message, "duration": s}``,
+    and either carries the running process's ``worker_pid``.  The
+    duration is measured where the job runs, so it excludes time spent
+    queued in a pool.
     """
     started = time.monotonic()
     try:
         payload, info = _call_with_timeout(call, job.timeout)
     except JobTimeoutError as exc:
-        status, error = "timeout", str(exc)
+        envelope = {"status": "timeout", "error": str(exc)}
     except Exception as exc:
-        status, error = "error", _format_error(exc)
+        envelope = {"status": "error", "error": _format_error(exc)}
     else:
-        return {"status": "ok", "result": payload,
-                "duration": time.monotonic() - started, **info}
-    return {"status": status, "error": error,
-            "duration": time.monotonic() - started}
+        envelope = {"status": "ok", "result": payload, **info}
+    envelope.update(duration=time.monotonic() - started,
+                    worker_pid=os.getpid())
+    return envelope
 
 
 def _worker_run(
@@ -280,9 +287,32 @@ def _pool_context():
     return _pool_ctx
 
 
+def _exit_with_owner(owner: int) -> None:
+    """Pool-worker initializer: exit once the pool's owner is gone.
+
+    A worker blocks on its call queue and never notices its owner die,
+    and the forkserver it was forked from lives as long as any worker
+    holds the forkserver's alive pipe, so a killed owner would leave
+    both running.  The worker's parent is that forkserver, not the
+    owner, so a daemon thread polls the owner's pid twice a second.
+    """
+    def watch() -> None:
+        while True:
+            time.sleep(0.5)
+            try:
+                os.kill(owner, 0)
+            except OSError:
+                os._exit(1)
+
+    threading.Thread(target=watch, name="repro-owner-watch",
+                     daemon=True).start()
+
+
 def _make_pool(max_workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=max_workers,
-                               mp_context=_pool_context())
+                               mp_context=_pool_context(),
+                               initializer=_exit_with_owner,
+                               initargs=(os.getpid(),))
 
 
 @dataclass
@@ -409,6 +439,7 @@ class _AttemptMachine:
         only where the dead worker ran this job alone.  ``duration``
         counts for exceptions; an envelope carries its own.
         """
+        pid = None
         if isinstance(result, BrokenProcessPool):
             status, error = "error", "worker process died (crash or kill)"
         elif isinstance(result, Exception):
@@ -418,12 +449,12 @@ class _AttemptMachine:
             if built is not None:
                 events("trace_built", state.job, {"attempt": built})
             status, error = result["status"], result.get("error")
-            duration = result["duration"]
+            duration, pid = result["duration"], result["worker_pid"]
         if status == "ok":
             return JobOutcome(
                 state.job, "ok", result=result_from_payload(result["result"]),
                 duration=duration, attempts=state.attempts,
-                trace_source=result.get("trace_source"),
+                trace_source=result.get("trace_source"), worker_pid=pid,
             )
         if status == "timeout":
             if self.escalate_timeout(state):
@@ -431,7 +462,7 @@ class _AttemptMachine:
         elif state.attempts <= self.retries:
             return None
         return JobOutcome(state.job, status, error=error, duration=duration,
-                          attempts=state.attempts)
+                          attempts=state.attempts, worker_pid=pid)
 
     def escalate_timeout(self, state: _Attempt) -> bool:
         """Retry a timed-out attempt with a scaled timeout, if enabled."""
@@ -509,10 +540,10 @@ class JobLease(_AttemptMachine):
     one job at a time, with the shared failure policy.
 
     This is the executor-side unit the :mod:`repro.serve` scheduler
-    hands out — it holds ``workers`` leases and feeds each from its
-    fairness queue.  The worker process persists across
-    :meth:`run_one` calls, so same-trace cells dispatched to one lease
-    in turn find the trace in its memo.  Because every lease owns its
+    hands out — it holds ``workers`` leases and feeds each one cell per
+    grant from its fairness queue.  The worker process persists across
+    :meth:`run_one` calls, so same-trace cells run on one lease in turn
+    find the trace in its memo.  Because every lease owns its
     own single-worker pool, a crashing job breaks only that pool
     (rebuilt lazily for the next attempt) and blame is never ambiguous
     the way it is in a shared pool; a neighbouring tenant's cell is

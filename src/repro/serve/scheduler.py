@@ -67,6 +67,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from repro.observe import EventStream, Subscription
+from repro.pipeline import SimResult
 from repro.runtime import (
     INTERRUPTED_ERROR,
     Job,
@@ -75,7 +76,6 @@ from repro.runtime import (
     ResultCache,
     RunJournal,
     read_journal,
-    trace_cache_key,
 )
 from repro.serve.protocol import GridRequest
 from repro.serve.tickets import TicketRecordError, TicketStore
@@ -169,12 +169,6 @@ class _InFlight:
     # monotonic clock of the running attempt's start; the watchdog
     # compares it against ``lease_timeout`` to spot wedged slots
     attempt_started: float | None = None
-    # the cell's own attempt has actually begun on the worker
-    # (``job_started`` seen since dispatch).  A cell dispatched as part
-    # of a trace group waits its turn on the lease thread with
-    # ``running=True`` but ``started=False`` — the watchdog must not
-    # attribute a groupmate's hang to a cell still waiting in line.
-    started: bool = False
 
 
 class Scheduler:
@@ -204,7 +198,6 @@ class Scheduler:
         tickets: TicketStore | None = None,
         lease_timeout: float | None = None,
         heartbeat: float | None = None,
-        group_cells: int = 8,
     ) -> None:
         self.cache = cache
         self.journal = journal
@@ -216,12 +209,6 @@ class Scheduler:
         self.max_pending_cost = max_pending_cost
         self.max_cache_mb = max_cache_mb
         self.tickets = tickets
-        # Trace-group dispatch: a worker pulling a cell also steals up
-        # to group_cells-1 more cells *from the same tenant's queue*
-        # that share the cell's trace key, and runs the whole group on
-        # one lease over one generated trace.  Stealing never crosses
-        # tenants, so round-robin fairness is untouched.  1 disables.
-        self.group_cells = max(1, group_cells)
         self.lease_timeout = lease_timeout
         self.leases = [
             JobLease(retries=retries, backoff=backoff,
@@ -349,7 +336,6 @@ class Scheduler:
                 cells=[job.identity() for job in unique.values()],
                 created=ticket.created,
             )
-        self._tickets[ticket.id] = ticket
         self.journal.event(
             "grid_submitted", tenant=request.tenant, ticket=ticket.id,
             cells=len(unique), executing=len(misses), cached=len(hits),
@@ -358,18 +344,6 @@ class Scheduler:
         for key, job in unique.items():
             self.journal.event("job_submitted", tenant=request.tenant,
                                ticket=ticket.id, **job.identity())
-        for key in shared:
-            entry = self._inflight[key]
-            entry.tickets.append(ticket)
-            ticket.pending.add(key)
-            ticket.shared_keys.add(key)
-            ticket.counters["shared"] += 1
-            self.counters["shared"] += 1
-            self.journal.event(
-                "job_shared", key=key, workload=unique[key].workload,
-                scheme=unique[key].scheme_id, tenant=request.tenant,
-                first_tenant=entry.tenant,
-            )
         for key, result in hits:
             job = unique[key]
             ticket.counters["cached"] += 1
@@ -380,23 +354,8 @@ class Scheduler:
                 JobOutcome(job, "ok", result=result, cache_hit=True),
                 shared=False,
             ))
-        for key in misses:
-            job = unique[key]
-            self.journal.event("cache_miss", key=key, workload=job.workload,
-                               scheme=job.scheme_id, tenant=request.tenant)
-            self._inflight[key] = _InFlight(
-                job=job, tenant=request.tenant, tickets=[ticket],
-            )
-            ticket.pending.add(key)
-            queue.append(key)
-        if request.tenant not in self._rr:
-            self._rr.append(request.tenant)
         self.counters["submitted"] += len(unique)
-        if ticket.done:
-            self._finish_ticket(ticket)
-        if misses:
-            async with self._work:
-                self._work.notify_all()
+        await self._place(ticket, shared, misses, "cache_miss")
         return ticket
 
     def _check_overload(
@@ -572,56 +531,72 @@ class Scheduler:
             sub=sub, jobs=jobs, created=record.get("created", time.time()),
         )
         finished = self._journal_settlements()
+        shared: list[str] = []
         misses: list[str] = []
         for key, job in jobs.items():
             if key in self._inflight:        # join a duplicate in flight
-                entry = self._inflight[key]
-                entry.tickets.append(ticket)
-                ticket.pending.add(key)
-                ticket.shared_keys.add(key)
-                ticket.counters["shared"] += 1
-                self.counters["shared"] += 1
+                shared.append(key)
                 continue
-            message = self._replay_message(job, finished.get(key))
-            if message is not None:
-                status = message["status"]
-                ticket.counters["cached" if status == "ok" else "failed"] \
-                    += 1
-                self.journal.event(
-                    "job_resumed", key=key, workload=job.workload,
-                    scheme=job.scheme_id, status=status, ticket=ticket.id,
-                )
-                ticket.deliver(message)
+            outcome = self._replayed_outcome(job, finished.get(key))
+            if outcome is None:
+                misses.append(key)
                 continue
-            ticket.pending.add(key)
-            misses.append(key)
+            ticket.counters["cached" if outcome.ok else "failed"] += 1
+            self.journal.event(
+                "job_resumed", key=key, workload=job.workload,
+                scheme=job.scheme_id, status=outcome.status,
+                ticket=ticket.id,
+            )
+            ticket.deliver(self._result_message(outcome, shared=False))
+        self.journal.event(
+            "ticket_revived", ticket=ticket.id, tenant=ticket.tenant,
+            reason=reason, cells=len(jobs), replayed=len(ticket.settled),
+            requeued=len(misses), shared=len(shared),
+        )
+        await self._place(ticket, shared, misses, "job_requeued")
+        return ticket
+
+    async def _place(self, ticket: Ticket, shared: list[str],
+                     misses: list[str], miss_event: str) -> None:
+        """The one placement path of admitted and revived tickets.
+
+        Subscribes ``ticket`` to the queued-or-running ``shared`` cells
+        (``job_shared``), queues its ``misses`` on its tenant's queue
+        (``miss_event``), then registers the ticket and either finishes
+        it (nothing left pending) or wakes the workers.  Each event is
+        journaled once the ticket is subscribed, so a watching ticket
+        sees it.
+        """
+        for key in shared:
+            entry = self._inflight[key]
+            entry.tickets.append(ticket)
+            ticket.shared_keys.add(key)
+            ticket.counters["shared"] += 1
+            self.counters["shared"] += 1
+            self.journal.event(
+                "job_shared", key=key, workload=entry.job.workload,
+                scheme=entry.job.scheme_id, tenant=ticket.tenant,
+                first_tenant=entry.tenant,
+            )
         queue = self._queues.setdefault(ticket.tenant, deque())
         for key in misses:
-            job = jobs[key]
+            job = ticket.jobs[key]
             self._inflight[key] = _InFlight(
                 job=job, tenant=ticket.tenant, tickets=[ticket],
             )
             queue.append(key)
-            self.journal.event("job_requeued", key=key,
-                               workload=job.workload, scheme=job.scheme_id,
+            self.journal.event(miss_event, key=key, workload=job.workload,
+                               scheme=job.scheme_id, tenant=ticket.tenant,
                                ticket=ticket.id)
+        ticket.pending.update(shared, misses)
         if ticket.tenant not in self._rr:
             self._rr.append(ticket.tenant)
-        self.journal.event(
-            "ticket_revived", ticket=ticket.id, tenant=ticket.tenant,
-            reason=reason, cells=len(jobs), replayed=len(ticket.settled),
-            requeued=len(misses),
-            shared=ticket.counters["shared"],
-        )
+        self._tickets[ticket.id] = ticket
         if ticket.done:
-            self._tickets[ticket.id] = ticket    # _finish_ticket pops it
             self._finish_ticket(ticket)
-        else:
-            self._tickets[ticket.id] = ticket
-            if misses:
-                async with self._work:
-                    self._work.notify_all()
-        return ticket
+        elif misses:
+            async with self._work:
+                self._work.notify_all()
 
     def _journal_settlements(self) -> dict[str, dict]:
         """Latest ``job_finished`` event per key, across *all* runs.
@@ -642,61 +617,51 @@ class Scheduler:
                 last[event["key"]] = event
         return last
 
-    def _replay_message(self, job: Job, event: dict | None) -> dict | None:
-        """A result line reconstructed from history, or None = unsettled."""
-        payload = None
-        status = event.get("status") if event is not None else None
-        error = event.get("error") if event is not None else None
-        attempts = int(event.get("attempts") or 0) if event is not None else 0
-        duration = float(event.get("duration") or 0.0) if event is not None \
-            else 0.0
-        if status == "interrupted":
-            # a shutdown artifact, not a verdict: run the cell again
-            status = None
-        if status == "ok":
-            payload = event.get("result")
-            if not isinstance(payload, dict):
-                payload = None
-        if payload is None and self.cache is not None:
-            cached = self.cache.get(job.key)
-            if cached is not None:
-                payload = cached.to_dict()
-                status = "ok"
-                attempts = attempts or 0
-        if status is None or (status == "ok" and payload is None):
+    def _replayed_outcome(self, job: Job,
+                          event: dict | None) -> JobOutcome | None:
+        """A settled outcome rebuilt from history, or None = unsettled.
+
+        ``event`` is the key's latest ``job_finished``.  An ok event's
+        payload, else the cache, supplies the result; a failed verdict
+        stands as journaled unless the cache holds a result after all.
+        ``interrupted`` is a shutdown artifact, not a verdict: the cell
+        runs again.
+        """
+        event = event or {}
+        status = event.get("status")
+        result = None
+        if status == "ok" and isinstance(event.get("result"), dict):
+            result = SimResult.from_dict(event["result"])
+        elif self.cache is not None:
+            result = self.cache.get(job.key)
+        if result is not None:
+            status = "ok"
+        elif status in (None, "ok", "interrupted"):
             return None
-        message = {
-            "type": "result",
-            "workload": job.workload,
-            "scheme": job.scheme_id,
-            "key": job.key,
-            "status": status,
-            "cache_hit": True,
-            "shared": False,
-            "resumed": True,
-            "attempts": attempts,
-            "duration": round(duration, 6),
-            "error": error,
-        }
-        if status == "ok":
-            message["result"] = payload
-        return message
+        return JobOutcome(
+            job, status, result=result, error=event.get("error"),
+            duration=float(event.get("duration") or 0.0),
+            attempts=int(event.get("attempts") or 0),
+            cache_hit=True, resumed=True,
+        )
 
     # -- dispatch --------------------------------------------------------
 
     async def _worker(self, lease: JobLease) -> None:
-        """One worker slot: pull fairly, execute on the lease, settle.
+        """One worker slot: take one cell per grant, run it, settle it.
 
-        When the pulled cell shares its trace key with other cells of
-        the *same tenant's* queue, up to ``group_cells`` of them are
-        dispatched together onto the lease: its single worker process
-        persists across the cells, so it acquires the trace once —
-        fabric attach or the worker memo — and simulates every scheme
-        against it, which is where the sweep-throughput win comes from.
-        Cells still run (and settle) one at a time, so per-cell events,
-        retries and watchdog attribution are identical to solo dispatch.
+        Each free lease takes the head of the next non-empty tenant
+        queue.  The lease's single worker process persists across
+        grants, so same-trace cells run on one lease in turn find the
+        trace in its memo.
         """
         loop = asyncio.get_running_loop()
+
+        def on_event(kind: str, job: Job, fields: dict) -> None:
+            # lease thread -> loop thread; journal+stream stay
+            # single-threaded
+            loop.call_soon_threadsafe(self._job_event, kind, job.key, fields)
+
         while True:
             key = await self._next_key()
             if key is None:
@@ -704,76 +669,20 @@ class Scheduler:
             entry = self._inflight.get(key)
             if entry is None:          # settled while queued (shutdown race)
                 continue
-            group = [(key, entry)]
-            if self.group_cells > 1 and not entry.job.trace_dir:
-                group.extend(self._steal_group(entry))
-            for _, member in group:
-                member.running = True
-                member.started = False
-                member.lease = lease
-                member.attempt_started = time.monotonic()
+            entry.running = True
+            entry.lease = lease
+            entry.attempt_started = time.monotonic()
             self._busy += 1
-            if len(group) > 1:
-                self.counters["groups_dispatched"] += 1
-                self.journal.event(
-                    "group_dispatched", key=key,
-                    workload=entry.job.workload,
-                    trace_key=trace_cache_key(
-                        entry.job.workload, entry.job.n_instructions,
-                        entry.job.salt),
-                    cells=len(group),
-                    schemes=[m.job.scheme_id for _, m in group],
-                )
-
-            def on_event(kind: str, job: Job, fields: dict) -> None:
-                # lease thread -> loop thread; journal+stream stay
-                # single-threaded
-                loop.call_soon_threadsafe(self._job_event, kind, job.key,
-                                          fields)
-
-            any_ok = False
             try:
-                for cell_key, member in group:
-                    outcome = await asyncio.to_thread(
-                        lease.run_one, member.job, self._cache_dir(),
-                        on_event, self.fault_spec,
-                    )
-                    # settle as each cell lands: subscribers see results
-                    # stream in, and a settled cell leaves _inflight so
-                    # the watchdog only ever sees the cell actually on
-                    # the worker
-                    self._settle(cell_key, outcome)
-                    any_ok = any_ok or outcome.ok
+                outcome = await asyncio.to_thread(
+                    lease.run_one, entry.job, self._cache_dir(), on_event,
+                    self.fault_spec,
+                )
+                self._settle(key, outcome)
             finally:
                 self._busy -= 1
-            if any_ok and self.max_cache_mb is not None:
+            if outcome.ok and self.max_cache_mb is not None:
                 await self._enforce_cache_bound()
-
-    def _steal_group(self, entry: _InFlight) -> list[tuple[str, _InFlight]]:
-        """Pull same-trace cells off ``entry``'s tenant queue (cap-1).
-
-        Only the owning tenant's queue is touched — group formation
-        must not let one tenant's sweep vacuum up a neighbour's cells —
-        and observability cells (``trace_dir``) are never grouped.
-        """
-        queue = self._queues.get(entry.tenant)
-        if not queue:
-            return []
-        tkey = trace_cache_key(entry.job.workload, entry.job.n_instructions,
-                               entry.job.salt)
-        stolen: list[tuple[str, _InFlight]] = []
-        for cand in list(queue):
-            if len(stolen) >= self.group_cells - 1:
-                break
-            cand_entry = self._inflight.get(cand)
-            if cand_entry is None or cand_entry.job.trace_dir:
-                continue
-            job = cand_entry.job
-            if trace_cache_key(job.workload, job.n_instructions,
-                               job.salt) == tkey:
-                queue.remove(cand)
-                stolen.append((cand, cand_entry))
-        return stolen
 
     async def _next_key(self) -> str | None:
         """The next job key, round-robin across tenants; None to exit."""
@@ -798,7 +707,6 @@ class Scheduler:
             return
         if kind == "job_started":
             # each (re)attempt re-arms the watchdog deadline
-            entry.started = True
             entry.attempt_started = time.monotonic()
         self.journal.event(kind, key=key, workload=entry.job.workload,
                            scheme=entry.job.scheme_id, **fields)
@@ -812,11 +720,7 @@ class Scheduler:
         surfaces in :meth:`JobLease.run_one` as a dead worker, which
         retries on a fresh pool (with backoff) or settles ``"error"``
         once attempts are exhausted — the cell pays, the slot survives.
-
-        Only cells whose attempt has actually *started* on the worker
-        are candidates: a cell waiting its turn inside a trace group is
-        running in the dispatch sense but cannot be the hang, and its
-        own clock re-arms when its ``job_started`` fires.
+        The deadline arms at dispatch and re-arms at each ``job_started``.
         """
         assert self.lease_timeout is not None
         interval = min(1.0, max(0.05, self.lease_timeout / 4))
@@ -827,7 +731,6 @@ class Scheduler:
                 bound = self.lease_timeout
                 if (
                     entry.running
-                    and entry.started
                     and entry.lease is not None
                     and entry.attempt_started is not None
                     and now - entry.attempt_started > bound
@@ -976,7 +879,6 @@ class Scheduler:
                 else None,
             },
             "lease_timeout": self.lease_timeout,
-            "group_cells": self.group_cells,
             "counters": dict(self.counters),
             "closing": self.closing,
         }

@@ -71,15 +71,23 @@ class ServerHandle:
         self.port = server.port
         self._thread = thread
         self._loop = loop
+        self._shutdown: asyncio.Task | None = None  # the loop holds it weakly
 
     def stop(self, reason: str = "stopped", timeout: float = 30.0) -> None:
-        """Gracefully shut the background server down and join it."""
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(reason), self._loop
-            )
-            with contextlib.suppress(Exception):
-                future.result(timeout=timeout)
+        """Gracefully shut the background server down and join it.
+
+        The shutdown coroutine is created on the loop thread, and only
+        while no shutdown has begun, so a loop that a client
+        ``shutdown`` op is already stopping leaves no coroutine behind
+        un-awaited.  The server thread ends once the drain is complete.
+        """
+        def begin() -> None:
+            if not self.server._shutting_down:
+                self._shutdown = self._loop.create_task(
+                    self.server.shutdown(reason))
+
+        with contextlib.suppress(RuntimeError):     # loop already closed
+            self._loop.call_soon_threadsafe(begin)
         self._thread.join(timeout=timeout)
 
 
@@ -100,10 +108,6 @@ class SweepServer:
         max_cache_mb: Size bound for the shared store — LRU-evicted
             after each fresh result beyond it.
         max_pending_per_tenant: Bounded per-tenant queue depth.
-        group_cells: Trace-group dispatch width — a worker pulling a
-            cell also takes up to this many same-tenant cells sharing
-            its trace key, running them on one lease over one generated
-            trace (1 disables grouping).
         grace: Seconds running cells get to finish on shutdown before
             their leases are cancelled.
     """
@@ -127,7 +131,6 @@ class SweepServer:
         max_pending_cost: int | None = None,
         lease_timeout: float | None = None,
         heartbeat: float | None = None,
-        group_cells: int = 8,
         grace: float = DEFAULT_GRACE,
     ) -> None:
         self.host = host
@@ -152,7 +155,6 @@ class SweepServer:
         self.max_pending_cost = max_pending_cost
         self.lease_timeout = lease_timeout
         self.heartbeat = heartbeat
-        self.group_cells = group_cells
         self.grace = grace
         self.started = 0.0
         self.journal: RunJournal | None = None
@@ -191,7 +193,6 @@ class SweepServer:
             tickets=TicketStore(self.cache_dir / TICKETS_DIRNAME),
             lease_timeout=self.lease_timeout,
             heartbeat=self.heartbeat,
-            group_cells=self.group_cells,
         )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,

@@ -579,6 +579,20 @@ class TestChaosCli:
         assert proc.returncode == 2, proc.stderr
         assert "--jobs 2" in proc.stderr
 
+    def test_in_process_crash_plan_is_refused_by_every_command(
+            self, tmp_path):
+        # the plan comes from the environment, and sweep builds its
+        # Runtime at the default --jobs 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--schemes", "dlvp",
+             "--workloads", "gzip", "nat", "--instructions", "1500",
+             "--no-cache"],
+            env=_subprocess_env(tmp_path, "crash@gzip/dlvp"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--jobs 2" in proc.stderr
+
     def test_chaos_without_plan_is_an_error(self, capsys, monkeypatch):
         from repro.__main__ import main
         monkeypatch.delenv(FAULT_SPEC_ENV, raising=False)

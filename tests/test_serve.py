@@ -188,21 +188,13 @@ class TestFairness:
         # round-robin across *dispatches*: the single-cell tenant goes
         # out well before the flooding tenant's backlog drains (never
         # later than the dispatch after the flood's in-flight one).  A
-        # dispatch is one lease grant — either a trace group (announced
-        # by group_dispatched, covering its next `cells` job_started
-        # lines) or a lone cell's job_started.
+        # dispatch is one lease grant, which starts one cell (no cell
+        # here retries, so each job_started is one grant).
         dispatch = 0
         small_dispatch = None
-        grouped_left = 0
         for event in events:
-            if event["event"] == "group_dispatched":
+            if event["event"] == "job_started":
                 dispatch += 1
-                grouped_left = event["cells"]
-            elif event["event"] == "job_started":
-                if grouped_left > 0:
-                    grouped_left -= 1
-                else:
-                    dispatch += 1
                 if event["key"] == small_key and small_dispatch is None:
                     small_dispatch = dispatch
         assert small_dispatch is not None and small_dispatch <= 3, events
@@ -228,7 +220,7 @@ class TestFairness:
 
 class TestGroupDispatch:
     def test_same_trace_cells_dispatch_as_one_group(self, tmp_path):
-        """One lease carries the whole same-trace scheme family."""
+        """One lease runs a same-trace scheme family over one trace."""
         server, handle = start_server(tmp_path, workers=1)
         try:
             client = ServeClient(host=handle.host, port=handle.port)
@@ -243,32 +235,32 @@ class TestGroupDispatch:
         finally:
             handle.stop()
         events = farm_journal(tmp_path)
-        groups = [e for e in events if e["event"] == "group_dispatched"]
-        assert groups, "same-trace cells must ride one dispatch"
-        assert groups[0]["workload"] == "gzip"
-        assert groups[0]["cells"] == 3
-        assert sorted(groups[0]["schemes"]) == ["baseline", "cap", "dlvp"]
-        # exactly-once still holds cell by cell
+        # exactly-once holds cell by cell
         assert set(started_counts(events).values()) == {1}
-        # the lease's worker builds the trace once; its groupmates hit
-        # the worker memo
+        # the lease's persistent worker builds the trace once; the
+        # later cells hit its memo
         finished = [e for e in events if e["event"] == "job_finished"]
         assert [e.get("trace_source") for e in finished] == [
             "built", "memo", "memo"]
 
-    def test_group_cells_one_disables_grouping(self, tmp_path):
-        server, handle = start_server(tmp_path, workers=1, group_cells=1)
+    def test_free_leases_each_take_one_cell(self, tmp_path):
+        """Two leases run one tenant's same-trace grid side by side."""
+        server, handle = start_server(tmp_path, workers=2,
+                                      fault_spec="slow@*/*=0.5")
         try:
             client = ServeClient(host=handle.host, port=handle.port)
             response = client.submit(
-                ["baseline", "dlvp"], ["gzip"], n_instructions=N,
-                tenant="alice",
+                ["baseline", "dlvp", "cap", "vtage"], ["gzip"],
+                n_instructions=N, tenant="alice",
             )
             assert response.complete
         finally:
             handle.stop()
         events = farm_journal(tmp_path)
-        assert not [e for e in events if e["event"] == "group_dispatched"]
+        kinds = [e["event"] for e in events
+                 if e["event"] in ("job_started", "job_finished")]
+        first_finish = kinds.index("job_finished")
+        assert kinds[:first_finish].count("job_started") == 2, kinds
 
 
 class TestFaultMasking:
@@ -414,6 +406,37 @@ class TestGracefulShutdown:
             background.join(timeout=30)
         finally:
             handle.stop()
+
+
+class TestServerHandle:
+    def test_stop_after_the_loop_stopped_leaves_nothing_unawaited(
+            self, tmp_path):
+        """A client ``shutdown`` op can stop the loop before ``stop()``
+        runs; ``stop()`` must still return and leave no shutdown
+        coroutine behind un-awaited."""
+        import asyncio
+        import gc
+        import warnings
+
+        from repro.serve.server import ServerHandle
+
+        loop = asyncio.new_event_loop()      # never runs again
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, daemon=True)
+        thread.start()
+        server = SweepServer(port=0, cache_dir=tmp_path / "cache")
+        handle = ServerHandle(server, thread, loop)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                handle.stop(timeout=0.5)
+                loop.close()
+                gc.collect()
+        finally:
+            release.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert not [w for w in caught if "never awaited" in str(w.message)]
 
 
 class TestProtocolEdges:

@@ -85,6 +85,22 @@ def submit_and_drop(host, port, schemes, workloads, tenant="t") -> str:
     return ack["ticket"]
 
 
+def pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def parent_pid(pid: int) -> int:
+    """``pid``'s parent, read from ``/proc/<pid>/status``."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("PPid:"):
+            return int(line.split()[1])
+    raise LookupError(f"no PPid line for pid {pid}")
+
+
 def wait_for(predicate, timeout=90.0, interval=0.05):
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -259,9 +275,17 @@ class TestGatewayDeath:
             ticket = submit_and_drop(addr[0], addr[1], ["baseline", "dlvp"],
                                      ["gzip", "nat", "mcf"])
             wait_for(lambda: ok_finish_count() >= 2)
+            worker = next(e["worker_pid"]
+                          for e in read_journal(journal, strict=False)
+                          if e["event"] == "job_finished")
+            forkserver = parent_pid(worker)
         finally:
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
+        # the gateway's lease worker, and the forkserver it was forked
+        # from, must not outlive the gateway
+        wait_for(lambda: not (pid_alive(worker) or pid_alive(forkserver)),
+                 timeout=10)
         settled_before_kill = set(ok_finishes_per_key(
             read_journal(journal, strict=False)))
         assert read_addr_file(cache) is None, \
