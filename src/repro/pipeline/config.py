@@ -33,3 +33,5 @@ class CoreConfig:
             raise ValueError("rename must precede earliest execute")
         if self.ls_lanes + self.generic_lanes != self.issue_width:
             raise ValueError("execution lanes must sum to the issue width")
+        if min(self.rob_entries, self.ldq_entries, self.stq_entries) <= 0:
+            raise ValueError("ROB, LDQ and STQ sizes must be positive")

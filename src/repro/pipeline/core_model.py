@@ -34,8 +34,10 @@ attribute lookups are hoisted into locals, the per-word store tracking
 dicts are pruned as stores retire (they are otherwise O(trace) — a
 memory leak and a dict-miss slowdown on long traces), and issue-port
 busy maps are pruned below the monotonically advancing fetch cycle.
-All of it is outcome-preserving; the golden equivalence test pins every
-suite kernel's ``SimResult`` to the seed model bit for bit.
+Commit cycles are kept only for the ROB window (and the LDQ/STQ
+windows), so a run holds its trace plus a constant, whatever its
+length.  All of it is outcome-preserving; the golden equivalence test
+pins every suite kernel's ``SimResult`` to the seed model bit for bit.
 """
 
 from __future__ import annotations
@@ -238,9 +240,18 @@ def _simulate_columnar(
     at the positions ``record.start`` returns, ``record.snapshot`` gets
     ``(end, last_commit_cycle, loads, scheme)`` at every window end, each
     flush appends ``(index, cycle, kind, pc)`` to ``record.flushes``, and
-    ``record.finish`` gets the result.  The record holds the loop's
-    ``commit_cycles`` list: positive and non-decreasing over the
-    committed prefix, 0 after it.
+    ``record.finish`` gets the result.
+
+    Commit cycles live in a ring: instruction ``i``'s in slot
+    ``i % size``.  Every read lies inside the ROB window — the ROB stall
+    reads instruction ``i - rob_entries``, and the other reads name
+    stores that have not retired, which are younger than that — so
+    ``size = rob_entries`` suffices.  A recorded run gets ``size = n``,
+    where slot ``i`` is ``i``: the record holds the whole list,
+    positive and non-decreasing over the committed prefix, 0 after it.
+    The LDQ and STQ stalls read the oldest of the last ``ldq_entries``
+    load and ``stq_entries`` store commit cycles, kept in bounded
+    queues.
     """
     cfg = core_config or CoreConfig()
     hierarchy = MemoryHierarchy(hierarchy_config)
@@ -258,7 +269,9 @@ def _simulate_columnar(
         scheme.bind(hierarchy, image, history)
 
     n = len(trace)
-    commit_cycles = [0] * n
+    rob_entries = cfg.rob_entries
+    size = rob_entries if record is None else n
+    commit_cycles = [0] * size
     ls_ports = _IssuePorts(cfg.ls_lanes)
     gen_ports = _IssuePorts(cfg.generic_lanes)
     word_store: dict[int, tuple[int, int, int]] = {}
@@ -272,20 +285,20 @@ def _simulate_columnar(
     prev_pc = -5                       # sentinel: never matches prev_pc + 4
     loads_in_group = 0
 
-    commit_ptr = 0
     last_commit_cycle = 0
     commits_in_cycle = 0
-    load_commits: list[int] = []
-    store_commits: list[int] = []
+    ldq_entries = cfg.ldq_entries
+    stq_entries = cfg.stq_entries
+    load_commits: deque = deque(maxlen=ldq_entries)
+    store_commits: deque = deque(maxlen=stq_entries)
 
     flushes = FlushStats()
     loads = 0
 
     # ---- hot-loop local aliases (columns + config + substrate) --------
     # Columns are read through plain-list snapshots of one window of
-    # instructions at a time (see _window_columns), so besides the
-    # columns themselves only the commit-cycle lists grow with the
-    # trace.
+    # instructions at a time (see _window_columns), and commit cycles
+    # through the ROB-window ring, so nothing here grows with the trace.
     LOAD = int(OpClass.LOAD)
     STORE = int(OpClass.STORE)
     BRANCH = int(OpClass.BRANCH)
@@ -304,9 +317,6 @@ def _simulate_columnar(
     reg_ready = [0] * nregs
     fga_mask = ~(FETCH_GROUP_BYTES - 1)
     fetch_width = cfg.fetch_width
-    rob_entries = cfg.rob_entries
-    ldq_entries = cfg.ldq_entries
-    stq_entries = cfg.stq_entries
     fetch_to_execute = cfg.fetch_to_execute
     rename_depth = cfg.rename_depth
     commit_width = cfg.commit_width
@@ -404,6 +414,7 @@ def _simulate_columnar(
         verdict_col = verdicts[base:end].tolist()
         for i in range(base, end):
             j = i - base
+            cc_slot = i % size
             op = ops[j]
             pc = pcs[j]
 
@@ -424,36 +435,40 @@ def _simulate_columnar(
 
             # ---- structural stalls (ROB / LDQ / STQ) ------------------------
             if i >= rob_entries:
-                stall = commit_cycles[i - rob_entries]
+                # Slot of instruction i - rob_entries: a negative index
+                # wraps by size, which is at least rob_entries.
+                stall = commit_cycles[cc_slot - rob_entries]
                 if stall > fetch_cycle:
                     fetch_cycle = stall
             if op == LOAD:
-                if len(load_commits) >= ldq_entries:
-                    stall = load_commits[-ldq_entries]
+                if len(load_commits) == ldq_entries:
+                    stall = load_commits[0]
                     if stall > fetch_cycle:
                         fetch_cycle = stall
             elif op == STORE:
-                if len(store_commits) >= stq_entries:
-                    stall = store_commits[-stq_entries]
+                if len(store_commits) == stq_entries:
+                    stall = store_commits[0]
                     if stall > fetch_cycle:
                         fetch_cycle = stall
 
             # ---- retire committed stores into the memory image --------------
-            # Stores retire from the FIFO they entered at execution, so no
-            # column is read at commit_ptr (it may lie in an earlier window).
-            while commit_ptr < i and commit_cycles[commit_ptr] <= fetch_cycle:
-                if commit_ptr == next_store:
-                    _, caddr, csize, cval = store_fifo_pop()
-                    next_store = store_fifo[0][0] if store_fifo else n
-                    image_write(caddr, csize, cval)
-                    store_done.pop(commit_ptr, None)
-                    first = caddr >> 2
-                    last = (caddr + csize - 1) >> 2
-                    for word in range(first, last + 1):
-                        entry = word_store_get(word)
-                        if entry is not None and entry[0] == commit_ptr:
-                            del word_store[word]
-                commit_ptr += 1
+            # Commit cycles are non-decreasing, so the committed stores are
+            # the oldest ones in the FIFO they entered at execution; the
+            # ROB stall above has already made every store older than
+            # i - rob_entries committed.
+            while next_store < i and commit_cycles[next_store % size] <= fetch_cycle:
+                _, caddr, csize, cval = store_fifo_pop()
+                image_write(caddr, csize, cval)
+                del store_done[next_store]
+                # Every word the store entered (a zero-size store enters
+                # one): a retired store's ring slot is reused.
+                first = caddr >> 2
+                last = (caddr + (csize or 1) - 1) >> 2
+                for word in range(first, last + 1):
+                    entry = word_store_get(word)
+                    if entry is not None and entry[0] == next_store:
+                        del word_store[word]
+                next_store = store_fifo[0][0] if store_fifo else n
 
             # ---- scheme fetch side ------------------------------------------
             load_slot = None
@@ -516,7 +531,7 @@ def _simulate_columnar(
                         mdp.dependencies_predicted += 1
                         dep_seq = dep_entry[1]
                 if dep_seq is not None and dep_seq in store_done:
-                    if commit_cycles[dep_seq] > ready:
+                    if commit_cycles[dep_seq % size] > ready:
                         dep_done = store_done[dep_seq]
                         if dep_done > ready:
                             ready = dep_done
@@ -588,7 +603,7 @@ def _simulate_columnar(
                         entry = word_store_get(word)
                         if entry is not None and (newest is None or entry[0] > newest[0]):
                             newest = entry
-                if newest is not None and commit_cycles[newest[0]] > issue:
+                if newest is not None and commit_cycles[newest[0] % size] > issue:
                     if newest[1] > issue and (dep_seq is None or dep_seq < newest[0]):
                         mdp_report_violation(pc, newest[2])
                     done = max(issue, newest[1]) + forward_latency
@@ -731,7 +746,7 @@ def _simulate_columnar(
             else:
                 commits_in_cycle = 1
             last_commit_cycle = cc
-            commit_cycles[i] = cc
+            commit_cycles[cc_slot] = cc
             if op == LOAD:
                 load_commits.append(cc)
             elif op == STORE:

@@ -103,11 +103,6 @@ RAGGED: tuple[tuple[str, tuple[str, ...]], ...] = (
 _PACK_ROWS = 128
 
 
-def _copy_rows(dst: array, src, start: int, stop: int) -> None:
-    """Append ``src[start:stop]`` to ``dst`` as one buffer copy."""
-    dst.frombytes(memoryview(src)[start:stop].cast("B"))
-
-
 def column_typecode(col) -> str:
     """The element typecode of a column: ``array.array`` or memoryview."""
     code = getattr(col, "typecode", None)
@@ -212,40 +207,66 @@ class ColumnarTrace:
     def extend_rows(self, parts, consume: bool = False) -> None:
         """Append the row ranges ``(trace, start, stop)`` of ``parts`` in order.
 
-        Works column by column: flat columns are copied as raw buffers
-        and each prefix index is shifted onto this trace's flat lengths
-        — no :class:`Instruction` is materialized.  Sources may be
+        Works column by column: each column grows once to its final
+        length and the sources' rows are filled in by buffer slices,
+        each prefix index shifted onto this trace's flat lengths — no
+        :class:`Instruction` is materialized.  A trace without rows
+        allocates each column once, at exactly its final length; one
+        with rows grows its columns in place.  Sources may be
         view-backed (attached traces); only ``self`` must be writable.
-        With ``consume`` every source column is deleted as soon as it
+        With ``consume`` every source column is deleted right after it
         has been copied, so splicing private traces into a new one
-        peaks near one copy of the data, not two; the sources are
+        peaks at one copy of the data plus one column; the sources are
         unusable afterwards.
         """
         self._check_writable()
         self.verdicts = None
         parts = [(src, a, b) for src, a, b in parts if a < b]
         sources = list({id(src): src for src, _, _ in parts}.values())
+        fresh = not len(self)
+
+        def splice(attr: str, spans, rebase: bool = False) -> None:
+            col = getattr(self, attr)
+            pos = len(col)
+            grow = sum(b - a for _, a, b in spans)
+            end = col[-1] if rebase else 0
+            if fresh:
+                # empty, or an index's leading 0: the zero fill holds it
+                col = array(col.typecode, (0,)) * (pos + grow)
+                setattr(self, attr, col)
+            else:
+                col.frombytes(bytes(grow * col.itemsize))
+            with memoryview(col) as view:
+                for src, a, b in spans:
+                    src_col = getattr(src, attr)
+                    stop = pos + b - a
+                    if not rebase:
+                        view[pos:stop] = memoryview(src_col)[a:b]
+                    else:
+                        # prefix entries a+1..b, shifted in place from
+                        # src's offset src_col[a] to our flat end (no
+                        # temporary array: growing one fragments the heap)
+                        view[pos:stop] = memoryview(src_col)[a + 1:b + 1]
+                        shift = end - src_col[a]
+                        if shift:
+                            for k in range(pos, stop):
+                                col[k] += shift
+                        end = col[stop - 1]
+                    pos = stop
+            if consume:
+                for src in sources:
+                    delattr(src, attr)
+
         for col in PLAIN:
-            dst = getattr(self, col)
-            for src, a, b in parts:
-                _copy_rows(dst, getattr(src, col), a, b)
-            if consume:
-                for src in sources:
-                    delattr(src, col)
+            splice(col, parts)
         for index, flats in RAGGED:
-            dst = getattr(self, index)
-            for src, a, b in parts:
-                idx = getattr(src, index)
-                lo = idx[a]
-                hi = idx[b]
-                for flat in flats:
-                    _copy_rows(getattr(self, flat), getattr(src, flat), lo, hi)
-                # rebase the prefix entries: src's offset lo -> our end
-                dst.extend(map((dst[-1] - lo).__add__, idx[a + 1:b + 1]))
-            if consume:
-                for src in sources:
-                    for col in (index, *flats):
-                        delattr(src, col)
+            bounds = [
+                (src, getattr(src, index)[a], getattr(src, index)[b])
+                for src, a, b in parts
+            ]
+            for flat in flats:
+                splice(flat, bounds)
+            splice(index, parts, rebase=True)
 
     def slice(self, start: int, stop: int) -> "ColumnarTrace":
         """A new writable trace holding rows ``start:stop`` (indexes rebased)."""

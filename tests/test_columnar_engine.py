@@ -10,9 +10,11 @@ chunk.  These tests cover what only longer traces exercise:
   object engine produced before it was deleted, frozen cell for cell
   in ``frozen_seams.json``;
 * the memory bounds the windowing exists for (no whole-trace column
-  snapshots, no 65,536-entry key chunks);
+  snapshots, no 65,536-entry key chunks, no per-instruction commit
+  history);
 * the one-pass columnar build (one kernel run, no thread, a peak
-  near one trace);
+  near one trace) and its splice (each column allocated once, a peak of
+  one trace plus one column);
 * v2 writes of multi-chunk columnar traces by column slicing.
 
 Only regenerate the frozen seam results after a *deliberate* model
@@ -24,8 +26,11 @@ change::
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import tracemalloc
+from array import array
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +40,7 @@ from repro.isa import OpClass
 from repro.pipeline import RecoveryMode, batch, core_model, simulate
 from repro.runtime.registry import get_scheme, scheme_ids
 from repro.trace import ColumnarTrace
-from repro.trace.columnar import F_VECTOR
+from repro.trace.columnar import COLUMNS, F_VECTOR
 from repro.trace.serialization import (
     DEFAULT_CHUNK_SIZE,
     iter_trace_chunks,
@@ -177,6 +182,65 @@ def test_columnar_simulate_peak_memory_is_window_bounded():
     assert peak < MEMORY_BOUND, f"columnar simulate peak {peak} bytes"
 
 
+def _footprint(roots) -> int:
+    """Bytes of the lists, dicts, deques and tuples among ``roots`` and
+    of everything they hold, each object counted once."""
+    seen = set()
+    total = 0
+    stack = [root for root in roots if isinstance(root, (list, dict, deque, tuple))]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, deque, tuple)):
+            stack.extend(obj)
+    return total
+
+
+def _loop_state_bytes(monkeypatch, workload: str, n: int, scheme_id: str) -> int:
+    """The footprint of the simulate loop's local containers once its
+    last instruction has committed: ``_assemble_result`` is called from
+    the loop's frame, so its caller's locals are the loop's state."""
+    trace = build_workload_columnar(workload, n)
+    seen = []
+    assemble = core_model._assemble_result
+
+    def probe(*args):
+        seen.append(_footprint(sys._getframe(1).f_locals.values()))
+        return assemble(*args)
+
+    monkeypatch.setattr(core_model, "_assemble_result", probe)
+    simulate(trace, get_scheme(scheme_id).build())
+    monkeypatch.setattr(core_model, "_assemble_result", assemble)
+    assert len(seen) == 1
+    return seen[0]
+
+
+# Growth of the loop's own state from 16k to 64k perlbmk instructions.
+# A commit cycle kept per instruction (a list slot and an int, plus the
+# LDQ/STQ histories) adds 19-26 bytes an instruction; window-bounded
+# commit state leaves only the issue-port busy maps, which swing by up
+# to ~130 KiB between prunes (under 3 bytes an instruction here).
+LOOP_STATE_BYTES_PER_INSTRUCTION = 6
+
+
+@pytest.mark.parametrize("scheme_id", ["baseline", "dlvp"])
+def test_simulate_loop_state_does_not_grow_with_the_trace(monkeypatch, scheme_id):
+    """Measured on the loop's locals rather than with tracemalloc, which
+    slows simulate() too much for traces long enough to show a slope."""
+    short = _loop_state_bytes(monkeypatch, "perlbmk", 16_000, scheme_id)
+    long = _loop_state_bytes(monkeypatch, "perlbmk", 64_000, scheme_id)
+    per_instruction = (long - short) / 48_000
+    assert per_instruction < LOOP_STATE_BYTES_PER_INSTRUCTION, (
+        f"loop state {short} -> {long} bytes: {per_instruction:.1f} B/instruction"
+    )
+
+
 # ---------------------------------------------------------------------------
 # one-pass build
 # ---------------------------------------------------------------------------
@@ -220,6 +284,50 @@ def test_columnar_build_peaks_near_one_trace():
         tracemalloc.stop()
     assert len(trace) > 50_000
     assert peak < 1.9 * kept, f"build peak {peak} for {kept} kept"
+
+
+def _column_bytes(trace: ColumnarTrace) -> list[int]:
+    return [memoryview(getattr(trace, attr)).nbytes for attr, _ in COLUMNS]
+
+
+def test_splice_allocates_each_column_once_and_peaks_at_one_column():
+    """The cold-burst splice's shape: runs of a hot source interleaved
+    with short runs of a cold one, consumed.  Every result column is
+    allocated at its final length (an array grown step by step carries
+    spare capacity), and the splice never holds more than the sources,
+    the finished columns and the one column being filled."""
+    whole = build_workload_columnar("gzip", 60_000)
+    split = 54_000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hot = whole.slice(0, split)
+        cold = whole.slice(split, len(whole))
+        bursts = range(2_500, split, 2_500)
+        per_burst = len(cold) // len(bursts)
+        parts = []
+        first = 0
+        for k, at in enumerate(bursts):
+            last = k == len(bursts) - 1
+            parts.append((hot, first, at))
+            parts.append((cold, k * per_burst, len(cold) if last else (k + 1) * per_burst))
+            first = at
+        parts.append((hot, first, split))
+        spliced = ColumnarTrace(whole.name)
+        spliced.extend_rows(parts, consume=True)
+        del hot, cold, parts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spliced) == len(whole)
+    assert spliced.instruction(2_500) == whole.instruction(split)
+    sizes = _column_bytes(spliced)
+    for (attr, typecode), nbytes in zip(COLUMNS, sizes):
+        assert sys.getsizeof(getattr(spliced, attr)) == (
+            sys.getsizeof(array(typecode)) + nbytes
+        ), f"column {attr} has spare capacity"
+    bound = sum(sizes) + max(sizes) + 64 * 1024
+    assert peak - start <= bound, f"splice peak {peak - start} > {bound}"
 
 
 # ---------------------------------------------------------------------------

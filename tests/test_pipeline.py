@@ -192,6 +192,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="width"):
             CoreConfig(fetch_width=0)
 
+    @pytest.mark.parametrize("field", ["rob_entries", "ldq_entries", "stq_entries"])
+    def test_positive_windows(self, field):
+        with pytest.raises(ValueError, match="ROB, LDQ and STQ"):
+            CoreConfig(**{field: 0})
+
 
 class TestDeterminism:
     def test_same_run_same_cycles(self):
