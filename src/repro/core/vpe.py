@@ -12,6 +12,7 @@ a no-prediction, which the paper reports "is almost never encountered".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 class PredictedValuesTable:
@@ -28,8 +29,9 @@ class PredictedValuesTable:
         self.capacity = entries
         self.read_ports = read_ports
         self.write_ports = write_ports
-        # (free_cycle, registers) pairs; plain tuples — one is created
-        # per admitted prediction on the simulate() hot path.
+        # (free_cycle, registers) pairs as a heap, soonest free first;
+        # plain tuples — one is created per admitted prediction on the
+        # simulate() hot path.
         self._allocations: list[tuple[int, int]] = []
         self._occupied = 0
         self.writes = 0
@@ -38,16 +40,10 @@ class PredictedValuesTable:
         self.peak_occupancy = 0
 
     def _reclaim(self, cycle: int) -> None:
+        """Free every allocation whose load has executed by ``cycle``."""
         allocations = self._allocations
-        if not allocations:
-            return
-        freed = 0
-        for alloc in allocations:
-            if alloc[0] <= cycle:
-                freed += alloc[1]
-        if freed:
-            self._allocations = [a for a in allocations if a[0] > cycle]
-            self._occupied -= freed
+        while allocations and allocations[0][0] <= cycle:
+            self._occupied -= heappop(allocations)[1]
 
     def try_allocate(self, registers: int, cycle: int, free_cycle: int) -> bool:
         """Reserve ``registers`` entries from ``cycle`` until ``free_cycle``.
@@ -58,14 +54,14 @@ class PredictedValuesTable:
         if registers <= 0:
             raise ValueError("must allocate at least one register")
         self._reclaim(cycle)
-        if self._occupied + registers > self.capacity:
+        occupied = self._occupied + registers
+        if occupied > self.capacity:
             self.allocation_failures += 1
             return False
-        occupied = self._occupied + registers
         self._occupied = occupied
         if occupied > self.peak_occupancy:
             self.peak_occupancy = occupied
-        self._allocations.append((free_cycle, registers))
+        heappush(self._allocations, (free_cycle, registers))
         self.writes += registers
         return True
 

@@ -83,12 +83,16 @@ class PapKeyBatch:
     the computation exact: load *j*'s window is the last
     ``history_bits`` path bits pushed before it, bit 0 the most recent
     — precisely the state of the live shift register at its fetch.
+
+    Each chunk's loads are found from a row cursor, scanning the trace's
+    ``op`` column a bounded block of rows at a time, so nothing the
+    batch keeps between chunks grows with the trace.
     """
 
     __slots__ = (
-        "_pcs", "_next", "_carry", "_chunk", "_history_bits",
-        "_index_bits", "_index_mask", "_tag_bits", "_tag_mask",
-        "_tag_shift", "_fga_mask", "loads",
+        "_trace", "_load_op", "_row", "_next", "_carry", "_chunk",
+        "_history_bits", "_index_bits", "_index_mask", "_tag_bits",
+        "_tag_mask", "_tag_shift", "_fga_mask",
     )
 
     def __init__(
@@ -107,10 +111,9 @@ class PapKeyBatch:
             raise RuntimeError("PapKeyBatch requires numpy")
         if not 0 < history_bits <= 64:
             raise ValueError("PapKeyBatch supports 1..64 history bits")
-        ops = np.frombuffer(trace.op, dtype=np.uint8)
-        pcs = np.frombuffer(trace.pc, dtype=np.uint64)
-        self._pcs = pcs[ops == load_op]
-        self.loads = int(self._pcs.shape[0])
+        self._trace = trace
+        self._load_op = load_op
+        self._row = 0
         self._next = 0
         self._carry = np.zeros(history_bits, dtype=np.uint64)
         self._chunk = chunk_loads
@@ -123,10 +126,34 @@ class PapKeyBatch:
         # ~(FETCH_GROUP_BYTES - 1) in 64-bit two's complement.
         self._fga_mask = (1 << 64) - fetch_group_bytes
 
+    def _next_load_pcs(self):
+        """The PCs of the next (up to) ``chunk_loads`` loads, advancing
+        the row cursor past the last of them."""
+        trace = self._trace
+        rows = len(trace.op)
+        want = self._chunk
+        parts = []
+        row = self._row
+        while want and row < rows:
+            # Rows are scanned in blocks of four chunks: every block's
+            # temporaries are bounded, however sparse the loads.
+            stop = min(rows, row + 4 * self._chunk)
+            ops = np.frombuffer(trace.op, dtype=np.uint8, count=stop - row, offset=row)
+            hits = np.flatnonzero(ops == self._load_op)[:want]
+            if len(hits) == want:
+                stop = row + int(hits[-1]) + 1
+            pcs = np.frombuffer(trace.pc, dtype=np.uint64, count=stop - row,
+                                offset=8 * row)
+            parts.append(pcs[hits])
+            want -= len(hits)
+            row = stop
+        self._row = row
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
+
     def next_chunk(self):
         """Keys for the next chunk of loads, as plain Python lists."""
         start = self._next
-        pcs = self._pcs[start:start + self._chunk]
+        pcs = self._next_load_pcs()
         n = int(pcs.shape[0])
         if n == 0:
             raise RuntimeError("PapKeyBatch exhausted: more loads consumed "

@@ -63,7 +63,6 @@ from repro.trace import ColumnarTrace, Trace
 from repro.trace.columnar import (
     F_TAKEN,
     OPCLASS_BY_VALUE,
-    PLAIN,
     RAGGED,
 )
 
@@ -78,6 +77,14 @@ _PORT_PRUNE_THRESHOLD = 4096
 # per-window fixed cost is a dozen C-level slice/tolist calls, so a
 # small window bounds memory at no measurable speed cost.
 _SNAPSHOT_WINDOW = 2048
+
+# The plain columns the loop reads, in the order _window_columns returns
+# them (the target is not read: the branch verdicts stand for it).
+_ROW_COLUMNS = ("pc", "op", "flags", "mem_addr", "mem_size")
+
+# Later than any cycle a run reaches: the oldest unretired store's commit
+# cycle while no store awaits retirement.
+_NEVER = 1 << 62
 
 
 class _IssuePorts:
@@ -246,9 +253,10 @@ def _simulate_columnar(
     ``i % size``.  Every read lies inside the ROB window — the ROB stall
     reads instruction ``i - rob_entries``, and the other reads name
     stores that have not retired, which are younger than that — so
-    ``size = rob_entries`` suffices.  A recorded run gets ``size = n``,
-    where slot ``i`` is ``i``: the record holds the whole list,
-    positive and non-decreasing over the committed prefix, 0 after it.
+    ``size = rob_entries`` suffices.  A recorded run gets ``size =
+    max(n, rob_entries)``, where slot ``i`` is ``i``: the record holds
+    the whole list, positive and non-decreasing over the committed
+    prefix, 0 after it.
     The LDQ and STQ stalls read the oldest of the last ``ldq_entries``
     load and ``stq_entries`` store commit cycles, kept in bounded
     queues.
@@ -270,7 +278,7 @@ def _simulate_columnar(
 
     n = len(trace)
     rob_entries = cfg.rob_entries
-    size = rob_entries if record is None else n
+    size = rob_entries if record is None else max(n, rob_entries)
     commit_cycles = [0] * size
     ls_ports = _IssuePorts(cfg.ls_lanes)
     gen_ports = _IssuePorts(cfg.generic_lanes)
@@ -287,10 +295,11 @@ def _simulate_columnar(
 
     last_commit_cycle = 0
     commits_in_cycle = 0
-    ldq_entries = cfg.ldq_entries
-    stq_entries = cfg.stq_entries
-    load_commits: deque = deque(maxlen=ldq_entries)
-    store_commits: deque = deque(maxlen=stq_entries)
+    # The last ldq_entries load and stq_entries store commit cycles,
+    # oldest first; the leading zeros stand for empty entries, which
+    # stall nothing.
+    load_commits: deque = deque([0] * cfg.ldq_entries, maxlen=cfg.ldq_entries)
+    store_commits: deque = deque([0] * cfg.stq_entries, maxlen=cfg.stq_entries)
 
     flushes = FlushStats()
     loads = 0
@@ -380,7 +389,11 @@ def _simulate_columnar(
     store_fifo: deque = deque()   # executed stores: (seq, addr, size, value)
     store_fifo_append = store_fifo.append
     store_fifo_pop = store_fifo.popleft
-    next_store = n                 # seq of the oldest unretired store
+    # Commit cycle of the oldest unretired store, or _NEVER while none
+    # has committed.  Set when that store commits and read back from the
+    # ring when the FIFO advances: an unretired store's slot lies in the
+    # ROB window.
+    store_commit = _NEVER
     # Window ends: every _SNAPSHOT_WINDOW rows, plus where a record
     # wants a snapshot.
     ends = list(range(_SNAPSHOT_WINDOW, n, _SNAPSHOT_WINDOW))
@@ -394,7 +407,6 @@ def _simulate_columnar(
     if n:
         ends.append(n)
     base = 0
-    # i is the trace position, j its row in the current window.
     for end in ends:
         (
             pcs,
@@ -402,7 +414,6 @@ def _simulate_columnar(
             flags_col,
             mem_addr_col,
             mem_size_col,
-            _,                          # target: the verdicts stand for it
             srcs_index,
             srcs_flat,
             dests_index,
@@ -411,12 +422,17 @@ def _simulate_columnar(
             values_lo,
             values_hi,
         ) = _window_columns(trace, base, end)
-        verdict_col = verdicts[base:end].tolist()
-        for i in range(base, end):
-            j = i - base
+        # One tuple per row: the trace position, the row's plain fields,
+        # (start, stop) of its sources, destinations and values in the
+        # window's flat lists, and its branch verdict.
+        for (
+            i, pc, op, flags, addr, mem_size, s0, s1, d0, d1, v0, v1, mispredicted,
+        ) in zip(
+            range(base, end), pcs, ops, flags_col, mem_addr_col, mem_size_col,
+            srcs_index, srcs_index[1:], dests_index, dests_index[1:],
+            values_index, values_index[1:], verdicts[base:end].tolist(),
+        ):
             cc_slot = i % size
-            op = ops[j]
-            pc = pcs[j]
 
             # ---- fetch grouping --------------------------------------------
             if (
@@ -434,19 +450,24 @@ def _simulate_columnar(
             prev_pc = pc
 
             # ---- structural stalls (ROB / LDQ / STQ) ------------------------
-            if i >= rob_entries:
-                # Slot of instruction i - rob_entries: a negative index
-                # wraps by size, which is at least rob_entries.
-                stall = commit_cycles[cc_slot - rob_entries]
+            # Slot of instruction i - rob_entries: a negative index wraps
+            # by size, which is at least rob_entries, onto a slot that no
+            # instruction has committed into yet while i < rob_entries.
+            stall = commit_cycles[cc_slot - rob_entries]
+            if stall > fetch_cycle:
+                fetch_cycle = stall
+            if op == LOAD:
+                stall = load_commits[0]
                 if stall > fetch_cycle:
                     fetch_cycle = stall
-            if op == LOAD:
-                if len(load_commits) == ldq_entries:
-                    stall = load_commits[0]
-                    if stall > fetch_cycle:
-                        fetch_cycle = stall
-            elif op == STORE:
-                if len(store_commits) == stq_entries:
+                # The first two loads of a fetch group take the scheme's
+                # prediction slots 0 and 1.
+                loads += 1
+                load_slot = loads_in_group if loads_in_group < 2 else None
+                loads_in_group += 1
+            else:
+                load_slot = None
+                if op == STORE:
                     stall = store_commits[0]
                     if stall > fetch_cycle:
                         fetch_cycle = stall
@@ -456,42 +477,35 @@ def _simulate_columnar(
             # the oldest ones in the FIFO they entered at execution; the
             # ROB stall above has already made every store older than
             # i - rob_entries committed.
-            while next_store < i and commit_cycles[next_store % size] <= fetch_cycle:
-                _, caddr, csize, cval = store_fifo_pop()
+            while store_commit <= fetch_cycle:
+                seq, caddr, csize, cval = store_fifo_pop()
                 image_write(caddr, csize, cval)
-                del store_done[next_store]
+                del store_done[seq]
                 # Every word the store entered (a zero-size store enters
                 # one): a retired store's ring slot is reused.
                 first = caddr >> 2
                 last = (caddr + (csize or 1) - 1) >> 2
                 for word in range(first, last + 1):
                     entry = word_store_get(word)
-                    if entry is not None and entry[0] == next_store:
+                    if entry is not None and entry[0] == seq:
                         del word_store[word]
-                next_store = store_fifo[0][0] if store_fifo else n
+                store_commit = (
+                    commit_cycles[store_fifo[0][0] % size] if store_fifo else _NEVER
+                )
 
             # ---- scheme fetch side ------------------------------------------
-            load_slot = None
-            if op == LOAD:
-                loads += 1
-                if loads_in_group < 2:
-                    load_slot = loads_in_group
-                loads_in_group += 1
             fp = None
             if scheme is not None and (op == LOAD or fetch_all_ops):
-                ndests_i = dests_index[j + 1] - dests_index[j]
-                vs = values_index[j]
-                ve = values_index[j + 1]
-                if ve - vs == 1:
-                    hv = values_hi[vs]
-                    vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
-                elif ve == vs:
+                if v1 - v0 == 1:
+                    hv = values_hi[v0]
+                    vals = ((hv << 64) | values_lo[v0] if hv else values_lo[v0],)
+                elif v1 == v0:
                     vals = ()
                 else:
                     vals = tuple(
                         (values_hi[k] << 64) | values_lo[k]
                         if values_hi[k] else values_lo[k]
-                        for k in range(vs, ve)
+                        for k in range(v0, v1)
                     )
                 # Probe on the first load-store bubble after the
                 # predicted address reaches the back-end (1 cycle predict
@@ -500,23 +514,24 @@ def _simulate_columnar(
                 # available now; the paper measures <0.1% of PAQ entries
                 # aging out.
                 fp = scheme_flat_fetch(
-                    pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
-                    ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
+                    pc, op, addr, mem_size, flags, d1 - d0, vals,
+                    fetch_cycle, load_slot, fetch_cycle + 2,
                 )
 
             # ---- issue timing -----------------------------------------------
-            src_ready = 0
-            for k in range(srcs_index[j], srcs_index[j + 1]):
-                ready = reg_ready[srcs_flat[k]]
-                if ready > src_ready:
-                    src_ready = ready
             ready = fetch_cycle + fetch_to_execute
-            if src_ready > ready:
-                ready = src_ready
+            if s1 - s0 == 1:
+                src_ready = reg_ready[srcs_flat[s0]]
+                if src_ready > ready:
+                    ready = src_ready
+            elif s1 != s0:
+                for k in range(s0, s1):
+                    src_ready = reg_ready[srcs_flat[k]]
+                    if src_ready > ready:
+                        ready = src_ready
 
             acc_way = None
             if op == LOAD:
-                addr = mem_addr_col[j]
                 # mdp.load_dependence(pc), inlined (tick, SSIT, then LFST).
                 ev = mdp._events + 1
                 mdp._events = ev
@@ -591,8 +606,7 @@ def _simulate_columnar(
                             for k in range(1, pf_degree + 1):
                                 prefetch_fill(addr + stride * k)
                             prefetcher.issued += pf_degree
-                ndests = dests_index[j + 1] - dests_index[j]
-                nbytes = mem_size_col[j] * (ndests or 1)
+                nbytes = mem_size * ((d1 - d0) or 1)
                 first = addr >> 2
                 last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
                 if first == last:
@@ -610,7 +624,6 @@ def _simulate_columnar(
                 else:
                     done = issue + 1 + acc_latency
             elif op == STORE:
-                addr = mem_addr_col[j]
                 mdp_store_fetched(pc, i)
                 # hierarchy.access(is_store=True), inlined.
                 demand_accesses += 1
@@ -647,9 +660,8 @@ def _simulate_columnar(
                 ls_busy[issue] = count + 1
                 done = issue + 1
                 entry = (i, done, pc)
-                nbytes = mem_size_col[j]
                 first = addr >> 2
-                last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
+                last = (addr + (mem_size if mem_size > 0 else 1) - 1) >> 2
                 if first == last:
                     word_store[first] = entry
                 else:
@@ -657,13 +669,10 @@ def _simulate_columnar(
                         word_store[word] = entry
                 store_done[i] = done
                 mdp_store_executed(pc)
-                k = values_index[j]
-                vhi = values_hi[k]
+                vhi = values_hi[v0]
                 store_fifo_append(
-                    (i, addr, nbytes, (vhi << 64) | values_lo[k] if vhi else values_lo[k])
+                    (i, addr, mem_size, (vhi << 64) | values_lo[v0] if vhi else values_lo[v0])
                 )
-                if next_store == n:
-                    next_store = i
             elif is_ls_op[op]:
                 issue = ready
                 count = ls_busy_get(issue, 0)
@@ -686,10 +695,10 @@ def _simulate_columnar(
                 done = issue + branch_latency
                 if history is not None:
                     if op == BRANCH:
-                        history_push(1 if flags_col[j] & F_TAKEN else 0)
+                        history_push(1 if flags & F_TAKEN else 0)
                     elif op == CALL:
                         history_push(1)
-                if verdict_col[j]:
+                if mispredicted:
                     flushes.branch += 1
                     pending_redirect = done + 1
                     force_new_group = True
@@ -697,9 +706,10 @@ def _simulate_columnar(
                         flush_log.append((i, done, "branch", pc))
 
             # ---- value prediction resolution ---------------------------------
-            value_predicted = False
+            ready_at = done           # when the destinations can be read
             if fp is not None:
                 fp_values = fp[0]
+                value_predicted = False
                 if fp_values is not None:
                     if oracle_replay and not fp[1]:
                         pass        # oracle replay: treat as never predicted
@@ -708,8 +718,8 @@ def _simulate_columnar(
                     else:
                         vpe_stats.pvt_rejections += 1
                 value_correct = scheme_flat_execute(
-                    pc, op, mem_addr_col[j], mem_size_col[j], flags_col[j],
-                    ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
+                    pc, op, addr, mem_size, flags, d1 - d0, vals,
+                    fp[2], fp_values, acc_way, value_predicted,
                 )[1]
                 if value_predicted:
                     vpe_stats.value_predictions += 1
@@ -717,9 +727,7 @@ def _simulate_columnar(
                         vpe_stats.value_correct += 1
                     pvt_note_read(fp[3])
                     if value_correct:
-                        ready_time = fetch_cycle + rename_depth
-                        for k in range(dests_index[j], dests_index[j + 1]):
-                            reg_ready[dests_flat[k]] = ready_time
+                        ready_at = fetch_cycle + rename_depth
                     else:
                         flushes.value += 1
                         pending_redirect = done + 1 + validation_penalty
@@ -727,37 +735,37 @@ def _simulate_columnar(
                         scheme.on_value_flush()
                         if flush_log is not None:
                             flush_log.append((i, done, "value", pc))
-                        for k in range(dests_index[j], dests_index[j + 1]):
-                            reg_ready[dests_flat[k]] = done
-            if not value_predicted:
-                for k in range(dests_index[j], dests_index[j + 1]):
-                    reg_ready[dests_flat[k]] = done
+            if d1 - d0 == 1:
+                reg_ready[dests_flat[d0]] = ready_at
+            elif d1 != d0:
+                for k in range(d0, d1):
+                    reg_ready[dests_flat[k]] = ready_at
 
             # ---- in-order commit ---------------------------------------------
-            cc = done + 1
-            if cc < last_commit_cycle:
-                cc = last_commit_cycle
-            if cc == last_commit_cycle:
-                if commits_in_cycle >= commit_width:
-                    cc += 1
-                    commits_in_cycle = 1
-                else:
-                    commits_in_cycle += 1
-            else:
+            # At done + 1 if that is past the last commit cycle, else in
+            # the last commit cycle while it has a free slot, else in the
+            # cycle after it.
+            if done >= last_commit_cycle:
+                cc = last_commit_cycle = done + 1
                 commits_in_cycle = 1
-            last_commit_cycle = cc
+            elif commits_in_cycle >= commit_width:
+                cc = last_commit_cycle = last_commit_cycle + 1
+                commits_in_cycle = 1
+            else:
+                cc = last_commit_cycle
+                commits_in_cycle += 1
             commit_cycles[cc_slot] = cc
             if op == LOAD:
                 load_commits.append(cc)
             elif op == STORE:
                 store_commits.append(cc)
-
-            # ---- bounded busy-map pruning ------------------------------------
-            if not i & 1023:
-                ls_ports.prune_below(fetch_cycle)
-                gen_ports.prune_below(fetch_cycle)
+                if cc < store_commit:       # the FIFO held no other store
+                    store_commit = cc
 
         base = end
+        # No later instruction is ready before this fetch cycle.
+        ls_ports.prune_below(fetch_cycle)
+        gen_ports.prune_below(fetch_cycle)
         if record is not None:
             record.snapshot(end, last_commit_cycle, loads, scheme)
 
@@ -774,15 +782,16 @@ def _simulate_columnar(
 
 
 def _window_columns(trace: ColumnarTrace, start: int, stop: int) -> tuple:
-    """Plain-list snapshots of rows ``start:stop`` of every column.
+    """Plain-list snapshots of rows ``start:stop`` of the columns the loop reads.
 
     Indexing an ``array.array`` (or memoryview) boxes a fresh int on
     every read, while list indexing returns the already-boxed object, so
     the loop reads lists; ``tolist()`` converts at C speed.  Prefix
     indexes are rebased so the window's flat slices start at 0.  Returns
-    the columns in ``COLUMNS`` order.
+    the ``_ROW_COLUMNS``, then each prefix index followed by its flat
+    columns, in ``RAGGED`` order.
     """
-    cols = [getattr(trace, attr)[start:stop].tolist() for attr in PLAIN]
+    cols = [getattr(trace, attr)[start:stop].tolist() for attr in _ROW_COLUMNS]
     for index, flats in RAGGED:
         idx = getattr(trace, index)[start:stop + 1]
         lo = idx[0]

@@ -4,7 +4,7 @@ Layout under the cache root (``~/.cache/repro`` by default, overridden
 by ``$REPRO_CACHE_DIR`` or ``--cache-dir``)::
 
     results/<k0k1>/<key>.json   # schema-versioned SimResult payloads
-    traces/<key>.trace          # repro.trace.serialization v1 format
+    traces/<key>.trace          # repro.trace.serialization v2 (or v1) format
     corrupt/                    # quarantined unreadable/bad-checksum entries
 
 Result entries are JSON (never pickles): the payload embeds the job's
@@ -210,6 +210,8 @@ class ResultCache:
         Returns ``{"results", "ok", "stale", "corrupt", "traces",
         "trace_corrupt"}`` — ``corrupt`` entries (and unreadable
         traces) end up under ``corrupt/`` with ``on_corrupt`` fired.
+        Traces are read as :meth:`get_trace_columnar` reads them, verdict
+        section included.
         """
         report = {"results": 0, "ok": 0, "stale": 0, "corrupt": 0,
                   "traces": 0, "trace_corrupt": 0}
@@ -225,7 +227,7 @@ class ResultCache:
         for path in self._trace_files():
             report["traces"] += 1
             try:
-                load_trace(path)
+                load_trace_columnar(path)
             except (OSError, ValueError):
                 report["trace_corrupt"] += 1
                 self._quarantine(path.stem, path, "unreadable trace")
@@ -358,7 +360,10 @@ class ResultCache:
         """Store ``trace`` under ``key`` atomically.
 
         A :class:`ColumnarTrace` is stored in the v2 binary columnar
-        format, a :class:`Trace` in v1 text; :meth:`get_trace` and
+        format as one chunk, written straight from its columns (the
+        layout :func:`~repro.trace.serialization.v2_bytes` produces),
+        so :meth:`get_trace_columnar` adopts it without joining chunks;
+        a :class:`Trace` is stored in v1 text.  :meth:`get_trace` and
         :meth:`get_trace_columnar` both read either, so object and
         columnar jobs share one cache entry per trace key.
         """
@@ -367,8 +372,10 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         os.close(fd)
         try:
-            fmt = "v2" if isinstance(trace, ColumnarTrace) else "v1"
-            save_trace(trace, tmp, format=fmt)
+            if isinstance(trace, ColumnarTrace):
+                save_trace(trace, tmp, format="v2", chunk_size=max(1, len(trace)))
+            else:
+                save_trace(trace, tmp, format="v1")
             os.replace(tmp, path)
         except BaseException:
             try:

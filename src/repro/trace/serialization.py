@@ -139,12 +139,14 @@ def _v1_name(path: str | Path) -> str:
 # -- v2 ------------------------------------------------------------------
 
 
-def _column_bytes(col) -> bytes:
+def _column_bytes(col) -> memoryview:
+    """A column's little-endian bytes: on a little-endian host a byte
+    view of the column's own buffer (no copy), else a swapped copy."""
     if sys.byteorder == "little":
-        return col.tobytes()
+        return memoryview(col).cast("B")
     swapped = col[:]
     swapped.byteswap()
-    return swapped.tobytes()
+    return memoryview(swapped).cast("B")
 
 
 def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[ColumnarTrace]:
@@ -152,8 +154,8 @@ def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[Colum
 
     A :class:`ColumnarTrace`'s columns *are* the wire format, so it is
     cut with column slices (:meth:`ColumnarTrace.slice`) — or yielded
-    as-is when it fits one chunk, the path ``v2_bytes`` and with it
-    every fabric publish takes.  Re-materializing an ``Instruction``
+    as-is when it fits one chunk, the path ``v2_bytes`` (and with it
+    every fabric publish) and the trace cache take.  Re-materializing an ``Instruction``
     view per row would cost several times the serialization itself.
     """
     if isinstance(source, ColumnarTrace):
@@ -219,9 +221,9 @@ def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         total += n
         fh.write(_U32.pack(n))
         for attr, _ in COLUMNS:
-            data = _column_bytes(getattr(chunk, attr))
-            fh.write(_U64.pack(len(data)))
-            fh.write(data)
+            with _column_bytes(getattr(chunk, attr)) as data:
+                fh.write(_U64.pack(len(data)))
+                fh.write(data)
     if not wrote_header:
         raise ValueError("cannot serialize an empty chunk stream (no name)")
     fh.write(_U32.pack(_CHUNK_END))

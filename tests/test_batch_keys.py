@@ -55,19 +55,11 @@ def test_no_numpy_columnar_matches_goldens(monkeypatch, scheme_id):
 # ---------------------------------------------------------------------------
 
 
-@numpy_required
-def test_pap_key_batch_matches_sequential():
+def _pap_batch(trace, chunk_loads: int):
     from repro.predictors.pap import PapPredictor
 
-    rng = random.Random(0x5EED)
-    pcs = [rng.randrange(1 << 48) * 4 for _ in range(500)]
-    trace = ColumnarTrace("rand-loads", (
-        Instruction(pc=pc, op=OpClass.LOAD, dests=(1,), values=(0,),
-                    mem_addr=pc, mem_size=4)
-        for pc in pcs
-    ))
     predictor = PapPredictor()
-    kb = batch.PapKeyBatch(
+    return predictor, batch.PapKeyBatch(
         trace,
         load_op=int(OpClass.LOAD),
         history_bits=predictor.config.history_bits,
@@ -75,9 +67,33 @@ def test_pap_key_batch_matches_sequential():
         tag_bits=predictor.config.tag_bits,
         tag_shift=predictor._tag_shift,
         fetch_group_bytes=FETCH_GROUP_BYTES,
-        chunk_loads=37,       # force many chunks and history carry
+        chunk_loads=chunk_loads,
     )
-    assert kb.loads == len(pcs)
+
+
+def _mixed_stream(seed: int, loads: int, load_share: float) -> list[Instruction]:
+    """``loads`` loads at random PCs, with ALU rows and stores between them."""
+    rng = random.Random(seed)
+    insts = []
+    while loads:
+        pc = rng.randrange(1 << 48) * 4
+        r = rng.random()
+        if r < load_share:
+            insts.append(Instruction(pc=pc, op=OpClass.LOAD, dests=(1,), values=(0,),
+                                     mem_addr=pc, mem_size=4))
+            loads -= 1
+        elif r < (1 + load_share) / 2:
+            insts.append(Instruction(pc=pc, op=OpClass.STORE, srcs=(1, 2), values=(0,),
+                                     mem_addr=pc, mem_size=4))
+        else:
+            insts.append(Instruction(pc=pc, op=OpClass.ALU, srcs=(1,), dests=(2,)))
+    return insts
+
+
+def _assert_pap_batch_matches_live(insts) -> None:
+    # 37-load chunks: many chunks, history carries and row blocks
+    predictor, kb = _pap_batch(ColumnarTrace("rand-loads", insts), 37)
+    pcs = [inst.pc for inst in insts if inst.op is OpClass.LOAD]
     got: list[tuple[int, int, int, int]] = []
     while len(got) < len(pcs):
         start, idx0, tag0, idx1, tag1 = kb.next_chunk()
@@ -92,6 +108,30 @@ def test_pap_key_batch_matches_sequential():
         predictor.history.push_load(pc)
     with pytest.raises(RuntimeError):
         kb.next_chunk()
+
+
+@numpy_required
+def test_pap_key_batch_matches_sequential():
+    """Streams of loads only, and streams where loads are 30% and 2% of
+    the rows: the batch's row cursor finds exactly the loads."""
+    for load_share in (1.0, 0.3, 0.02):
+        _assert_pap_batch_matches_live(_mixed_stream(0x5EED, 500, load_share))
+
+
+@numpy_required
+def test_pap_key_batch_keeps_nothing_per_load():
+    """Between chunks the batch holds the same arrays over 400 loads as
+    over 20,000: it selects each chunk's loads from a row cursor."""
+    sizes = []
+    for loads in (400, 20_000):
+        _, kb = _pap_batch(ColumnarTrace("loads", _mixed_stream(7, loads, 0.3)), 64)
+        kb.next_chunk()
+        kb.next_chunk()
+        sizes.append(sorted(
+            (slot, getattr(kb, slot).nbytes) for slot in batch.PapKeyBatch.__slots__
+            if isinstance(getattr(kb, slot), batch.np.ndarray)
+        ))
+    assert sizes[0] == sizes[1]
 
 
 # ---------------------------------------------------------------------------

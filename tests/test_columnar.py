@@ -159,6 +159,33 @@ def test_extend_chunk_reassembly_roundtrip(trace, data):
     assert out == columnar
 
 
+@settings(max_examples=60, deadline=None)
+@given(sources=st.lists(traces, min_size=1, max_size=3), prefix=traces,
+       consume=st.booleans(), data=st.data())
+def test_extend_rows_concatenates_random_parts(sources, prefix, consume, data):
+    """Random ``(source, start, stop)`` parts, empty ones and repeated
+    sources included, appended to an empty or non-empty trace with or
+    without ``consume``: the result holds its own rows, then exactly
+    the parts' rows, with well-formed prefix indexes."""
+    columnar = [ColumnarTrace.from_trace(t) for t in sources]
+    parts = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        k = data.draw(st.integers(0, len(columnar) - 1))
+        a, b = sorted(data.draw(st.lists(
+            st.integers(0, len(columnar[k])), min_size=2, max_size=2)))
+        parts.append((columnar[k], a, b))
+    expected = list(prefix.instructions) + [
+        src.instruction(i) for src, a, b in parts for i in range(a, b)
+    ]
+    out = ColumnarTrace.from_trace(prefix)
+    out.extend_rows(parts, consume=consume)
+    assert list(out) == expected
+    ColumnarTrace.from_columns("check", {
+        attr: getattr(out, attr) for attr in ColumnarTrace.__slots__
+        if attr not in ("name", "verdicts")
+    })
+
+
 def test_columnar_extend_rebases_ragged_indexes():
     a = ColumnarTrace.from_trace(Trace("a", [
         Instruction(pc=0, op=OpClass.ALU, srcs=(1, 2), dests=(3,), values=(9,)),

@@ -15,7 +15,8 @@ chunk.  These tests cover what only longer traces exercise:
 * the one-pass columnar build (one kernel run, no thread, a peak
   near one trace) and its splice (each column allocated once, a peak of
   one trace plus one column);
-* v2 writes of multi-chunk columnar traces by column slicing.
+* v2 writes of multi-chunk columnar traces by column slicing, and the
+  trace cache's single-chunk entries (older chunked entries still load).
 
 Only regenerate the frozen seam results after a *deliberate* model
 change::
@@ -38,6 +39,7 @@ import pytest
 
 from repro.isa import OpClass
 from repro.pipeline import RecoveryMode, batch, core_model, simulate
+from repro.runtime import ResultCache
 from repro.runtime.registry import get_scheme, scheme_ids
 from repro.trace import ColumnarTrace
 from repro.trace.columnar import COLUMNS, F_VECTOR
@@ -387,6 +389,47 @@ def test_slice_rebases_prefix_indexes():
     part = trace.slice(start, stop)
     assert part.srcs_index[0] == part.dests_index[0] == part.values_index[0] == 0
     assert list(part) == [trace.instruction(i) for i in range(start, stop)]
+
+
+# ---------------------------------------------------------------------------
+# the trace cache: one chunk per entry, older chunked entries still load
+# ---------------------------------------------------------------------------
+
+
+def test_cache_entry_is_one_chunk_written_from_the_columns(tmp_path, monkeypatch):
+    """A cached trace is the single-chunk image ``v2_bytes`` gives,
+    written without slicing the trace and read back without joining
+    chunks, verdicts included."""
+    trace = build_workload_columnar("eon", 20_000)
+    assert len(trace) > DEFAULT_CHUNK_SIZE and trace.verdicts is not None
+    image = v2_bytes(trace)
+    cache = ResultCache(tmp_path)
+
+    def no_splice(self, parts, consume=False):
+        raise AssertionError("the cache write or read spliced rows")
+
+    monkeypatch.setattr(ColumnarTrace, "extend_rows", no_splice)
+    cache.put_trace("k", trace)
+    got = cache.get_trace_columnar("k")
+    monkeypatch.undo()
+    path = cache.trace_path("k")
+    assert path.read_bytes() == image
+    assert [len(chunk) for chunk in iter_trace_chunks(path)] == [len(trace)]
+    assert got == trace and got.verdicts == trace.verdicts
+
+
+def test_chunked_cache_entry_still_loads(tmp_path):
+    """An entry laid out by the chunked writer (8,192-row chunks, then
+    the verdicts) loads equal to the trace, verdicts included."""
+    trace = build_workload_columnar("eon", 20_000)
+    cache = ResultCache(tmp_path)
+    path = cache.trace_path("k")
+    path.parent.mkdir(parents=True)
+    save_trace(trace, path, format="v2")
+    assert [len(chunk) for chunk in iter_trace_chunks(path)] == [
+        DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE, len(trace) - 2 * DEFAULT_CHUNK_SIZE]
+    got = cache.get_trace_columnar("k")
+    assert got == trace and got.verdicts == trace.verdicts
 
 
 def _regen() -> None:

@@ -284,6 +284,45 @@ class TestPvt:
         assert pvt.read_ports == 2
         assert pvt.write_ports == 2
 
+    @given(st.integers(1, 8), st.lists(st.one_of(
+        st.tuples(st.just("allocate"), st.integers(1, 4), st.integers(0, 60),
+                  st.integers(0, 60)),
+        st.tuples(st.just("occupancy"), st.integers(0, 80)),
+        st.tuples(st.just("flush"),),
+    ), max_size=60))
+    def test_matches_a_list_model(self, entries, ops):
+        """Random admissions, reclaims and flushes: the table agrees
+        with a plain list of live (free_cycle, registers) allocations,
+        all of whose due entries are freed before each admission."""
+        pvt = PredictedValuesTable(entries=entries)
+        live: list[tuple[int, int]] = []
+        failures = peak = writes = 0
+
+        def reclaim(cycle):
+            live[:] = [a for a in live if a[0] > cycle]
+
+        for op in ops:
+            if op[0] == "allocate":
+                _, registers, cycle, hold = op
+                reclaim(cycle)
+                admitted = sum(r for _, r in live) + registers <= entries
+                if admitted:
+                    live.append((cycle + hold, registers))
+                    writes += registers
+                    peak = max(peak, sum(r for _, r in live))
+                else:
+                    failures += 1
+                assert pvt.try_allocate(registers, cycle, cycle + hold) == admitted
+            elif op[0] == "occupancy":
+                reclaim(op[1])
+                assert pvt.occupancy(op[1]) == sum(r for _, r in live)
+            else:
+                pvt.flush()
+                live.clear()
+            assert pvt.allocation_failures == failures
+            assert pvt.peak_occupancy == peak
+            assert pvt.writes == writes
+
 
 class TestVpe:
     def test_admit_and_validate(self):

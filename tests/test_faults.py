@@ -39,6 +39,7 @@ from repro.runtime import (
     make_job,
     read_journal,
 )
+from repro.workloads import build_workload_columnar
 
 WORKLOADS = ["gzip", "nat"]
 N = 1_500
@@ -339,6 +340,20 @@ class TestCacheIntegrity:
         assert report["ok"] == 1
         assert report["corrupt"] == 1
         assert (tmp_path / "corrupt" / f"{key}.json").is_file()
+
+    def test_verify_reads_trace_verdicts_as_the_runtime_does(self, tmp_path):
+        """A verdict byte that is neither 0 nor 1 makes the runtime
+        refuse the trace, so verify quarantines it too."""
+        cache = ResultCache(tmp_path)
+        cache.put_trace("k", build_workload_columnar("gzip", N))
+        path = cache.trace_path("k")
+        data = bytearray(path.read_bytes())
+        data[-1] = 2                               # the last row's verdict
+        path.write_bytes(bytes(data))
+        assert cache.get_trace_columnar("k") is None
+        report = cache.verify()
+        assert report["traces"] == 1 and report["trace_corrupt"] == 1
+        assert (tmp_path / "corrupt" / path.name).is_file()
 
     def test_gc_prunes_by_age_and_size(self, tmp_path):
         runtime = Runtime(jobs=1, cache_dir=tmp_path)
