@@ -358,7 +358,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
               f"({report['ok']} ok, {report['stale']} stale, "
               f"{report['corrupt']} quarantined), "
               f"{report['traces']} traces "
-              f"({report['trace_corrupt']} quarantined)")
+              f"({report['trace_stale']} stale, "
+              f"{report['trace_corrupt']} quarantined)")
         return 1 if report["corrupt"] or report["trace_corrupt"] else 0
     report = cache.gc(max_age_days=args.max_age_days,
                       max_size_mb=args.max_size_mb)

@@ -69,6 +69,29 @@ def _fold_columns(h, source_bits: int, target_bits: int):
     return folded
 
 
+def _next_rows(trace, row: int, want: int, ops: tuple[int, ...]):
+    """The next (up to) ``want`` rows from ``row`` on whose op is one of
+    ``ops``, and the row after the last of them (or after the trace).
+
+    The ``op`` column is scanned in blocks of four times ``want`` rows,
+    so every temporary is bounded however sparse the rows are, and a
+    batch keeps only its cursor between chunks.
+    """
+    column = np.frombuffer(trace.op, dtype=np.uint8)
+    size = 4 * want
+    parts = []
+    while want and row < len(column):
+        block = column[row:row + size]
+        match = block == ops[0]
+        for op in ops[1:]:
+            match |= block == op
+        hits = np.flatnonzero(match)[:want]
+        parts.append(hits + row)
+        row += int(hits[-1]) + 1 if len(hits) == want else len(block)
+        want -= len(hits)
+    return (np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)), row
+
+
 class PapKeyBatch:
     """Chunked APT (index, tag) keys for every dynamic load of a trace.
 
@@ -129,26 +152,10 @@ class PapKeyBatch:
     def _next_load_pcs(self):
         """The PCs of the next (up to) ``chunk_loads`` loads, advancing
         the row cursor past the last of them."""
-        trace = self._trace
-        rows = len(trace.op)
-        want = self._chunk
-        parts = []
-        row = self._row
-        while want and row < rows:
-            # Rows are scanned in blocks of four chunks: every block's
-            # temporaries are bounded, however sparse the loads.
-            stop = min(rows, row + 4 * self._chunk)
-            ops = np.frombuffer(trace.op, dtype=np.uint8, count=stop - row, offset=row)
-            hits = np.flatnonzero(ops == self._load_op)[:want]
-            if len(hits) == want:
-                stop = row + int(hits[-1]) + 1
-            pcs = np.frombuffer(trace.pc, dtype=np.uint64, count=stop - row,
-                                offset=8 * row)
-            parts.append(pcs[hits])
-            want -= len(hits)
-            row = stop
-        self._row = row
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
+        rows, self._row = _next_rows(
+            self._trace, self._row, self._chunk, (self._load_op,)
+        )
+        return np.frombuffer(self._trace.pc, dtype=np.uint64)[rows]
 
     def next_chunk(self):
         """Keys for the next chunk of loads, as plain Python lists."""
@@ -214,12 +221,17 @@ class TageKeyBatch:
     folds up to 128) are carried in a lo/hi pair of uint64 columns; the
     hi half's fold is rotated by ``64 mod target`` before XOR, which is
     exactly where its bits land in :func:`fold_history`'s chunking.
+
+    Each chunk's control-flow events are found from a row cursor, as
+    :class:`PapKeyBatch` finds its loads: the ``op`` column is scanned a
+    bounded block of rows at a time, so nothing the batch keeps between
+    chunks grows with the trace.
     """
 
     __slots__ = (
-        "_bits", "_is_lookup", "_pcs", "_next", "_branches_done", "_carry",
-        "_chunk", "_hist", "_lengths", "_index_bits", "_entries_mask",
-        "_tag_bits", "_tag_mask", "branches",
+        "_trace", "_branch_op", "_call_op", "_taken_flag", "_row",
+        "_branches_done", "_carry", "_chunk", "_hist", "_lengths",
+        "_index_bits", "_entries_mask", "_tag_bits", "_tag_mask",
     )
 
     def __init__(
@@ -240,19 +252,11 @@ class TageKeyBatch:
             raise RuntimeError("TageKeyBatch requires numpy")
         if not 0 < max_history <= 128:
             raise ValueError("TageKeyBatch supports 1..128 history bits")
-        ops = np.frombuffer(trace.op, dtype=np.uint8)
-        pcs = np.frombuffer(trace.pc, dtype=np.uint64)
-        flags = np.frombuffer(trace.flags, dtype=np.uint8)
-        is_branch = ops == branch_op
-        push_sel = is_branch | (ops == call_op)
-        self._is_lookup = is_branch[push_sel]
-        bits = np.ones(int(self._is_lookup.shape[0]), dtype=np.uint64)
-        taken = (flags[is_branch] & taken_flag) != 0
-        bits[self._is_lookup] = taken
-        self._bits = bits
-        self._pcs = pcs[is_branch]
-        self.branches = int(self._pcs.shape[0])
-        self._next = 0
+        self._trace = trace
+        self._branch_op = branch_op
+        self._call_op = call_op
+        self._taken_flag = taken_flag
+        self._row = 0
         self._branches_done = 0
         self._carry = np.zeros(max_history, dtype=np.uint64)
         self._chunk = chunk_events
@@ -262,6 +266,25 @@ class TageKeyBatch:
         self._entries_mask = entries_mask
         self._tag_bits = tag_bits
         self._tag_mask = (1 << tag_bits) - 1
+
+    def _next_events(self):
+        """The next (up to) ``chunk_events`` control-flow events, advancing
+        the row cursor past the last of them.
+
+        Returns ``(bits, lookup, pcs)``: each event's pushed history
+        bit (a branch's outcome, 1 for a call), whether it is a
+        conditional branch, and the conditional branches' PCs.
+        """
+        trace = self._trace
+        rows, self._row = _next_rows(
+            trace, self._row, self._chunk, (self._branch_op, self._call_op)
+        )
+        lookup = np.frombuffer(trace.op, dtype=np.uint8)[rows] == self._branch_op
+        branches = rows[lookup]
+        bits = np.ones(len(rows), dtype=np.uint64)
+        flags = np.frombuffer(trace.flags, dtype=np.uint8)[branches]
+        bits[lookup] = (flags & self._taken_flag) != 0
+        return bits, lookup, np.frombuffer(trace.pc, dtype=np.uint64)[branches]
 
     def _fold(self, lo, hi, source_bits: int, target_bits: int):
         """Fold a (lo, hi) pair of 64-bit window columns to target_bits."""
@@ -291,18 +314,15 @@ class TageKeyBatch:
         Returns ``(start, keys)``; ``keys`` may be empty when the chunk
         of control-flow events contained only calls.
         """
-        s = self._next
-        bits = self._bits[s:s + self._chunk]
+        bits, lookup, bpcs = self._next_events()
         n = int(bits.shape[0])
         if n == 0:
             raise RuntimeError("TageKeyBatch exhausted: more branches "
                                "resolved than the trace contains")
-        self._next = s + n
 
         hist = self._hist
         ext = np.concatenate((self._carry, bits))
         self._carry = ext[-hist:].copy()
-        lookup = self._is_lookup[s:s + n]
         # Window before event j: bit k-1 is the k-th most recent pushed
         # outcome.  Events past bit 63 go into a second (hi) column.
         # win[i] packs ext[i], ext[i-1], ... at bits 0, 1, ...: each
@@ -330,7 +350,6 @@ class TageKeyBatch:
         self._branches_done = start + m
         if m == 0:
             return start, []
-        bpcs = self._pcs[start:start + m]
         pc_tag = bpcs >> np.uint64(2)
         pc_idx = pc_tag ^ (bpcs >> np.uint64(2 + self._index_bits))
         entries_mask = np.uint64(self._entries_mask)

@@ -60,11 +60,7 @@ from repro.pipeline.recovery import RecoveryMode
 from repro.pipeline.schemes import Scheme
 from repro.pipeline.stats import EnergyEvents, FlushStats, SimResult
 from repro.trace import ColumnarTrace, Trace
-from repro.trace.columnar import (
-    F_TAKEN,
-    OPCLASS_BY_VALUE,
-    RAGGED,
-)
+from repro.trace.columnar import F_TAKEN, OPCLASS_BY_VALUE
 
 _LS_OPS = frozenset({OpClass.LOAD, OpClass.STORE, OpClass.ATOMIC})
 
@@ -78,8 +74,8 @@ _PORT_PRUNE_THRESHOLD = 4096
 # small window bounds memory at no measurable speed cost.
 _SNAPSHOT_WINDOW = 2048
 
-# The plain columns the loop reads, in the order _window_columns returns
-# them (the target is not read: the branch verdicts stand for it).
+# The plain columns the loop reads from each window (the target is not
+# read: the branch verdicts stand for it).
 _ROW_COLUMNS = ("pc", "op", "flags", "mem_addr", "mem_size")
 
 # Later than any cycle a run reaches: the oldest unretired store's commit
@@ -306,7 +302,7 @@ def _simulate_columnar(
 
     # ---- hot-loop local aliases (columns + config + substrate) --------
     # Columns are read through plain-list snapshots of one window of
-    # instructions at a time (see _window_columns), and commit cycles
+    # instructions at a time (ColumnarTrace.windows), and commit cycles
     # through the ROB-window ring, so nothing here grows with the trace.
     LOAD = int(OpClass.LOAD)
     STORE = int(OpClass.STORE)
@@ -407,21 +403,21 @@ def _simulate_columnar(
     if n:
         ends.append(n)
     base = 0
-    for end in ends:
+    for end, window in zip(ends, trace.windows(ends, _ROW_COLUMNS)):
         (
             pcs,
             ops,
             flags_col,
             mem_addr_col,
             mem_size_col,
-            srcs_index,
+            srcs_prefix,
             srcs_flat,
-            dests_index,
+            dests_prefix,
             dests_flat,
-            values_index,
+            values_prefix,
             values_lo,
             values_hi,
-        ) = _window_columns(trace, base, end)
+        ) = window
         # One tuple per row: the trace position, the row's plain fields,
         # (start, stop) of its sources, destinations and values in the
         # window's flat lists, and its branch verdict.
@@ -429,8 +425,8 @@ def _simulate_columnar(
             i, pc, op, flags, addr, mem_size, s0, s1, d0, d1, v0, v1, mispredicted,
         ) in zip(
             range(base, end), pcs, ops, flags_col, mem_addr_col, mem_size_col,
-            srcs_index, srcs_index[1:], dests_index, dests_index[1:],
-            values_index, values_index[1:], verdicts[base:end].tolist(),
+            srcs_prefix, srcs_prefix[1:], dests_prefix, dests_prefix[1:],
+            values_prefix, values_prefix[1:], verdicts[base:end].tolist(),
         ):
             cc_slot = i % size
 
@@ -780,23 +776,3 @@ def _simulate_columnar(
         record.finish(result)
     return result
 
-
-def _window_columns(trace: ColumnarTrace, start: int, stop: int) -> tuple:
-    """Plain-list snapshots of rows ``start:stop`` of the columns the loop reads.
-
-    Indexing an ``array.array`` (or memoryview) boxes a fresh int on
-    every read, while list indexing returns the already-boxed object, so
-    the loop reads lists; ``tolist()`` converts at C speed.  Prefix
-    indexes are rebased so the window's flat slices start at 0.  Returns
-    the ``_ROW_COLUMNS``, then each prefix index followed by its flat
-    columns, in ``RAGGED`` order.
-    """
-    cols = [getattr(trace, attr)[start:stop].tolist() for attr in _ROW_COLUMNS]
-    for index, flats in RAGGED:
-        idx = getattr(trace, index)[start:stop + 1]
-        lo = idx[0]
-        hi = idx[-1]
-        cols.append([x - lo for x in idx] if lo else idx.tolist())
-        for flat in flats:
-            cols.append(getattr(trace, flat)[lo:hi].tolist())
-    return tuple(cols)

@@ -4,7 +4,7 @@ Layout under the cache root (``~/.cache/repro`` by default, overridden
 by ``$REPRO_CACHE_DIR`` or ``--cache-dir``)::
 
     results/<k0k1>/<key>.json   # schema-versioned SimResult payloads
-    traces/<key>.trace          # repro.trace.serialization v2 (or v1) format
+    traces/<key>.trace          # repro.trace.serialization v3 (or v1) format
     corrupt/                    # quarantined unreadable/bad-checksum entries
 
 Result entries are JSON (never pickles): the payload embeds the job's
@@ -43,7 +43,12 @@ from pathlib import Path
 
 from repro.pipeline.stats import RESULT_SCHEMA_VERSION, SimResult
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.serialization import load_trace, load_trace_columnar, save_trace
+from repro.trace.serialization import (
+    StaleTraceFormat,
+    load_trace,
+    load_trace_columnar,
+    save_trace,
+)
 from repro.trace.trace import Trace
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -208,13 +213,16 @@ class ResultCache:
         """Audit every entry; quarantine bad ones; return counters.
 
         Returns ``{"results", "ok", "stale", "corrupt", "traces",
-        "trace_corrupt"}`` — ``corrupt`` entries (and unreadable
-        traces) end up under ``corrupt/`` with ``on_corrupt`` fired.
-        Traces are read as :meth:`get_trace_columnar` reads them, verdict
-        section included.
+        "trace_stale", "trace_corrupt"}`` — ``corrupt`` entries (and
+        unreadable traces) end up under ``corrupt/`` with
+        ``on_corrupt`` fired.  Traces are read as
+        :meth:`get_trace_columnar` reads them, verdict section included.
+        A trace in a layout this version no longer reads (a v2 file,
+        cached under an older code salt's key) is ``trace_stale``: like
+        a schema-stale result it stays in place for :meth:`gc`.
         """
         report = {"results": 0, "ok": 0, "stale": 0, "corrupt": 0,
-                  "traces": 0, "trace_corrupt": 0}
+                  "traces": 0, "trace_stale": 0, "trace_corrupt": 0}
         for path in self._result_files():
             report["results"] += 1
             key = path.stem
@@ -228,6 +236,8 @@ class ResultCache:
             report["traces"] += 1
             try:
                 load_trace_columnar(path)
+            except StaleTraceFormat:
+                report["trace_stale"] += 1
             except (OSError, ValueError):
                 report["trace_corrupt"] += 1
                 self._quarantine(path.stem, path, "unreadable trace")
@@ -331,7 +341,7 @@ class ResultCache:
     def get_trace(self, key: str) -> Trace | None:
         """The cached trace for ``key``, or None on miss/corruption.
 
-        Reads either serialization format (v1 text or v2 columnar) —
+        Reads either serialization format (v1 text or v3 columnar) —
         the loader sniffs the file.
         """
         path = self.trace_path(key)
@@ -345,7 +355,7 @@ class ResultCache:
     def get_trace_columnar(self, key: str) -> ColumnarTrace | None:
         """The cached trace for ``key`` as a :class:`ColumnarTrace`.
 
-        v2 entries decode straight into columns; v1 entries are
+        v3 entries decode straight into columns; v1 entries are
         converted on read.  None on miss/corruption.
         """
         path = self.trace_path(key)
@@ -359,9 +369,9 @@ class ResultCache:
     def put_trace(self, key: str, trace: Trace | ColumnarTrace) -> None:
         """Store ``trace`` under ``key`` atomically.
 
-        A :class:`ColumnarTrace` is stored in the v2 binary columnar
+        A :class:`ColumnarTrace` is stored in the v3 binary columnar
         format as one chunk, written straight from its columns (the
-        layout :func:`~repro.trace.serialization.v2_bytes` produces),
+        layout :func:`~repro.trace.serialization.v3_bytes` produces),
         so :meth:`get_trace_columnar` adopts it without joining chunks;
         a :class:`Trace` is stored in v1 text.  :meth:`get_trace` and
         :meth:`get_trace_columnar` both read either, so object and
@@ -373,7 +383,7 @@ class ResultCache:
         os.close(fd)
         try:
             if isinstance(trace, ColumnarTrace):
-                save_trace(trace, tmp, format="v2", chunk_size=max(1, len(trace)))
+                save_trace(trace, tmp, format="v3", chunk_size=max(1, len(trace)))
             else:
                 save_trace(trace, tmp, format="v1")
             os.replace(tmp, path)
@@ -385,9 +395,9 @@ class ResultCache:
             raise
 
     def put_trace_image(self, key: str, image: bytes) -> None:
-        """Store an already-serialized v2 image under ``key`` atomically.
+        """Store an already-serialized v3 image under ``key`` atomically.
 
-        ``image`` is exactly what ``v2_bytes`` produced — a valid v2
+        ``image`` is exactly what ``v3_bytes`` produced — a valid v3
         file — so a caller that just serialized a trace for the shared
         fabric can land the identical bytes in the disk cache without
         paying a second serialization.

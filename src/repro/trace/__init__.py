@@ -7,7 +7,7 @@ computed here directly from traces, independent of any predictor.
 Two trace containers share one read surface: :class:`Trace` (a list of
 :class:`~repro.isa.Instruction` objects) and :class:`ColumnarTrace`
 (struct-of-arrays, the simulator's fast path).  Conversion between them
-is lossless; serialization speaks both the v1 line format and the v2
+is lossless; serialization speaks both the v1 line format and the v3
 binary columnar format.
 """
 
@@ -23,10 +23,10 @@ from repro.trace.serialization import (
     iter_trace_chunks,
     load_trace,
     load_trace_columnar,
-    map_v2_columns,
+    map_v3_columns,
     save_trace,
     sniff_trace_format,
-    v2_bytes,
+    v3_bytes,
 )
 from repro.trace.share import (
     TraceHandle,
@@ -47,10 +47,10 @@ __all__ = [
     "iter_trace_chunks",
     "load_trace",
     "load_trace_columnar",
-    "map_v2_columns",
+    "map_v3_columns",
     "save_trace",
     "sniff_trace_format",
-    "v2_bytes",
+    "v3_bytes",
     "TraceHandle",
     "TraceStore",
     "attach",

@@ -5,21 +5,27 @@ A :class:`ColumnarTrace` stores the same information as a
 columns instead of one :class:`~repro.isa.Instruction` object per
 dynamic instruction.  Two things fall out of that layout:
 
-* the ``simulate()`` hot loop can read plain machine integers straight
-  from the columns (no per-instruction attribute lookups, no object
-  allocation) and only materialize an :class:`Instruction` *view* for
-  the few instructions a prediction scheme actually inspects;
-* fixed-size chunks of a columnar trace are cheap to concatenate and
+* the ``simulate()`` hot loop reads plain machine integers from
+  window-sized list snapshots of the columns
+  (:meth:`ColumnarTrace.windows`) — no per-instruction attribute
+  lookups, no object allocation;
+* row ranges of a columnar trace are cheap to concatenate, splice and
   serialize, which is what lets the workload builder pack its rows
-  chunk by chunk and the v2 trace format stream million-instruction
-  traces in bounded memory.
+  chunk by chunk and splice its cold bursts in place, and the v3 trace
+  format stream million-instruction traces in bounded memory.
 
-Ragged per-instruction fields (``srcs``, ``dests``, ``values``) use the
-classic prefix-index encoding: ``srcs_index`` has ``n + 1`` entries and
-instruction ``i``'s sources live in ``srcs[srcs_index[i]:
-srcs_index[i + 1]]``.  Values may be up to 128 bits wide (vector
+Ragged per-instruction fields (``srcs``, ``dests``, ``values``) are
+stored as a one-byte count per row plus one flat column of entries:
+instruction ``i``'s sources are the ``srcs_count[i]`` entries of
+``srcs`` that follow the entries of rows ``0 .. i-1``.  A count column
+is a per-row column like any other, so row ranges copy without
+rebasing anything; readers that walk the rows carry running offsets
+into the flat columns.  Values may be up to 128 bits wide (vector
 loads), so the flat value column is split into ``values_lo``/
-``values_hi`` 64-bit halves sharing one index.
+``values_hi`` 64-bit halves sharing one count.  A row holds at most 255
+entries of each ragged field and a ``mem_size`` of at most 255 bytes
+(the suite's largest are 4 entries and 16 bytes);
+:meth:`ColumnarTrace.append_columns` refuses more.
 
 Scalar optional fields are flag-encoded (``flags`` bit layout below)
 with ``0`` stored in the column when absent, so every column stays a
@@ -47,7 +53,6 @@ exposes zero-copy numpy views when numpy is importable.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, islice
@@ -71,35 +76,35 @@ OPCLASS_BY_VALUE: tuple[OpClass, ...] = tuple(
 )
 
 # (attribute, typecode) in serialization order; itemsizes are validated
-# by the v2 reader so a platform with exotic array widths fails loudly
+# by the v3 reader so a platform with exotic array widths fails loudly
 # instead of mis-decoding.
 COLUMNS: tuple[tuple[str, str], ...] = (
     ("pc", "Q"),
     ("op", "B"),
     ("flags", "B"),
     ("mem_addr", "Q"),
-    ("mem_size", "I"),
+    ("mem_size", "B"),
     ("target", "Q"),
-    ("srcs_index", "Q"),
+    ("srcs_count", "B"),
     ("srcs", "I"),
-    ("dests_index", "Q"),
+    ("dests_count", "B"),
     ("dests", "I"),
-    ("values_index", "Q"),
+    ("values_count", "B"),
     ("values_lo", "Q"),
     ("values_hi", "Q"),
 )
 
-# Columns with one entry per instruction (the rest are RAGGED below).
-PLAIN = ("pc", "op", "flags", "mem_addr", "mem_size", "target")
-# Each ragged prefix index and the flat column(s) it addresses.
-RAGGED: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("srcs_index", ("srcs",)),
-    ("dests_index", ("dests",)),
-    ("values_index", ("values_lo", "values_hi")),
+_TYPECODES = dict(COLUMNS)
+# The plain fields, in append_columns order.
+_FIELDS = ("pc", "op", "flags", "mem_addr", "mem_size", "target")
+# Each ragged field's count column and the flat column(s) it counts.
+_RAGGED: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("srcs_count", ("srcs",)),
+    ("dests_count", ("dests",)),
+    ("values_count", ("values_lo", "values_hi")),
 )
-
-# Prefix-index entries _copy_shifted adds a shift to per step.
-_SHIFT_BLOCK = 512
+# Columns with one entry per row: the plain fields and the counts.
+_PER_ROW = _FIELDS + tuple(count for count, _ in _RAGGED)
 
 # Instructions append_all packs per append_columns call: enough to
 # amortize the per-call packing, few enough that a streaming reader
@@ -119,10 +124,11 @@ class ColumnarTrace:
     """An ordered instruction sequence stored column-wise.
 
     Supports the read surface the simulator and profilers need
-    (``name``, ``len``, iteration, ``instruction(i)``, ``summary()``)
-    plus append/extend, which the workload builder and the v2
-    serializer build on.  ``verdicts`` is None or the trace's branch
-    verdicts (see the module docstring); every row edit resets it.
+    (``name``, ``len``, iteration, ``instruction(i)``, ``summary()``,
+    :meth:`windows`) plus append/extend/splice, which the workload
+    builder and the v3 serializer build on.  ``verdicts`` is None or the
+    trace's branch verdicts (see the module docstring); every row edit
+    resets it.
     """
 
     __slots__ = tuple(name for name, _ in COLUMNS) + ("name", "verdicts")
@@ -130,19 +136,8 @@ class ColumnarTrace:
     def __init__(self, name: str, instructions: Iterable[Instruction] = ()) -> None:
         self.name = name
         self.verdicts = None
-        self.pc = array("Q")
-        self.op = array("B")
-        self.flags = array("B")
-        self.mem_addr = array("Q")
-        self.mem_size = array("I")
-        self.target = array("Q")
-        self.srcs_index = array("Q", (0,))
-        self.srcs = array("I")
-        self.dests_index = array("Q", (0,))
-        self.dests = array("I")
-        self.values_index = array("Q", (0,))
-        self.values_lo = array("Q")
-        self.values_hi = array("Q")
+        for attr, typecode in COLUMNS:
+            setattr(self, attr, array(typecode))
         self.append_all(instructions)
 
     # -- construction ----------------------------------------------------
@@ -179,28 +174,32 @@ class ColumnarTrace:
         hold one tuple per row.  The workload builder keeps its pending
         rows in exactly these lists, so a trace is generated without
         one :class:`Instruction` per row.
+
+        A value its column cannot hold — more than 255 entries of a
+        ragged field in one row, a ``mem_size`` over 255 — raises a
+        ``ValueError`` naming the column, before any column changes.
         """
         self._check_writable()
         self.verdicts = None
-        for attr, col in zip(PLAIN, (pc, op, flags, mem_addr, mem_size, target)):
-            dst = getattr(self, attr)
-            dst.extend(array(dst.typecode, col))
-        for index, flat, groups in (
-            (self.srcs_index, self.srcs, srcs),
-            (self.dests_index, self.dests, dests),
-        ):
-            flat.extend(array(flat.typecode, list(chain.from_iterable(groups))))
-            _extend_index(index, groups)
+        packed = [
+            (attr, _pack(attr, col))
+            for attr, col in zip(_FIELDS, (pc, op, flags, mem_addr, mem_size, target))
+        ]
+        for field, groups in (("srcs", srcs), ("dests", dests)):
+            packed.append((f"{field}_count", _pack(f"{field}_count", map(len, groups))))
+            packed.append((field, _pack(field, list(chain.from_iterable(groups)))))
+        packed.append(("values_count", _pack("values_count", map(len, values))))
         flat_values = list(chain.from_iterable(values))
         try:
             lo = array("Q", flat_values)
         except OverflowError:       # a 128-bit vector value (or a negative one)
-            self.values_lo.extend([v & _MASK64 for v in flat_values])
-            self.values_hi.extend([(v >> 64) & _MASK64 for v in flat_values])
+            lo = array("Q", [v & _MASK64 for v in flat_values])
+            hi = array("Q", [(v >> 64) & _MASK64 for v in flat_values])
         else:
-            self.values_lo.extend(lo)
-            self.values_hi.frombytes(bytes(lo.itemsize * len(lo)))
-        _extend_index(self.values_index, values)
+            hi = array("Q", bytes(lo.itemsize * len(lo)))
+        packed += (("values_lo", lo), ("values_hi", hi))
+        for attr, col in packed:
+            getattr(self, attr).extend(col)
 
     def extend(
         self, other: "ColumnarTrace", start: int = 0, stop: int | None = None
@@ -208,74 +207,111 @@ class ColumnarTrace:
         """Append rows ``start:stop`` of ``other`` (chunk reassembly, slicing)."""
         self.extend_rows([(other, start, len(other.pc) if stop is None else stop)])
 
-    def extend_rows(self, parts, consume: bool = False) -> None:
+    def extend_rows(self, parts) -> None:
         """Append the row ranges ``(trace, start, stop)`` of ``parts`` in order.
 
         Works column by column: each column grows once to its final
-        length and the sources' rows are filled in by buffer slices,
-        each prefix index shifted onto this trace's flat lengths at C
-        speed (:func:`_copy_shifted`) — no :class:`Instruction` is
-        materialized and no Python loop visits an entry.  A trace without rows
+        length and the sources' rows are filled in by buffer slices — no
+        :class:`Instruction` is materialized and no Python loop visits
+        an entry.  Counts copy like any other per-row column; each
+        part's span of a flat column comes from running sums of its
+        source's counts (:func:`_flat_spans`).  A trace without rows
         allocates each column once, at exactly its final length; one
         with rows grows its columns in place.  Sources may be
         view-backed (attached traces); only ``self`` must be writable.
-        With ``consume`` every source column is deleted right after it
-        has been copied, so splicing private traces into a new one
-        peaks at one copy of the data plus one column; the sources are
-        unusable afterwards.
         """
+        self._extend_rows(parts, {})
+
+    def _extend_rows(self, parts, cursors: dict) -> None:
+        """:meth:`extend_rows`, its flat-offset cursors kept in ``cursors``."""
         self._check_writable()
         self.verdicts = None
         parts = [(src, a, b) for src, a, b in parts if a < b]
-        sources = list({id(src): src for src, _, _ in parts}.values())
-        fresh = not len(self)
-
-        def splice(attr: str, spans, rebase: bool = False) -> None:
-            col = getattr(self, attr)
-            pos = len(col)
-            grow = sum(b - a for _, a, b in spans)
-            end = col[-1] if rebase else 0
-            if fresh:
-                # empty, or an index's leading 0: the zero fill holds it
-                col = array(col.typecode, (0,)) * (pos + grow)
-                setattr(self, attr, col)
-            else:
-                col.frombytes(bytes(grow * col.itemsize))
-            with memoryview(col) as view:
-                for src, a, b in spans:
-                    src_col = getattr(src, attr)
-                    stop = pos + b - a
-                    if not rebase:
-                        view[pos:stop] = memoryview(src_col)[a:b]
-                    else:
-                        # prefix entries a+1..b, shifted from src's
-                        # offset src_col[a] to our flat end
-                        _copy_shifted(
-                            view, pos, memoryview(src_col)[a + 1:b + 1],
-                            end - src_col[a],
-                        )
-                        end = view[stop - 1]
-                    pos = stop
-            if consume:
-                for src in sources:
-                    delattr(src, attr)
-
-        for col in PLAIN:
-            splice(col, parts)
-        for index, flats in RAGGED:
-            bounds = [
-                (src, getattr(src, index)[a], getattr(src, index)[b])
-                for src, a, b in parts
-            ]
+        spans = [(flats, _flat_spans(parts, count, cursors)) for count, flats in _RAGGED]
+        for attr in _PER_ROW:
+            self._append_spans(attr, parts)
+        for flats, flat_parts in spans:
             for flat in flats:
-                splice(flat, bounds)
-            splice(index, parts, rebase=True)
+                self._append_spans(flat, flat_parts)
+
+    def _append_spans(self, attr: str, spans) -> None:
+        """Append ``(source, start, stop)`` entry spans to column ``attr``."""
+        col = getattr(self, attr)
+        pos = len(col)
+        grow = sum(b - a for _, a, b in spans)
+        if pos:
+            col.frombytes(bytes(grow * col.itemsize))
+        else:               # allocated once, at exactly its final length
+            col = array(col.typecode, (0,)) * grow
+            setattr(self, attr, col)
+        with memoryview(col) as view:
+            for src, a, b in spans:
+                view[pos:pos + b - a] = memoryview(getattr(src, attr))[a:b]
+                pos += b - a
+
+    def splice_in(self, other: "ColumnarTrace", cuts) -> None:
+        """Insert all of ``other``'s rows in place, in order, consuming it.
+
+        ``cuts`` holds ascending ``(at, stop)`` pairs: ``other``'s rows
+        from the previous pair's ``stop`` (0 for the first) up to
+        ``stop`` go before this trace's row ``at``, and the last
+        ``stop`` is ``len(other)``.  This is the workload builder's
+        cold-burst splice.
+
+        Each column grows once, by ``other``'s column, and is then
+        rearranged back to front: every run of this trace's rows moves
+        up by the inserted entries below it, and each run of ``other``'s
+        fills the gap it leaves.  Memoryview slice assignment is a
+        ``memmove``, so a run may overlap its own destination.  Each of
+        ``other``'s columns is released as soon as it has been copied, so
+        the splice holds at most this trace, ``other`` and one column's
+        growth at once; ``other`` is unusable afterwards.
+        """
+        self._check_writable()
+        self.verdicts = None
+        if (cuts[-1][1] if cuts else 0) != len(other):
+            raise ValueError("splice_in: the cuts must place every row of other")
+        bounds = [0] + [at for at, _ in cuts] + [len(self)]
+        stops = [0] + [stop for _, stop in cuts]
+        mine = [(self, a, b) for a, b in zip(bounds, bounds[1:])]
+        theirs = [(other, a, b) for a, b in zip(stops, stops[1:])]
+        columns = [(attr, mine, theirs) for attr in _PER_ROW]
+        for count, flats in _RAGGED:
+            spans = _flat_spans(mine, count, {}), _flat_spans(theirs, count, {})
+            columns += [(flat, *spans) for flat in flats]
+        for attr, my_spans, their_spans in columns:
+            col = getattr(self, attr)
+            src = getattr(other, attr)
+            with memoryview(src) as cold:
+                col.frombytes(cold.cast("B"))
+                with memoryview(col) as view:
+                    for (_, a, b), (_, c, d) in reversed(
+                        list(zip(my_spans[1:], their_spans))
+                    ):
+                        view[a + d:b + d] = view[a:b]
+                        view[a + c:a + d] = cold[c:d]
+            del src
+            delattr(other, attr)
 
     def slice(self, start: int, stop: int) -> "ColumnarTrace":
-        """A new writable trace holding rows ``start:stop`` (indexes rebased)."""
+        """A new writable trace holding rows ``start:stop``."""
         out = ColumnarTrace(self.name)
         out.extend(self, start, stop)
         return out
+
+    def chunks(self, size: int) -> Iterator["ColumnarTrace"]:
+        """Consecutive slices of ``size`` rows (the last may be shorter).
+
+        Each chunk equals the :meth:`slice` of its rows, but the flat
+        offsets carry from one chunk to the next, so cutting the whole
+        trace sums each count once.
+        """
+        cursors: dict = {}
+        n = len(self)
+        for start in range(0, n, size):
+            out = ColumnarTrace(self.name)
+            out._extend_rows([(self, start, min(n, start + size))], cursors)
+            yield out
 
     def _check_writable(self) -> None:
         """Reject mutation of view-backed (attached) traces.
@@ -296,11 +332,13 @@ class ColumnarTrace:
 
     @classmethod
     def from_columns(cls, name: str, columns: dict) -> "ColumnarTrace":
-        """Adopt pre-built columns: the v2 deserializer's entry point.
+        """Adopt pre-built columns: the v3 deserializer's entry point.
 
         Columns are normally ``array.array``\\ s; typed memoryviews
         (e.g. cast over a shared-memory segment) are accepted too and
-        produce a read-only trace.
+        produce a read-only trace.  Every per-row column must hold one
+        entry per row and every count column must sum to the length of
+        the flat column(s) it counts.
         """
         out = cls(name)
         n = len(columns["pc"])
@@ -312,33 +350,19 @@ class ColumnarTrace:
                     f"got {column_typecode(col)!r}"
                 )
             setattr(out, attr, col)
-        if len(columns["values_hi"]) != len(columns["values_lo"]):
-            raise ValueError(
-                f"values_hi length {len(columns['values_hi'])} != "
-                f"values_lo length {len(columns['values_lo'])}"
-            )
-        flat_for_index = {
-            "srcs_index": "srcs",
-            "dests_index": "dests",
-            "values_index": "values_lo",
-        }
-        for attr in ("srcs_index", "dests_index", "values_index"):
-            idx = columns[attr]
-            if len(idx) != n + 1 or idx[0] != 0:
-                raise ValueError(f"column {attr!r}: malformed prefix index")
-            flat = columns[flat_for_index[attr]]
-            if idx[-1] != len(flat):
+        for attr in _PER_ROW:
+            if len(columns[attr]) != n:
                 raise ValueError(
-                    f"column {attr!r}: final index {idx[-1]} != flat "
-                    f"column length {len(flat)}"
+                    f"column {attr!r}: {len(columns[attr])} entries for {n} rows"
                 )
-            prev = 0
-            for x in idx:
-                if x < prev:
+        for count, flats in _RAGGED:
+            total = sum(columns[count])
+            for flat in flats:
+                if len(columns[flat]) != total:
                     raise ValueError(
-                        f"column {attr!r}: prefix index not monotonic"
+                        f"column {count!r}: counts sum to {total}, but {flat!r} "
+                        f"holds {len(columns[flat])} entries"
                     )
-                prev = x
         return out
 
     # -- read surface ----------------------------------------------------
@@ -347,8 +371,14 @@ class ColumnarTrace:
         return len(self.pc)
 
     def __iter__(self) -> Iterator[Instruction]:
-        for i in range(len(self.pc)):
-            yield self.instruction(i)
+        s = d = v = 0
+        for i, ns, nd, nv in zip(
+            range(len(self.pc)), self.srcs_count, self.dests_count, self.values_count
+        ):
+            yield self._view(i, s, d, v)
+            s += ns
+            d += nd
+            v += nv
 
     def __getitem__(self, index: int) -> Instruction:
         return self.instruction(index)
@@ -356,31 +386,73 @@ class ColumnarTrace:
     def instruction(self, i: int) -> Instruction:
         """Materialize instruction ``i`` as an :class:`Instruction` view.
 
-        Hot path for the columnar simulate() loop (one view per
-        predicted load), so it bypasses ``Instruction.__init__`` — the
-        columns were populated from already-validated instructions, and
-        ``__post_init__`` would re-check invariants the encoding cannot
-        violate.
+        Finds the row's entries by summing the counts of the rows
+        before it, so a lookup costs O(i); iterating the trace carries
+        running offsets instead, and the simulate loop reads
+        :meth:`windows`.
+        """
+        return self._view(
+            i, sum(self.srcs_count[:i]), sum(self.dests_count[:i]),
+            sum(self.values_count[:i]),
+        )
+
+    def _view(self, i: int, s: int, d: int, v: int) -> Instruction:
+        """Row ``i`` as an :class:`Instruction`, its entries at flat
+        offsets ``s``, ``d`` and ``v``.
+
+        Bypasses ``Instruction.__init__``: the columns were populated
+        from already-validated instructions, and ``__post_init__`` would
+        re-check invariants the encoding cannot violate.
         """
         flags = self.flags[i]
-        vs = self.values_index[i]
-        ve = self.values_index[i + 1]
         lo = self.values_lo
         hi = self.values_hi
         inst = Instruction.__new__(Instruction)
         inst.pc = self.pc[i]
         inst.op = OPCLASS_BY_VALUE[self.op[i]]
-        inst.srcs = tuple(self.srcs[self.srcs_index[i]:self.srcs_index[i + 1]])
-        inst.dests = tuple(self.dests[self.dests_index[i]:self.dests_index[i + 1]])
+        inst.srcs = tuple(self.srcs[s:s + self.srcs_count[i]])
+        inst.dests = tuple(self.dests[d:d + self.dests_count[i]])
         inst.mem_addr = self.mem_addr[i] if flags & F_MEM else None
         inst.mem_size = self.mem_size[i]
         inst.values = tuple(
-            (hi[k] << 64) | lo[k] if hi[k] else lo[k] for k in range(vs, ve)
+            (hi[k] << 64) | lo[k] if hi[k] else lo[k]
+            for k in range(v, v + self.values_count[i])
         )
         inst.taken = bool(flags & F_TAKEN) if flags & F_TAKEN_KNOWN else None
         inst.target = self.target[i] if flags & F_TARGET else None
         inst.is_vector = bool(flags & F_VECTOR)
         return inst
+
+    def windows(self, ends, plain) -> Iterator[list]:
+        """Plain-list snapshots of consecutive row windows, one per end.
+
+        For each of the ascending ``ends``, yields the rows from the
+        previous end (0 at first) up to it: one list per column named
+        in ``plain``, then per ragged field (``srcs``, ``dests``,
+        ``values``) a prefix list — the window's row ``j`` has entries
+        ``prefix[j]:prefix[j + 1]`` — followed by the window's flat
+        entries (``values`` as a lo and a hi list).
+
+        Indexing an ``array.array`` (or memoryview) boxes a fresh int on
+        every read, while list indexing returns the already-boxed
+        object, so the simulate loop reads lists; ``tolist()`` and
+        ``accumulate`` build them at C speed.  Each window's flat slices
+        start where the previous window's ended, so no count is summed
+        twice and nothing kept between windows grows with the trace.
+        """
+        offsets = [0] * len(_RAGGED)
+        start = 0
+        for end in ends:
+            cols = [getattr(self, attr)[start:end].tolist() for attr in plain]
+            for k, (count, flats) in enumerate(_RAGGED):
+                prefix = list(accumulate(getattr(self, count)[start:end], initial=0))
+                lo = offsets[k]
+                hi = offsets[k] = lo + prefix[-1]
+                cols.append(prefix)
+                for flat in flats:
+                    cols.append(getattr(self, flat)[lo:hi].tolist())
+            yield cols
+            start = end
 
     def to_trace(self) -> Trace:
         return Trace(self.name, iter(self))
@@ -425,35 +497,38 @@ def _flags_of(inst: Instruction) -> int:
     return flags
 
 
-def _copy_shifted(dst: memoryview, pos: int, entries: memoryview, shift: int) -> None:
-    """Copy prefix-index ``entries`` into ``dst`` from ``pos`` on, each
-    plus ``shift``, at C speed.
+def _pack(attr: str, values) -> array:
+    """``values`` as column ``attr``'s array; a ``ValueError`` naming the
+    column if one of them does not fit its width."""
+    typecode = _TYPECODES[attr]
+    try:
+        # bytes() packs a one-byte column at C speed
+        return array(typecode, bytes(values) if typecode == "B" else values)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(
+            f"column {attr!r}: a row's value does not fit in {typecode!r} ({exc})"
+        ) from None
 
-    A block of entries is read as one integer whose lanes, one per
-    entry, are the entries; adding ``shift`` times the integer that has
-    a 1 in every lane adds ``shift`` to each entry.  No lane carries or
-    borrows into the next, since every shifted entry is a flat-column
-    offset, non-negative and far below the lane's width.  Blocks of
-    ``_SHIFT_BLOCK`` entries keep every temporary a few KiB.
+
+def _flat_spans(parts, count: str, cursors: dict) -> list:
+    """Each row part's ``(source, start, stop)`` in the flat column(s)
+    that ``count`` counts.
+
+    ``cursors`` maps ``(source id, count)`` to a row of the source and
+    that row's flat offset; each part moves its source's cursor by the
+    sum of the counts in between, so parts that walk a source forwards
+    sum each of its counts once.
     """
-    if not shift:
-        dst[pos:pos + len(entries)] = entries
-        return
-    order = sys.byteorder
-    lane = (1).to_bytes(entries.itemsize, order)
-    ones = int.from_bytes(lane * _SHIFT_BLOCK, order)
-    for k in range(0, len(entries), _SHIFT_BLOCK):
-        block = entries[k:k + _SHIFT_BLOCK]
-        if len(block) < _SHIFT_BLOCK:
-            ones = int.from_bytes(lane * len(block), order)
-        total = int.from_bytes(block, order) + shift * ones
-        dst[pos + k:pos + k + len(block)] = memoryview(
-            total.to_bytes(block.nbytes, order)
-        ).cast(block.format)
-
-
-def _extend_index(index: array, groups) -> None:
-    """Extend a prefix index by the lengths of ``groups``, at C speed."""
-    ends = accumulate(map(len, groups), initial=index[-1])
-    next(ends)
-    index.extend(array(index.typecode, list(ends)))
+    spans = []
+    for src, a, b in parts:
+        counts = getattr(src, count)
+        key = (id(src), count)
+        row, offset = cursors.get(key, (0, 0))
+        if a >= row:
+            offset += sum(counts[row:a])
+        else:
+            offset -= sum(counts[a:row])
+        stop = offset + sum(counts[a:b])
+        spans.append((src, offset, stop))
+        cursors[key] = (b, stop)
+    return spans

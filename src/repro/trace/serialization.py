@@ -1,4 +1,4 @@
-"""Trace serialization: v1 line format and v2 binary columnar format.
+"""Trace serialization: v1 line format and v3 binary columnar format.
 
 Two on-disk formats, one sniffing loader:
 
@@ -9,15 +9,20 @@ Two on-disk formats, one sniffing loader:
   save *and* ``read_text().splitlines()`` on load, double-materializing
   O(trace) memory.
 
-* **v2** (``repro-trace-v2``) — binary columnar: the header is followed
+* **v3** (``repro-trace-v3``) — binary columnar: the header is followed
   by framed chunks, each chunk the raw little-endian bytes of a
-  :class:`~repro.trace.columnar.ColumnarTrace`'s columns.  Both the
-  writer and the reader work chunk-at-a-time, so a million-instruction
-  trace round-trips within a bounded RSS envelope, and the writer
-  accepts a chunk *iterator* as well as a whole trace.  A trace's
-  branch verdicts, when it carries them, follow the footer as an
-  optional trailing section; a file without one (older writers, chunk
-  iterators) still loads, and its first simulation resolves them.
+  :class:`~repro.trace.columnar.ColumnarTrace`'s columns (one-byte
+  counts for the ragged fields).  Both the writer and the reader work
+  chunk-at-a-time, so a million-instruction trace round-trips within a
+  bounded RSS envelope, and the writer accepts a chunk *iterator* as
+  well as a whole trace.  A trace's branch verdicts, when it carries
+  them, follow the footer as an optional trailing section; a file
+  without one (chunk iterators) still loads, and its first simulation
+  resolves them.
+
+A ``repro-trace-v2`` file holds the same frames in the older
+prefix-index column layout, which this version no longer reads: the
+loaders refuse it with :class:`StaleTraceFormat`.
 
 v1 line grammar (space-separated fields; ``-`` means absent)::
 
@@ -40,9 +45,11 @@ from repro.trace.columnar import COLUMNS, ColumnarTrace
 from repro.trace.trace import Trace
 
 _MAGIC = "repro-trace-v1"
+_MAGIC_V3 = b"repro-trace-v3\n"
+# The prefix-index layout v3 replaced; recognized only to be refused.
 _MAGIC_V2 = b"repro-trace-v2\n"
 
-# v2 framing: after the magic comes one header line
+# v3 framing: after the magic comes one header line
 # ``<name> <itemsizes>\n`` (itemsizes as B:Q:I byte widths, validated on
 # read), then chunks of ``<u32 count>`` + per-column ``<u64 nbytes> +
 # raw bytes`` in COLUMNS order, a ``count == 0`` terminator, and a
@@ -55,6 +62,10 @@ _CHUNK_END = 0
 _VERDICTS = b"verdicts"
 
 DEFAULT_CHUNK_SIZE = 8192
+
+
+class StaleTraceFormat(ValueError):
+    """A trace file in a layout this version no longer reads (v2)."""
 
 
 def _join(items: tuple[int, ...]) -> str:
@@ -136,7 +147,7 @@ def _v1_name(path: str | Path) -> str:
     return header[1]
 
 
-# -- v2 ------------------------------------------------------------------
+# -- v3 ------------------------------------------------------------------
 
 
 def _column_bytes(col) -> memoryview:
@@ -153,19 +164,16 @@ def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[Colum
     """Slice any trace container into ColumnarTrace chunks.
 
     A :class:`ColumnarTrace`'s columns *are* the wire format, so it is
-    cut with column slices (:meth:`ColumnarTrace.slice`) — or yielded
-    as-is when it fits one chunk, the path ``v2_bytes`` (and with it
+    cut with column slices (:meth:`ColumnarTrace.chunks`) — or yielded
+    as-is when it fits one chunk, the path ``v3_bytes`` (and with it
     every fabric publish) and the trace cache take.  Re-materializing an ``Instruction``
     view per row would cost several times the serialization itself.
     """
     if isinstance(source, ColumnarTrace):
-        n = len(source)
-        if n <= chunk_size:
-            if n:
-                yield source
-            return
-        for start in range(0, n, chunk_size):
-            yield source.slice(start, min(n, start + chunk_size))
+        if len(source) > chunk_size:
+            yield from source.chunks(chunk_size)
+        elif len(source):
+            yield source
         return
     chunk = ColumnarTrace(source.name)
     for inst in source:
@@ -177,23 +185,23 @@ def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[Colum
         yield chunk
 
 
-def _save_trace_v2(
+def _save_trace_v3(
     source: Trace | ColumnarTrace | Iterable[ColumnarTrace],
     path: str | Path,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> None:
-    """Write the v2 binary columnar format, chunk by chunk.
+    """Write the v3 binary columnar format, chunk by chunk.
 
     ``source`` may be a full trace (sliced into chunks here) or an
     iterator of :class:`ColumnarTrace` chunks, in which case nothing
     larger than one chunk is ever resident.
     """
     with open(path, "wb") as fh:
-        _write_v2(fh, source, chunk_size)
+        _write_v3(fh, source, chunk_size)
 
 
-def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-    """Stream the v2 byte layout into any binary file object."""
+def _write_v3(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
+    """Stream the v3 byte layout into any binary file object."""
     name: str | None = None
     verdicts = None
     if isinstance(source, (Trace, ColumnarTrace)):
@@ -207,12 +215,12 @@ def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
     total = 0
     wrote_header = False
     if name is not None:
-        fh.write(_MAGIC_V2)
+        fh.write(_MAGIC_V3)
         fh.write(f"{name} {_platform_itemsizes()}\n".encode())
         wrote_header = True
     for chunk in chunks:
         if not wrote_header:
-            fh.write(_MAGIC_V2)
+            fh.write(_MAGIC_V3)
             fh.write(f"{chunk.name} {_platform_itemsizes()}\n".encode())
             wrote_header = True
         n = len(chunk)
@@ -240,32 +248,32 @@ def _platform_itemsizes() -> str:
     )
 
 
-def v2_bytes(trace: Trace | ColumnarTrace) -> bytes:
-    """The whole trace as one *single-chunk* v2 image, in memory.
+def v3_bytes(trace: Trace | ColumnarTrace) -> bytes:
+    """The whole trace as one *single-chunk* v3 image, in memory.
 
     This is the payload :mod:`repro.trace.share` copies into a shared
-    segment: exactly the on-disk v2 format, but with every column in
-    one contiguous frame so :func:`map_v2_columns` can hand out
+    segment: exactly the on-disk v3 format, but with every column in
+    one contiguous frame so :func:`map_v3_columns` can hand out
     zero-copy views.  Peak memory is one extra copy of the columns —
     fine for sweep-scale traces; stream to a file for anything bigger.
     """
     import io
 
     buf = io.BytesIO()
-    _write_v2(buf, trace, chunk_size=max(1, len(trace)))
+    _write_v3(buf, trace, chunk_size=max(1, len(trace)))
     return buf.getvalue()
 
 
-def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
-    """Column offsets of a single-chunk v2 image, without copying it.
+def map_v3_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
+    """Column offsets of a single-chunk v3 image, without copying it.
 
-    ``buf`` is any buffer holding bytes produced by :func:`v2_bytes`
-    (a shared-memory segment, an mmap of a v2 file, plain bytes).
+    ``buf`` is any buffer holding bytes produced by :func:`v3_bytes`
+    (a shared-memory segment, an mmap of a v3 file, plain bytes).
     Returns ``(name, count, {column: (offset, nbytes)})`` — the
     attacher casts ``memoryview(buf)[off:off + nbytes]`` per column
     (and per ``"verdicts"``, present when the image carries them),
     which only works losslessly on little-endian hosts (the byte order
-    v2 is defined in), so big-endian platforms are rejected here the
+    v3 is defined in), so big-endian platforms are rejected here the
     same way a mismatched itemsize is.
 
     Multi-chunk files are rejected: a shared segment is written as one
@@ -273,24 +281,24 @@ def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
     """
     if sys.byteorder != "little":
         raise ValueError(
-            "zero-copy v2 column mapping requires a little-endian host"
+            "zero-copy v3 column mapping requires a little-endian host"
         )
     view = memoryview(buf)
-    magic_len = len(_MAGIC_V2)
-    if bytes(view[:magic_len]) != _MAGIC_V2:
-        raise ValueError("not a v2 trace image")
+    magic_len = len(_MAGIC_V3)
+    if bytes(view[:magic_len]) != _MAGIC_V3:
+        raise ValueError("not a v3 trace image")
     # header line: "<name> <itemsizes>\n", bounded by the format
     head = bytes(view[magic_len:magic_len + 4096])
     nl = head.find(b"\n")
     if nl < 0:
-        raise ValueError("malformed v2 image: unterminated header")
+        raise ValueError("malformed v3 image: unterminated header")
     parts = head[:nl].decode().split()
     if len(parts) != 2:
-        raise ValueError(f"malformed v2 header: {head[:nl]!r}")
+        raise ValueError(f"malformed v3 header: {head[:nl]!r}")
     name, itemsizes = parts
     if itemsizes != _platform_itemsizes():
         raise ValueError(
-            f"v2 image written with array itemsizes {itemsizes}, "
+            f"v3 image written with array itemsizes {itemsizes}, "
             f"this platform has {_platform_itemsizes()}"
         )
     pos = magic_len + nl + 1
@@ -306,14 +314,14 @@ def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
         terminator = _U32.unpack_from(view, pos)[0]
         if terminator != _CHUNK_END:
             raise ValueError(
-                "v2 image has more than one chunk; shared segments are "
+                "v3 image has more than one chunk; shared segments are "
                 "written single-chunk"
             )
         pos += _U32.size
     footer = _U64.unpack_from(view, pos)[0]
     if footer != count:
         raise ValueError(
-            f"v2 image footer declares {footer} instructions, "
+            f"v3 image footer declares {footer} instructions, "
             f"chunk holds {count}"
         )
     pos += _U64.size
@@ -323,7 +331,7 @@ def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
         pos += len(_VERDICTS)
         start = pos + _U64.size
         if start + count > len(view) or _U64.unpack_from(view, pos)[0] != count:
-            raise ValueError("v2 image has a torn verdict section")
+            raise ValueError("v3 image has a torn verdict section")
         offsets["verdicts"] = (start, count)
     return name, count, offsets
 
@@ -331,18 +339,18 @@ def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
 def _read_exact(fh, n: int) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise ValueError(f"truncated v2 trace: wanted {n} bytes, got {len(data)}")
+        raise ValueError(f"truncated v3 trace: wanted {n} bytes, got {len(data)}")
     return data
 
 
 def iter_trace_chunks(
     path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[ColumnarTrace]:
-    """Yield the chunks of a v2 trace file one at a time (bounded memory).
+    """Yield the chunks of a v3 trace file one at a time (bounded memory).
 
     For v1 files, re-chunks the line stream into ``chunk_size``-
     instruction columnar chunks, so callers get a uniform streaming
-    interface over both formats.  (v2 files yield their on-disk chunk
+    interface over both formats.  (v3 files yield their on-disk chunk
     boundaries; ``chunk_size`` only shapes the v1 re-chunking.)
     """
     if sniff_trace_format(path) == 1:
@@ -354,25 +362,25 @@ def iter_trace_chunks(
             if not len(chunk):
                 return
             yield chunk
-    yield from _iter_v2(path)
+    yield from _iter_v3(path)
 
 
-def _iter_v2(path: str | Path, trailer: list | None = None) -> Iterator[ColumnarTrace]:
-    """Yield a v2 file's chunks; append its verdicts (or None) to ``trailer``."""
+def _iter_v3(path: str | Path, trailer: list | None = None) -> Iterator[ColumnarTrace]:
+    """Yield a v3 file's chunks; append its verdicts (or None) to ``trailer``."""
     expected_sizes = {tc: array(tc).itemsize for _, tc in COLUMNS}
     with open(path, "rb") as fh:
-        _read_exact(fh, len(_MAGIC_V2))
+        _read_exact(fh, len(_MAGIC_V3))
         header = fh.readline().decode()
         parts = header.split()
         if len(parts) != 2:
-            raise ValueError(f"malformed v2 header in {path}: {header!r}")
+            raise ValueError(f"malformed v3 header in {path}: {header!r}")
         name, itemsizes = parts
         declared = ":".join(
             str(expected_sizes[tc]) for tc in sorted(expected_sizes)
         )
         if itemsizes != declared:
             raise ValueError(
-                f"v2 trace {path} written with array itemsizes {itemsizes}, "
+                f"v3 trace {path} written with array itemsizes {itemsizes}, "
                 f"this platform has {declared}"
             )
         total = 0
@@ -391,7 +399,7 @@ def _iter_v2(path: str | Path, trailer: list | None = None) -> Iterator[Columnar
             chunk = ColumnarTrace.from_columns(name, columns)
             if len(chunk) != n:
                 raise ValueError(
-                    f"v2 chunk in {path} declares {n} instructions, "
+                    f"v3 chunk in {path} declares {n} instructions, "
                     f"columns hold {len(chunk)}"
                 )
             total += n
@@ -399,7 +407,7 @@ def _iter_v2(path: str | Path, trailer: list | None = None) -> Iterator[Columnar
         footer = _U64.unpack(_read_exact(fh, 8))[0]
         if footer != total:
             raise ValueError(
-                f"v2 trace {path} footer declares {footer} instructions, "
+                f"v3 trace {path} footer declares {footer} instructions, "
                 f"chunks held {total}"
             )
         if trailer is not None:
@@ -407,26 +415,35 @@ def _iter_v2(path: str | Path, trailer: list | None = None) -> Iterator[Columnar
 
 
 def _read_verdicts(fh, total: int, path) -> array | None:
-    """The optional verdict section after a v2 footer, or None."""
+    """The optional verdict section after a v3 footer, or None."""
     if fh.read(len(_VERDICTS)) != _VERDICTS:
         return None
     nbytes = _U64.unpack(_read_exact(fh, 8))[0]
     if nbytes != total:
         raise ValueError(
-            f"v2 trace {path} verdict section holds {nbytes} of {total} rows"
+            f"v3 trace {path} verdict section holds {nbytes} of {total} rows"
         )
     verdicts = array("B", _read_exact(fh, nbytes))
     if verdicts.tobytes().translate(None, b"\x00\x01"):
-        raise ValueError(f"v2 trace {path} verdict section is not 0/1")
+        raise ValueError(f"v3 trace {path} verdict section is not 0/1")
     return verdicts
 
 
 def sniff_trace_format(path: str | Path) -> int:
-    """Return the on-disk format version (1 or 2) of a trace file."""
+    """Return the on-disk format version (1 or 3) of a trace file.
+
+    Raises :class:`StaleTraceFormat` for a v2 (prefix-index layout)
+    file and ``ValueError`` for anything else that is not a trace.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(len(_MAGIC_V2))
+        head = fh.read(len(_MAGIC_V3))
+    if head == _MAGIC_V3:
+        return 3
     if head == _MAGIC_V2:
-        return 2
+        raise StaleTraceFormat(
+            f"{path} is a v2 trace, written in the prefix-index column "
+            f"layout this version no longer reads; rebuild it"
+        )
     if head.startswith(_MAGIC.encode()):
         return 1
     raise ValueError(f"not a repro trace file: {path}")
@@ -443,27 +460,27 @@ def save_trace(
 ) -> None:
     """Write ``trace`` to ``path``.
 
-    ``format`` selects ``"v1"`` (line text) or ``"v2"`` (binary
-    columnar).  Chunk iterators require v2.
+    ``format`` selects ``"v1"`` (line text) or ``"v3"`` (binary
+    columnar).  Chunk iterators require v3.
     """
     if format == "v1":
         if not isinstance(trace, (Trace, ColumnarTrace)):
             raise ValueError("v1 serialization needs a full trace, not a chunk stream")
         _save_trace_v1(trace, path)
-    elif format == "v2":
-        _save_trace_v2(trace, path, chunk_size)
+    elif format == "v3":
+        _save_trace_v3(trace, path, chunk_size)
     else:
         raise ValueError(f"unknown trace format: {format!r}")
 
 
-def _v2_name(path: str | Path) -> str:
-    """Read just the trace name from a v2 header (no chunk decoding)."""
+def _v3_name(path: str | Path) -> str:
+    """Read just the trace name from a v3 header (no chunk decoding)."""
     with open(path, "rb") as fh:
-        _read_exact(fh, len(_MAGIC_V2))
+        _read_exact(fh, len(_MAGIC_V3))
         header = fh.readline().decode()
     parts = header.split()
     if len(parts) != 2:
-        raise ValueError(f"malformed v2 header in {path}: {header!r}")
+        raise ValueError(f"malformed v3 header in {path}: {header!r}")
     return parts[0]
 
 
@@ -473,7 +490,7 @@ def load_trace(path: str | Path) -> Trace:
         return Trace(_v1_name(path), _iter_v1(path))
     # name comes from the header, not the chunks, so a valid
     # zero-instruction file keeps its identity
-    name = _v2_name(path)
+    name = _v3_name(path)
     instructions: list[Instruction] = []
     for chunk in iter_trace_chunks(path):
         instructions.extend(chunk)
@@ -483,12 +500,12 @@ def load_trace(path: str | Path) -> Trace:
 def load_trace_columnar(path: str | Path) -> ColumnarTrace:
     """Read a trace file (either format) into a :class:`ColumnarTrace`.
 
-    A v2 file's verdict section, when present, comes back as the
+    A v3 file's verdict section, when present, comes back as the
     trace's :attr:`~ColumnarTrace.verdicts`.
     """
     trailer: list = []
     chunks = iter_trace_chunks(path) if sniff_trace_format(path) == 1 else (
-        _iter_v2(path, trailer)
+        _iter_v3(path, trailer)
     )
     out: ColumnarTrace | None = None
     for chunk in chunks:

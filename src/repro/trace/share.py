@@ -13,12 +13,12 @@ Segment layout (one header + per-column buffers, as a single buffer)::
 
     b"repro-shmtrace1\\n"   fabric magic
     <u64 owner pid>         who may unlink; orphan GC checks liveness
-    <v2 single-chunk image> repro.trace.serialization.v2_bytes(),
+    <v3 single-chunk image> repro.trace.serialization.v3_bytes(),
                             branch verdicts included when the trace
                             carries them
 
-Reusing the v2 byte layout means one parser
-(:func:`~repro.trace.serialization.map_v2_columns`) serves both
+Reusing the v3 byte layout means one parser
+(:func:`~repro.trace.serialization.map_v3_columns`) serves both
 transports: a POSIX shared-memory segment when the platform has one,
 or an ``mmap`` over a regular file under the store root when it does
 not (``use_shm=False``, or :func:`shm_available` says no).  Refs are
@@ -60,7 +60,7 @@ import tempfile
 from pathlib import Path
 
 from repro.trace.columnar import COLUMNS, ColumnarTrace
-from repro.trace.serialization import map_v2_columns, v2_bytes
+from repro.trace.serialization import map_v3_columns, v3_bytes
 
 MAGIC = b"repro-shmtrace1\n"
 # /dev/shm-visible namespace for fabric segments; orphan GC globs it.
@@ -191,7 +191,7 @@ def _trace_from_buffer(buf, ref: str):
             raise ValueError(f"{ref}: not a trace fabric segment")
         image = base[_HEADER:]
         views.append(image)
-        name, count, offsets = map_v2_columns(image)
+        name, count, offsets = map_v3_columns(image)
         if count == 0:
             # a valid empty trace has no column frames to view; a plain
             # (owned, zero-copy-irrelevant) empty trace is bit-identical
@@ -341,8 +341,8 @@ class TraceStore:
 
         Idempotent per key (the second publish returns the first ref
         without looking at ``trace``).  The segment is sized exactly:
-        header + owner pid + single-chunk v2 image.  Pass ``image``
-        (``v2_bytes(trace)``, precomputed) to reuse a serialization the
+        header + owner pid + single-chunk v3 image.  Pass ``image``
+        (``v3_bytes(trace)``, precomputed) to reuse a serialization the
         caller already paid for — e.g. the runtime serializes each
         trace once and feeds the same image to the disk cache and here.
         """
@@ -352,7 +352,7 @@ class TraceStore:
         if ref is not None:
             return ref
         payload = MAGIC + _OWNER.pack(os.getpid()) + (
-            v2_bytes(trace) if image is None else image
+            v3_bytes(trace) if image is None else image
         )
         name = _segment_name(key)
         if self.use_shm:

@@ -160,8 +160,9 @@ def _assert_tage_batch_matches_live(insts, tage, chunk: int) -> None:
     kb = batch.tage_key_batch(ColumnarTrace("rand-branches", insts), tage)
     assert kb is not None
     kb._chunk = chunk         # cross chunk carries incl. the hi window
+    branches = sum(1 for inst in insts if inst.op is OpClass.BRANCH)
     got: list = []
-    while len(got) < kb.branches:
+    while len(got) < branches:
         start, keys = kb.next_chunk()
         assert start == len(got)
         got.extend(keys)      # call-only chunks contribute nothing
@@ -174,16 +175,31 @@ def _assert_tage_batch_matches_live(insts, tage, chunk: int) -> None:
             j += 1
         elif inst.op is OpClass.CALL:
             tage.history.push(1)
-    assert j == kb.branches == len(got)
+    assert j == branches == len(got)
     with pytest.raises(RuntimeError):
         kb.next_chunk()
 
 
+def _sparse_control_stream(seed: int) -> list[Instruction]:
+    """The random control stream with up to 60 ALU rows after each row."""
+    rng = random.Random(seed)
+    insts = []
+    for inst in _random_control_stream(seed, 300):
+        insts.append(inst)
+        insts.extend(Instruction(pc=rng.randrange(1 << 30) * 4, op=OpClass.ALU)
+                     for _ in range(rng.randrange(60)))
+    return insts
+
+
 @numpy_required
 def test_tage_key_batch_matches_sequential():
+    """A stream of mostly control rows, and one where they are a few
+    percent of the rows: the batch's row cursor finds exactly the
+    events, scanning several blocks per chunk in the sparse one."""
     from repro.branch.tage import Tage
 
     _assert_tage_batch_matches_live(_random_control_stream(0x7A6E), Tage(), 50)
+    _assert_tage_batch_matches_live(_sparse_control_stream(0x5CA7), Tage(), 16)
 
 
 @numpy_required
@@ -201,6 +217,26 @@ def test_tage_key_batch_matches_sequential_at_other_history_lengths(
 
     tage = Tage(TageConfig(history_lengths=lengths, max_history=max_history))
     _assert_tage_batch_matches_live(_random_control_stream(max_history, 600), tage, 37)
+
+
+@numpy_required
+def test_tage_key_batch_keeps_nothing_per_branch():
+    """Between chunks the batch holds the same arrays over 400 branches
+    as over 20,000: it finds each chunk's events from a row cursor."""
+    from repro.branch.tage import Tage
+
+    sizes = []
+    for n in (800, 40_000):
+        kb = batch.tage_key_batch(
+            ColumnarTrace("branches", _random_control_stream(11, n)), Tage())
+        kb._chunk = 64
+        kb.next_chunk()
+        kb.next_chunk()
+        sizes.append(sorted(
+            (slot, getattr(kb, slot).nbytes) for slot in batch.TageKeyBatch.__slots__
+            if isinstance(getattr(kb, slot, None), batch.np.ndarray)
+        ))
+    assert sizes[0] == sizes[1]
 
 
 @numpy_required

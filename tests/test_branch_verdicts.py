@@ -4,8 +4,8 @@
   fresh :class:`BranchUnit` resolving the object trace row by row, with
   the numpy TAGE key batch (across chunk seams) and without numpy.
 * **Lifecycle** — verdicts are trace data, not a column: row edits drop
-  them, equality and ``to_trace()`` ignore them, and the v2 trace cache
-  round-trips them (a v2 file without them still loads).
+  them, equality and ``to_trace()`` ignore them, and the binary trace
+  cache round-trips them (a v3 file without them still loads).
 * **Once per trace** — a serial grid over a fresh cache runs the verdict
   pass once per workload, however many schemes simulate it.
 """
@@ -153,21 +153,22 @@ def test_trace_cache_round_trips_verdicts(tmp_path):
 
 
 def test_v2_file_without_verdicts_still_loads(tmp_path):
+    """A binary (now v3) file without a verdict section loads."""
     trace = _with_verdicts()
     bare = ColumnarTrace.from_trace(trace.to_trace())
-    path = tmp_path / "bare.v2"
-    save_trace(bare, path, format="v2")
+    path = tmp_path / "bare.v3"
+    save_trace(bare, path, format="v3")
     got = load_trace_columnar(path)
     assert got == trace and got.verdicts is None
     # the same file plus a section: only the section differs
-    with_section = tmp_path / "with.v2"
-    save_trace(trace, with_section, format="v2")
+    with_section = tmp_path / "with.v3"
+    save_trace(trace, with_section, format="v3")
     assert with_section.read_bytes().startswith(path.read_bytes())
 
 
 def test_torn_verdict_section_is_rejected(tmp_path):
-    path = tmp_path / "torn.v2"
-    save_trace(_with_verdicts(), path, format="v2")
+    path = tmp_path / "torn.v3"
+    save_trace(_with_verdicts(), path, format="v3")
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(ValueError):
         load_trace_columnar(path)

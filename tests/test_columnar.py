@@ -4,7 +4,7 @@ Four concerns share this file because they share one invariant — the
 struct-of-arrays world must be *losslessly interchangeable* with the
 object world:
 
-* ``Trace ↔ ColumnarTrace ↔ v2 bytes`` round-trips bit for bit
+* ``Trace ↔ ColumnarTrace ↔ v3 bytes`` round-trips bit for bit
   (property-based, covering ``taken=None``, multi-destination loads,
   128-bit vector values, empty ``srcs``/``values``);
 * the column builder packs the same trace whatever its chunk size;
@@ -39,6 +39,8 @@ from repro.trace import (
     save_trace,
     sniff_trace_format,
 )
+from repro.trace.columnar import COLUMNS
+from repro.trace.serialization import StaleTraceFormat
 from repro.workloads import (
     SUITE,
     WorkloadBuilder,
@@ -93,7 +95,7 @@ def instructions(draw) -> Instruction:
         kwargs.update(target=draw(st.none() | _PC))
     else:
         # ALU-ish ops: possibly empty srcs/dests/values — the ragged
-        # prefix-index encoding must represent zero-length rows
+        # count encoding must represent zero-length rows
         kwargs.update(
             srcs=tuple(draw(st.lists(_REG, max_size=3))),
             dests=tuple(draw(st.lists(_REG, max_size=2))),
@@ -120,9 +122,10 @@ def test_columnar_roundtrip_lossless(trace):
 @settings(max_examples=40, deadline=None)
 @given(trace=traces)
 def test_v2_serialization_roundtrip(tmp_path_factory, trace):
-    path = tmp_path_factory.mktemp("v2") / "t.trace"
-    save_trace(trace, path, format="v2", chunk_size=7)
-    assert sniff_trace_format(path) == 2
+    """The binary columnar format (now v3), in 7-row chunks."""
+    path = tmp_path_factory.mktemp("v3") / "t.trace"
+    save_trace(trace, path, format="v3", chunk_size=7)
+    assert sniff_trace_format(path) == 3
     assert list(load_trace(path).instructions) == list(trace.instructions)
     assert load_trace_columnar(path) == ColumnarTrace.from_trace(trace)
 
@@ -159,14 +162,22 @@ def test_extend_chunk_reassembly_roundtrip(trace, data):
     assert out == columnar
 
 
+def _assert_well_formed(trace: ColumnarTrace) -> None:
+    """``from_columns`` accepts the trace's columns."""
+    ColumnarTrace.from_columns("check", {
+        attr: getattr(trace, attr) for attr, _ in COLUMNS
+    })
+
+
 @settings(max_examples=60, deadline=None)
 @given(sources=st.lists(traces, min_size=1, max_size=3), prefix=traces,
-       consume=st.booleans(), data=st.data())
-def test_extend_rows_concatenates_random_parts(sources, prefix, consume, data):
-    """Random ``(source, start, stop)`` parts, empty ones and repeated
-    sources included, appended to an empty or non-empty trace with or
-    without ``consume``: the result holds its own rows, then exactly
-    the parts' rows, with well-formed prefix indexes."""
+       data=st.data())
+def test_extend_rows_concatenates_random_parts(sources, prefix, data):
+    """Random ``(source, start, stop)`` parts, empty ones, repeated
+    sources and parts that walk a source backwards included, appended
+    to an empty or non-empty trace: the result holds its own rows, then
+    exactly the parts' rows, with counts that describe its flat
+    columns."""
     columnar = [ColumnarTrace.from_trace(t) for t in sources]
     parts = []
     for _ in range(data.draw(st.integers(0, 6))):
@@ -178,12 +189,97 @@ def test_extend_rows_concatenates_random_parts(sources, prefix, consume, data):
         src.instruction(i) for src, a, b in parts for i in range(a, b)
     ]
     out = ColumnarTrace.from_trace(prefix)
-    out.extend_rows(parts, consume=consume)
+    out.extend_rows(parts)
     assert list(out) == expected
-    ColumnarTrace.from_columns("check", {
-        attr: getattr(out, attr) for attr in ColumnarTrace.__slots__
-        if attr not in ("name", "verdicts")
-    })
+    _assert_well_formed(out)
+
+
+def _assert_splice(base: list, other: list, cuts: list) -> None:
+    """``splice_in`` of ``other`` into ``base`` at ``cuts`` equals the
+    row-by-row interleave, and leaves ``other`` holding no column."""
+    expected = []
+    at0 = stop0 = 0
+    for at, stop in cuts:
+        expected += base[at0:at] + other[stop0:stop]
+        at0, stop0 = at, stop
+    expected += base[at0:]
+    trace = ColumnarTrace("base", base)
+    spliced = ColumnarTrace("other", other)
+    trace.splice_in(spliced, cuts)
+    assert list(trace) == expected
+    _assert_well_formed(trace)
+    assert not any(hasattr(spliced, attr) for attr, _ in COLUMNS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=traces, other=traces, data=st.data())
+def test_splice_in_equals_the_row_by_row_interleave(base, other, data):
+    """Random runs of one trace spliced into another in place."""
+    base, other = list(base.instructions), list(other.instructions)
+    k = data.draw(st.integers(1, 5))
+    ats = sorted(data.draw(st.lists(
+        st.integers(0, len(base)), min_size=k, max_size=k)))
+    stops = sorted(data.draw(st.lists(
+        st.integers(0, len(other)), min_size=k, max_size=k)))
+    stops[-1] = len(other)
+    _assert_splice(base, other, list(zip(ats, stops)))
+
+
+def test_splice_in_places_runs_at_the_edges_and_empty_runs():
+    """Runs before row 0 and after the last row, and empty runs of
+    either trace (two cuts at one row, two cuts at one stop)."""
+    base = list(build_workload("eon", 300).instructions)
+    other = list(build_workload("gzip", 120).instructions)
+    n, m = len(base), len(other)
+    for cuts in (
+        [(0, m)],
+        [(n, m)],
+        [(0, 40), (n, m)],
+        [(0, 0), (0, 30), (150, 30), (150, 90), (n, 90), (n, m)],
+    ):
+        _assert_splice(base, other, cuts)
+    with pytest.raises(ValueError, match="every row"):
+        ColumnarTrace("base", base).splice_in(ColumnarTrace("o", other), [(5, m - 1)])
+
+
+def test_chunks_equal_slices():
+    trace = build_workload_columnar("eon", 5_000)
+    chunks = list(trace.chunks(777))
+    bounds = list(range(0, len(trace), 777)) + [len(trace)]
+    assert chunks == [trace.slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    joined = ColumnarTrace(trace.name)
+    joined.extend_rows([(chunk, 0, len(chunk)) for chunk in chunks])
+    assert joined == trace
+
+
+def _row_columns(**fields) -> list:
+    """``append_columns`` arguments for one ALU row, ``fields`` overriding."""
+    row = dict(pc=0, op=OpClass.ALU, flags=0, mem_addr=0, mem_size=8, target=0,
+               srcs=(), dests=(), values=())
+    row.update(fields)
+    return [[row[name]] for name in ("pc", "op", "flags", "mem_addr", "mem_size",
+                                     "target", "srcs", "dests", "values")]
+
+
+@pytest.mark.parametrize("column,fields", [
+    ("srcs_count", {"srcs": tuple(range(256))}),
+    ("dests_count", {"dests": (1,) * 256}),
+    ("values_count", {"values": (7,) * 256}),
+    ("mem_size", {"mem_size": 256}),
+], ids=["srcs", "dests", "values", "mem_size"])
+def test_append_columns_refuses_what_a_byte_cannot_hold(column, fields):
+    """More than 255 entries of a ragged field, or a ``mem_size`` over
+    255, is refused naming the column, and no column changes; 255 is
+    held."""
+    trace = ColumnarTrace("t", [Instruction(pc=4, op=OpClass.ALU, dests=(1,))])
+    before = trace.slice(0, 1)
+    with pytest.raises(ValueError, match=column):
+        trace.append_columns(*_row_columns(**fields))
+    assert trace == before
+    held = {k: v[:255] if isinstance(v, tuple) else 255 for k, v in fields.items()}
+    trace.append_columns(*_row_columns(**held))
+    assert trace.instruction(1) == Instruction(
+        pc=0, op=OpClass.ALU, **{"mem_size": 8, **held})
 
 
 def test_columnar_extend_rebases_ragged_indexes():
@@ -276,9 +372,10 @@ def test_chunked_read_streams(tmp_path, big_trace):
 
 
 def test_v2_chunked_roundtrip_of_generated_trace(tmp_path, big_trace):
-    v2 = tmp_path / "big.v2.trace"
-    save_trace(big_trace, v2, format="v2", chunk_size=8_192)
-    assert load_trace_columnar(v2) == ColumnarTrace.from_trace(big_trace)
+    """A generated trace in 8,192-row binary (now v3) chunks."""
+    path = tmp_path / "big.v3.trace"
+    save_trace(big_trace, path, format="v3", chunk_size=8_192)
+    assert load_trace_columnar(path) == ColumnarTrace.from_trace(big_trace)
 
 
 def test_save_trace_accepts_chunk_iterator(tmp_path):
@@ -286,34 +383,34 @@ def test_save_trace_accepts_chunk_iterator(tmp_path):
     trace = build_workload_columnar("gzip", 12_000)
     chunks = (trace.slice(a, min(len(trace), a + 4_096))
               for a in range(0, len(trace), 4_096))
-    save_trace(chunks, path, format="v2")
+    save_trace(chunks, path, format="v3")
     assert load_trace_columnar(path) == trace
 
 
 # ---------------------------------------------------------------------------
-# column-edge validation: a tampered v2 file must be rejected at the
+# column-edge validation: a tampered binary file must be rejected at the
 # deserialization boundary (from_columns), not crash the simulator later
 # ---------------------------------------------------------------------------
 
 
 def _tamper_srcs_final(t):
-    t.srcs_index[len(t.srcs_index) - 1] = t.srcs_index[-1] + 1
+    t.srcs_count[-1] += 1
 
 
 def _tamper_dests_final(t):
-    t.dests_index[len(t.dests_index) - 1] = t.dests_index[-1] + 3
+    t.dests_count[-1] += 3
 
 
 def _tamper_values_final(t):
-    t.values_index[len(t.values_index) - 1] = t.values_index[-1] + 1
+    t.values_count[-1] += 1
 
 
 def _tamper_hi_lo_length(t):
     t.values_hi.pop()
 
 
-def _tamper_monotonicity(t):
-    t.srcs_index[1] = t.srcs_index[-1] + 7
+def _tamper_count_length(t):
+    t.dests_count.append(0)
 
 
 @pytest.mark.parametrize("mutate", [
@@ -321,34 +418,42 @@ def _tamper_monotonicity(t):
     _tamper_dests_final,
     _tamper_values_final,
     _tamper_hi_lo_length,
-    _tamper_monotonicity,
+    _tamper_count_length,
 ], ids=["srcs-final", "dests-final", "values-final",
-        "hi-lo-length", "non-monotonic"])
+        "hi-lo-length", "count-length"])
 def test_tampered_v2_file_rejected(tmp_path, mutate):
-    """iter_trace_chunks must reject columns whose prefix indexes do
-    not describe the flat columns (pre-fix: accepted, then the engine
-    read out of bounds or silently mis-sliced operands)."""
+    """iter_trace_chunks must reject a binary (now v3) file whose counts
+    do not describe its flat columns or whose count column is not one
+    entry per row (accepted, the engine would read out of bounds or
+    silently mis-slice operands)."""
     trace = build_workload_columnar("gzip", 400)
     mutate(trace)
     path = tmp_path / "tampered.trace"
     # The chunk-iterator path writes columns verbatim; a full-trace
     # save would re-chunk through instruction views and normalize.
-    save_trace([trace], path, format="v2")
+    save_trace([trace], path, format="v3")
     with pytest.raises(ValueError):
         list(iter_trace_chunks(path))
 
 
+def test_v2_prefix_index_file_is_refused_as_stale(tmp_path):
+    """A file in the retired prefix-index layout is refused by name."""
+    path = tmp_path / "old.trace"
+    path.write_bytes(b"repro-trace-v2\ngzip 1:8:4\n")
+    for load in (sniff_trace_format, load_trace, load_trace_columnar):
+        with pytest.raises(StaleTraceFormat, match="prefix-index"):
+            load(path)
+
+
 def test_from_columns_validates_flat_lengths():
     from array import array
-
-    from repro.trace.columnar import COLUMNS
 
     good = build_workload_columnar("gzip", 100)
     columns = {attr: getattr(good, attr) for attr, _ in COLUMNS}
     assert len(ColumnarTrace.from_columns("ok", dict(columns))) == len(good)
     truncated = dict(columns)
     truncated["srcs"] = array("I", columns["srcs"][:-1])
-    with pytest.raises(ValueError, match="srcs_index"):
+    with pytest.raises(ValueError, match="srcs_count"):
         ColumnarTrace.from_columns("bad", truncated)
 
 

@@ -5,18 +5,18 @@ snapshot window of the columnar ``simulate()`` loop and one batched-key
 chunk.  These tests cover what only longer traces exercise:
 
 * window seams — stores executed in one window and retired in the
-  next, prefix indexes rebased per window, key batches refilled
-  mid-run (the TAGE batch by the verdict pass) — against results the
-  object engine produced before it was deleted, frozen cell for cell
-  in ``frozen_seams.json``;
+  next, flat offsets carried from window to window, key batches
+  refilled mid-run (the TAGE batch by the verdict pass) — against
+  results the object engine produced before it was deleted, frozen
+  cell for cell in ``frozen_seams.json``;
 * the memory bounds the windowing exists for (no whole-trace column
   snapshots, no 65,536-entry key chunks, no per-instruction commit
-  history);
+  history), and the bytes a built row costs;
 * the one-pass columnar build (one kernel run, no thread, a peak
-  near one trace) and its splice (each column allocated once, a peak of
-  one trace plus one column);
-* v2 writes of multi-chunk columnar traces by column slicing, and the
-  trace cache's single-chunk entries (older chunked entries still load).
+  near one trace) and its in-place splice (a peak of the trace plus
+  the cold bursts);
+* v3 writes of multi-chunk columnar traces by column slicing, and the
+  trace cache's single-chunk entries (chunked entries still load).
 
 Only regenerate the frozen seam results after a *deliberate* model
 change::
@@ -30,7 +30,6 @@ import json
 import sys
 import threading
 import tracemalloc
-from array import array
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -49,7 +48,7 @@ from repro.trace.serialization import (
     load_trace,
     load_trace_columnar,
     save_trace,
-    v2_bytes,
+    v3_bytes,
 )
 from repro.workloads import SUITE, build_workload, build_workload_columnar
 
@@ -150,11 +149,10 @@ def test_window_seams_match_the_object_engine(
 def test_seam_traces_hold_vector_and_multi_destination_loads():
     eon = _trace("eon")
     iirflt = _trace("iirflt")
-    loads = [eon.instruction(i) for i in range(len(eon))
-             if eon.op[i] == OpClass.LOAD]
+    loads = [inst for inst in eon if inst.op == OpClass.LOAD]
     assert any(inst.is_vector and max(inst.values) >> 64 for inst in loads)
     assert any(len(inst.dests) > 1 for inst in loads)
-    assert any(iirflt.dests_index[i + 1] - iirflt.dests_index[i] == 2
+    assert any(iirflt.dests_count[i] == 2
                for i in range(len(iirflt)) if iirflt.op[i] == OpClass.LOAD)
 
 
@@ -292,12 +290,13 @@ def _column_bytes(trace: ColumnarTrace) -> list[int]:
     return [memoryview(getattr(trace, attr)).nbytes for attr, _ in COLUMNS]
 
 
-def test_splice_allocates_each_column_once_and_peaks_at_one_column():
-    """The cold-burst splice's shape: runs of a hot source interleaved
-    with short runs of a cold one, consumed.  Every result column is
-    allocated at its final length (an array grown step by step carries
-    spare capacity), and the splice never holds more than the sources,
-    the finished columns and the one column being filled."""
+def test_splice_in_place_peaks_at_the_trace_plus_the_cold_rows():
+    """The cold-burst splice's shape: runs of a hot trace interleaved
+    with short runs of a cold one, spliced into the hot trace in place.
+    Each hot column grows by its cold column, which is released once
+    copied, so the splice holds no more than the result and the cold
+    trace (tracemalloc counts a ``realloc`` by its growth).  A copy
+    into a third trace holds a whole extra result column besides."""
     whole = build_workload_columnar("gzip", 60_000)
     split = 54_000
     tracemalloc.start()
@@ -305,35 +304,38 @@ def test_splice_allocates_each_column_once_and_peaks_at_one_column():
         start = tracemalloc.get_traced_memory()[0]
         hot = whole.slice(0, split)
         cold = whole.slice(split, len(whole))
+        cold_bytes = sum(_column_bytes(cold))
         bursts = range(2_500, split, 2_500)
         per_burst = len(cold) // len(bursts)
-        parts = []
-        first = 0
-        for k, at in enumerate(bursts):
-            last = k == len(bursts) - 1
-            parts.append((hot, first, at))
-            parts.append((cold, k * per_burst, len(cold) if last else (k + 1) * per_burst))
-            first = at
-        parts.append((hot, first, split))
-        spliced = ColumnarTrace(whole.name)
-        spliced.extend_rows(parts, consume=True)
-        del hot, cold, parts
+        cuts = [(at, (k + 1) * per_burst) for k, at in enumerate(bursts)]
+        cuts[-1] = (cuts[-1][0], len(cold))
+        hot.splice_in(cold, cuts)
+        del cold
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(spliced) == len(whole)
-    assert spliced.instruction(2_500) == whole.instruction(split)
-    sizes = _column_bytes(spliced)
-    for (attr, typecode), nbytes in zip(COLUMNS, sizes):
-        assert sys.getsizeof(getattr(spliced, attr)) == (
-            sys.getsizeof(array(typecode)) + nbytes
-        ), f"column {attr} has spare capacity"
-    bound = sum(sizes) + max(sizes) + 64 * 1024
+    assert len(hot) == len(whole)
+    assert hot.instruction(2_500) == whole.instruction(split)
+    bound = sum(_column_bytes(hot)) + cold_bytes + 64 * 1024
     assert peak - start <= bound, f"splice peak {peak - start} > {bound}"
 
 
+# A built row's column bytes, verdicts included: one-byte counts and a
+# one-byte mem_size.  perlbmk reads 48.4; with 8-byte prefix indexes
+# and a 4-byte mem_size it read 72.4.
+MAX_COLUMN_BYTES_PER_ROW = 50
+
+
+def test_built_trace_holds_at_most_50_column_bytes_per_row():
+    trace = build_workload_columnar("perlbmk", 20_000)
+    nbytes = sum(_column_bytes(trace)) + memoryview(trace.verdicts).nbytes
+    assert nbytes / len(trace) <= MAX_COLUMN_BYTES_PER_ROW, (
+        f"{nbytes / len(trace):.1f} column bytes per row"
+    )
+
+
 # ---------------------------------------------------------------------------
-# v2 writes by column slicing
+# v3 writes by column slicing
 # ---------------------------------------------------------------------------
 
 
@@ -346,7 +348,7 @@ def _boundary_trace() -> ColumnarTrace:
             continue
         if vector is None and eon.flags[i] & F_VECTOR:
             vector = i
-        if multi is None and eon.dests_index[i + 1] - eon.dests_index[i] > 1:
+        if multi is None and eon.dests_count[i] > 1:
             multi = i
     assert vector is not None and multi is not None
     out = ColumnarTrace(eon.name)
@@ -358,6 +360,7 @@ def _boundary_trace() -> ColumnarTrace:
 
 
 def test_v2_round_trip_of_a_multi_chunk_columnar_trace(tmp_path, monkeypatch):
+    """The binary (now v3) format, written by column slicing."""
     trace = _boundary_trace()
     assert len(trace) > DEFAULT_CHUNK_SIZE
     boundary = [trace.instruction(DEFAULT_CHUNK_SIZE - 1),
@@ -365,30 +368,33 @@ def test_v2_round_trip_of_a_multi_chunk_columnar_trace(tmp_path, monkeypatch):
     assert boundary[0].is_vector and len(boundary[1].dests) > 1
     reference = trace.to_trace()
 
-    def no_views(self, i):
-        raise AssertionError("v2 write materialized an Instruction")
+    def no_views(self, *args):
+        raise AssertionError("v3 write materialized an Instruction")
 
-    path = tmp_path / "t.v2"
-    monkeypatch.setattr(ColumnarTrace, "instruction", no_views)
-    save_trace(trace, path, format="v2")
-    image = v2_bytes(trace)
+    path = tmp_path / "t.v3"
+    monkeypatch.setattr(ColumnarTrace, "_view", no_views)
+    save_trace(trace, path, format="v3")
+    image = v3_bytes(trace)
     monkeypatch.undo()
 
     assert [len(c) for c in iter_trace_chunks(path)] == [
         DEFAULT_CHUNK_SIZE, len(trace) - DEFAULT_CHUNK_SIZE]
     assert load_trace_columnar(path) == trace
     assert load_trace(path).instructions == reference.instructions
-    single = tmp_path / "single.v2"
+    single = tmp_path / "single.v3"
     single.write_bytes(image)
     assert load_trace_columnar(single) == trace
 
 
-def test_slice_rebases_prefix_indexes():
+def test_slice_starts_its_flat_columns_at_its_first_row():
+    """A slice across the chunk boundary holds exactly its rows'
+    entries: its flat columns start at the first row's."""
     trace = _boundary_trace()
     start, stop = DEFAULT_CHUNK_SIZE - 3, DEFAULT_CHUNK_SIZE + 5
     part = trace.slice(start, stop)
-    assert part.srcs_index[0] == part.dests_index[0] == part.values_index[0] == 0
-    assert list(part) == [trace.instruction(i) for i in range(start, stop)]
+    rows = [trace.instruction(i) for i in range(start, stop)]
+    assert list(part) == rows
+    assert part.dests.tolist() == [reg for inst in rows for reg in inst.dests]
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +403,15 @@ def test_slice_rebases_prefix_indexes():
 
 
 def test_cache_entry_is_one_chunk_written_from_the_columns(tmp_path, monkeypatch):
-    """A cached trace is the single-chunk image ``v2_bytes`` gives,
+    """A cached trace is the single-chunk image ``v3_bytes`` gives,
     written without slicing the trace and read back without joining
     chunks, verdicts included."""
     trace = build_workload_columnar("eon", 20_000)
     assert len(trace) > DEFAULT_CHUNK_SIZE and trace.verdicts is not None
-    image = v2_bytes(trace)
+    image = v3_bytes(trace)
     cache = ResultCache(tmp_path)
 
-    def no_splice(self, parts, consume=False):
+    def no_splice(self, parts):
         raise AssertionError("the cache write or read spliced rows")
 
     monkeypatch.setattr(ColumnarTrace, "extend_rows", no_splice)
@@ -425,7 +431,7 @@ def test_chunked_cache_entry_still_loads(tmp_path):
     cache = ResultCache(tmp_path)
     path = cache.trace_path("k")
     path.parent.mkdir(parents=True)
-    save_trace(trace, path, format="v2")
+    save_trace(trace, path, format="v3")
     assert [len(chunk) for chunk in iter_trace_chunks(path)] == [
         DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE, len(trace) - 2 * DEFAULT_CHUNK_SIZE]
     got = cache.get_trace_columnar("k")

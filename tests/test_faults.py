@@ -355,6 +355,31 @@ class TestCacheIntegrity:
         assert report["traces"] == 1 and report["trace_corrupt"] == 1
         assert (tmp_path / "corrupt" / path.name).is_file()
 
+    def test_verify_counts_an_old_layout_trace_as_stale(self, tmp_path):
+        """A trace cached in the v2 prefix-index layout (under an older
+        code salt's key) is stale, not corrupt: it stays for gc, and
+        verify still reports success."""
+        cache = ResultCache(tmp_path)
+        path = cache.trace_path("old")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"repro-trace-v2\ngzip 1:8:4\n" + bytes(64))
+        cache.put_trace("new", build_workload_columnar("gzip", N))
+        report = cache.verify()
+        assert report["traces"] == 2
+        assert report["trace_stale"] == 1 and report["trace_corrupt"] == 0
+        assert path.is_file()
+        assert not cache.quarantine_dir().exists()
+        assert cache.gc(max_age_days=0.0)["traces_removed"] == 2
+
+    def test_verify_still_quarantines_a_torn_v3_trace(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_trace("k", build_workload_columnar("gzip", N))
+        path = cache.trace_path("k")
+        path.write_bytes(path.read_bytes()[:200])
+        report = cache.verify()
+        assert report["trace_stale"] == 0 and report["trace_corrupt"] == 1
+        assert (tmp_path / "corrupt" / path.name).is_file()
+
     def test_gc_prunes_by_age_and_size(self, tmp_path):
         runtime = Runtime(jobs=1, cache_dir=tmp_path)
         runtime.run_grid(["baseline", "dlvp"], WORKLOADS, N)

@@ -3,14 +3,18 @@
 The goldens simulate one workload per kernel at 3,000 instructions.
 This file pins what the workload builder emits for *every* registered
 workload, at 3,000 instructions and at 10,000: the longer builds cross
-the builder's 8,192-row chunk and several 2,500-row cold-burst
-spacings.  Each cell stores the sha256 of every column's little-endian
-bytes (``repro.trace.columnar.COLUMNS``), so a change to any generated
-field of any row shows up here, named by workload, length and column.
+several of the builder's 2,048-row packs and several 2,500-row
+cold-burst spacings.  Each cell stores the sha256 of every column's
+little-endian bytes, so a change to any generated field of any row
+shows up here, named by workload, length and column.
 
 The digests were recorded from the ``Instruction``-per-row builder that
-the column builder replaced.  Regenerate only after a deliberate change
-to a workload generator::
+the column builder replaced, in the column layout of that time
+(:data:`LEGACY_COLUMNS`): each ragged field as an 8-byte prefix index
+from 0 rather than a one-byte count per row, and ``mem_size`` as four
+bytes.  :func:`column_digests` rebuilds those columns from the current
+ones before hashing, so the frozen file stays as it was recorded.
+Regenerate only after a deliberate change to a workload generator::
 
     PYTHONPATH=src python tests/test_frozen_traces.py --regen
 """
@@ -20,24 +24,49 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from array import array
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from repro.trace.columnar import COLUMNS
 from repro.workloads import SUITE, build_workload_columnar
 
 FROZEN_PATH = Path(__file__).parent / "frozen_traces.json"
 LENGTHS = (3_000, 10_000)
 
+# (column, typecode) of the layout the digests were recorded in.
+LEGACY_COLUMNS = (
+    ("pc", "Q"),
+    ("op", "B"),
+    ("flags", "B"),
+    ("mem_addr", "Q"),
+    ("mem_size", "I"),
+    ("target", "Q"),
+    ("srcs_index", "Q"),
+    ("srcs", "I"),
+    ("dests_index", "Q"),
+    ("dests", "I"),
+    ("values_index", "Q"),
+    ("values_lo", "Q"),
+    ("values_hi", "Q"),
+)
+
+
+def legacy_column(trace, attr: str, typecode: str) -> array:
+    """Column ``attr`` of the recorded layout, rebuilt from ``trace``."""
+    if attr.endswith("_index"):
+        counts = getattr(trace, attr[:-len("_index")] + "_count")
+        return array(typecode, accumulate(counts, initial=0))
+    return array(typecode, getattr(trace, attr))
+
 
 def column_digests(trace) -> dict[str, str]:
-    """sha256 of every column, over its little-endian bytes."""
+    """sha256 of every legacy column, over its little-endian bytes."""
     out = {}
-    for attr, _ in COLUMNS:
-        col = getattr(trace, attr)
+    for attr, typecode in LEGACY_COLUMNS:
+        col = legacy_column(trace, attr, typecode)
         if sys.byteorder != "little":
-            col = col[:]
             col.byteswap()
         out[attr] = hashlib.sha256(col.tobytes()).hexdigest()
     return out
@@ -66,7 +95,7 @@ def test_builder_reproduces_frozen_columns(frozen, workload, n):
     expected = frozen["cells"][f"{workload}/{n}"]
     assert len(trace) == expected["rows"]
     got = column_digests(trace)
-    changed = [attr for attr, _ in COLUMNS if got[attr] != expected[attr]]
+    changed = [attr for attr, _ in LEGACY_COLUMNS if got[attr] != expected[attr]]
     assert not changed, f"{workload}/{n}: columns changed: {changed}"
 
 
