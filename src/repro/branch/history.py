@@ -14,6 +14,17 @@ register and XORs the incoming and outgoing history bits in/out.  The
 invariant — checked by the tests — is that a :class:`FoldedHistory`
 always equals ``fold_history(history, history_bits, target_bits)`` of
 the register it mirrors.
+
+These objects are the reference: one per register, behind
+:meth:`Tage.update <repro.branch.tage.Tage.update>` and
+:meth:`PapPredictor.compute_key
+<repro.predictors.pap.PapPredictor.compute_key>`.  The run path keeps
+the same history in closure-local ints instead — TAGE's verdict pass
+packs every fold register into one int
+(:meth:`~repro.branch.tage.Tage.make_update_fused`), and DLVP's fetch
+closure keeps the raw load-path bits and folds them at each lookup
+(:meth:`~repro.core.dlvp.DlvpEngine.make_flat_fetch`) — and
+``tests/test_predictor_keys.py`` pins each to its reference.
 """
 
 from __future__ import annotations
@@ -166,17 +177,6 @@ class GlobalHistory:
                     value = fold.value
                     fold.value = ((value << 1) | (value >> rot)) & mask
         self._bits = ((bits << 1) | bit) & self._mask
-        self.version += 1
-
-    def push_light(self, bit: int) -> None:
-        """Shift one bit in WITHOUT maintaining the folded registers.
-
-        For batched-key runs (repro.pipeline.batch): the folds go stale
-        but the raw bits — what :attr:`value`/:meth:`snapshot` readers
-        consume — stay exact.  :meth:`restore` rebuilds the folds, so a
-        later snapshot/restore re-synchronizes them.
-        """
-        self._bits = ((self._bits << 1) | (bit & 1)) & self._mask
         self.version += 1
 
     def folded(self, target_bits: int) -> int:

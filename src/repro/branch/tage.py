@@ -7,12 +7,18 @@ the prediction, the alternate prediction arbitrates for "newly
 allocated" entries, and useful counters steer allocation on
 mispredictions.
 
-Index/tag hashes fold the global history through incrementally updated
-:class:`~repro.branch.history.FoldedHistory` registers (one index fold
-plus two tag folds per tagged table) instead of refolding the full
-history on every lookup, and the per-PC key set is memoized across the
-lookup/update/allocate calls of a single resolved branch — together the
-bulk of the simulator's former ``fold_history`` hot path.
+Index/tag hashes fold the global history through circularly updated
+fold registers, as TAGE hardware does.  There are two implementations
+of the same registers, pinned to each other by the tests:
+
+* :meth:`Tage.update`/:meth:`Tage._keys` read one
+  :class:`~repro.branch.history.FoldedHistory` per (table, width) — the
+  reference, one object per register;
+* :meth:`Tage.make_update_fused`, the closure the branch-verdict pass
+  runs, packs every table's register of one fold width into one lane
+  of one Python int, so a push updates all of them with a few integer
+  operations and a lookup reads each table's index and tag with a
+  shift and a mask.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.branch.history import GlobalHistory
+from repro.branch.history import GlobalHistory, fold_history
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,14 @@ class TageConfig:
     counter_bits: int = 3
     useful_bits: int = 2
     max_history: int = 128
+
+    def __post_init__(self) -> None:
+        # A power of two reduces the index hash to a mask, as in hardware
+        # (PapConfig asks the same of the APT).
+        if self.tagged_entries < 2 or self.tagged_entries & (self.tagged_entries - 1):
+            raise ValueError("tagged_entries must be a power of two of at least 2")
+        if self.tag_bits < 2:
+            raise ValueError("tag_bits must be at least 2")
 
 
 class _TaggedEntry:
@@ -73,14 +87,7 @@ class Tage:
         # Per-table fold triples plus hoisted key-hash constants, so
         # _keys() does no per-call list indexing or config access.
         self._key_folds = list(zip(self._idx_folds, self._tag_folds, self._tag_folds2))
-        self._entries_count = cfg.tagged_entries
-        # tagged_entries is a power of two in every shipped config; the
-        # modulo in the key hash then reduces to a mask.
-        self._entries_mask = (
-            cfg.tagged_entries - 1
-            if cfg.tagged_entries & (cfg.tagged_entries - 1) == 0
-            else None
-        )
+        self._entries_mask = cfg.tagged_entries - 1
         self._tag_mask = (1 << cfg.tag_bits) - 1
         self._ctr_max = (1 << (cfg.counter_bits - 1)) - 1
         self._ctr_min = -(1 << (cfg.counter_bits - 1))
@@ -89,41 +96,8 @@ class Tage:
         self._key_pc = -1
         self._key_version = -1
         self._key_cache: list[tuple[int, int]] = []
-        # Optional precomputed key batch (columnar runs; see
-        # repro.pipeline.batch.TageKeyBatch) and its chunk cursor.
-        self._kb = None
-        self._kb_keys: list = []
-        self._kb_pos = 0
-        self._kb_start = 0
-        self._kb_end = 0
         self.predictions = 0
         self.mispredictions = 0
-
-    # -- batched keys -------------------------------------------------
-
-    def bind_key_batch(self, batch) -> None:
-        """Attach (or with None, detach) a precomputed key batch.
-
-        While bound, :meth:`update` takes its per-table (index, tag)
-        sets from the batch — one entry per conditional branch in trace
-        order — and :meth:`update_history` stops maintaining the folded
-        registers (they go stale; only the raw history bits advance).
-        Callers must resolve every conditional of the batched trace in
-        order and must not call :meth:`predict` while bound.
-        """
-        self._kb = batch
-        self._kb_keys = []
-        self._kb_pos = 0
-        self._kb_start = 0
-        self._kb_end = 0
-
-    def _kb_refill(self, pos: int) -> None:
-        # Chunks holding only call events yield no keys; keep pulling.
-        while pos >= self._kb_end:
-            start, keys = self._kb.next_chunk()
-            self._kb_keys = keys
-            self._kb_start = start
-            self._kb_end = start + len(keys)
 
     # -- indexing -----------------------------------------------------
 
@@ -136,23 +110,13 @@ class Tage:
         pc_idx = (pc >> 2) ^ (pc >> (2 + self._idx_bits))
         pc_tag = pc >> 2
         entries_mask = self._entries_mask
-        if entries_mask is not None:
-            keys = [
-                (
-                    (pc_idx ^ f_idx.value ^ table) & entries_mask,
-                    (pc_tag ^ f_tag.value ^ (f_tag2.value << 1)) & tag_mask,
-                )
-                for table, (f_idx, f_tag, f_tag2) in enumerate(self._key_folds)
-            ]
-        else:
-            entries = self._entries_count
-            keys = [
-                (
-                    (pc_idx ^ f_idx.value ^ table) % entries,
-                    (pc_tag ^ f_tag.value ^ (f_tag2.value << 1)) & tag_mask,
-                )
-                for table, (f_idx, f_tag, f_tag2) in enumerate(self._key_folds)
-            ]
+        keys = [
+            (
+                (pc_idx ^ f_idx.value ^ table) & entries_mask,
+                (pc_tag ^ f_tag.value ^ (f_tag2.value << 1)) & tag_mask,
+            )
+            for table, (f_idx, f_tag, f_tag2) in enumerate(self._key_folds)
+        ]
         self._key_pc = pc
         self._key_version = version
         self._key_cache = keys
@@ -205,15 +169,6 @@ class Tage:
         :attr:`history` afterwards via :meth:`update_history` (kept
         separate so speculative-history schemes can manage it).
         """
-        if self._kb is not None:
-            pos = self._kb_pos
-            self._kb_pos = pos + 1
-            if pos >= self._kb_end:
-                self._kb_refill(pos)
-            # Preload the key memo; _lookup/_allocate then hit the cache.
-            self._key_pc = pc
-            self._key_version = self.history.version
-            self._key_cache = self._kb_keys[pos - self._kb_start]
         prediction, provider, alt_pred = self._lookup(pc)
         self.predictions += 1
         mispredicted = prediction != taken
@@ -268,119 +223,215 @@ class Tage:
         entry.useful = 0
 
     def make_update_fused(self, unit_stats=None):
-        """Build a closure fusing :meth:`update` + :meth:`update_history`.
+        """Build the branch-verdict pass's closure: :meth:`update` plus
+        :meth:`update_history` on packed fold registers.
 
-        For the branch-verdict pass: one call per conditional branch
-        replaces the update/_lookup/update_history/push chain, with the
-        tables, counters and history captured as closure cells.  Handles
-        both batched-key and live-fold modes, and trains identically to
-        the layered methods (pinned by the golden suite).  When
-        ``unit_stats`` (a BranchUnitStats) is given, the closure also
-        maintains its conditional counters, fusing the BranchUnit layer.
+        ``update_fused(pc, taken)`` trains on one resolved conditional
+        (``taken`` a bool) and returns whether it mispredicted, exactly
+        as ``update(pc, taken)`` then ``update_history(taken)`` would;
+        ``update_fused(None, True)`` pushes a call's history bit only;
+        ``update_fused.keys(pc)`` reads every table's (index, tag) off
+        the packed lanes, as :meth:`_keys` does off the FoldedHistory
+        registers.  With ``unit_stats`` (a BranchUnitStats) the closure
+        also keeps its conditional counters, fusing the BranchUnit
+        layer.
+
+        The closure starts from :attr:`history` and from then on keeps
+        the global history itself, as two ints: the raw bits, and every
+        fold register packed into one int.  That int has one segment per
+        distinct fold width — the index width, the tag width and the
+        tag width minus one (the second tag fold, which with the shipped
+        geometry *is* the index fold, so 12 registers stand for 18) —
+        and one lane per tagged table in each segment, one bit wider
+        than the widest fold.  A push rotates every lane with a shift
+        and a mask plus a shift and a mask per width, then XORs in the
+        new bit and every table's outgoing bit through one table of
+        masks keyed by those bits of the raw history.  A lookup XORs the
+        PC hash into every lane at once and reads each table's index and
+        tag with a shift and a mask.  :attr:`history` and its
+        FoldedHistory registers are left as they were, so every later
+        conditional and call must go through the closure.
         """
         s = self
-        hist = self.history
-        hist_mask = hist._mask
+        cfg = self.config
+        lengths = cfg.history_lengths
+        count = len(lengths)
+        idx_bits = self._idx_bits
+        entries_mask = self._entries_mask
+        tag_mask = self._tag_mask
         tables = self._tables
         base = self._base
-        base_entries = self.config.base_entries
+        base_entries = cfg.base_entries
         ctr_max = self._ctr_max
         ctr_min = self._ctr_min
         useful_max = self._useful_max
-        allocate = self._allocate
-        keys_live = self._keys
-        # Tables from the longest history down (the provider search order).
+        random = self._rng.random
+
+        # -- the packed fold registers ----------------------------------
+        widths = [idx_bits]
+        for width in (cfg.tag_bits, cfg.tag_bits - 1):
+            if width not in widths:
+                widths.append(width)
+        lane = max(widths) + 1
+        ones = sum(1 << (lane * table) for table in range(count))
+        offset = {width: lane * count * j for j, width in enumerate(widths)}
+        body = 0
+        new_bit = 0
+        for width in widths:
+            body |= ((1 << width) - 1) * ones << offset[width]
+            new_bit |= ones << offset[width]
+        wraps = [(width - 1, ones << offset[width]) for width in widths]
+        (wrap0, wrap_ones0), (wrap1, wrap_ones1) = wraps[:2]
+        wrap2, wrap_ones2 = wraps[2] if len(wraps) > 2 else (0, 0)
+        tag_offset = offset[cfg.tag_bits]
+        tag2_offset = offset[cfg.tag_bits - 1]
+        table_ids = sum((table & entries_mask) << (lane * table) for table in range(count))
+
+        # Push masks, keyed by the new bit (bit 0) and the bits about to
+        # fall out of each table's history (bit L of the history shifted
+        # left once, i.e. bit L - 1 before the push).
+        outgoing = [
+            sum(1 << (offset[width] + lane * table + length % width) for width in widths)
+            for table, length in enumerate(lengths)
+        ]
+        positions = sorted(set(lengths))
+        push_sel = sum(1 << length for length in positions) | 1
+        push_masks = {}
+        for combo in range(1 << (len(positions) + 1)):
+            key = combo & 1
+            for j, length in enumerate(positions):
+                key |= (combo >> (j + 1) & 1) << length
+            mask = new_bit if key & 1 else 0
+            for table, length in enumerate(lengths):
+                if key >> length & 1:
+                    mask ^= outgoing[table]
+            push_masks[key] = mask
+        hist_mask = (1 << max(lengths)) - 1
+
+        hist = self.history.value & hist_mask
+        folds = 0
+        for width in widths:
+            for table, length in enumerate(lengths):
+                folds |= fold_history(hist, length, width) << (offset[width] + lane * table)
+
+        # Tables from the longest history down (the provider search
+        # order), and the allocation candidates above each provider.
         longest_first = tuple(
-            (table, tables[table]) for table in range(len(tables) - 1, -1, -1)
+            (lane * table, tables[table]) for table in range(count - 1, -1, -1)
         )
+        allocate_above = {None: longest_first[::-1]}
+        for table in range(count):
+            allocate_above[lane * table] = longest_first[::-1][table + 1:]
 
-        def update_fused(pc: int, taken: bool) -> bool:
-            if unit_stats is not None:
-                unit_stats.conditional += 1
-            assert taken is not None
-            batched = s._kb is not None
-            if batched:
-                pos = s._kb_pos
-                s._kb_pos = pos + 1
-                if pos >= s._kb_end:
-                    s._kb_refill(pos)
-                keys = s._kb_keys[pos - s._kb_start]
+        def update_fused(pc, taken):
+            nonlocal hist, folds
+            if pc is None:                   # a call: push only
+                mispredicted = False
             else:
-                keys = keys_live(pc)
-            # _lookup, inlined (alt_pred falls back to bimodal lazily).
-            provider = None
-            provider_entry = None
-            prediction = False
-            alt_pred = None
-            for table, rows in longest_first:
-                index, tag = keys[table]
-                entry = rows[index]
-                if entry.tag == tag:
-                    if provider is None:
-                        provider = table
-                        provider_entry = entry
-                        prediction = entry.ctr >= 0
-                    else:
-                        alt_pred = entry.ctr >= 0
-                        break
-            base_idx = (pc >> 2) % base_entries
-            if alt_pred is None:
-                alt_pred = base[base_idx] >= 2
-            if provider is None:
-                prediction = alt_pred
-            s.predictions += 1
-            mispredicted = prediction != taken
-
-            if provider is None or alt_pred == prediction:
-                counter = base[base_idx]
-                if taken:
-                    if counter < 3:
-                        base[base_idx] = counter + 1
-                elif counter > 0:
-                    base[base_idx] = counter - 1
-
-            if provider is not None:
-                entry = provider_entry
-                ctr = entry.ctr
-                if taken:
-                    if ctr < ctr_max:
-                        entry.ctr = ctr + 1
-                elif ctr > ctr_min:
-                    entry.ctr = ctr - 1
-                if prediction != alt_pred:
-                    useful = entry.useful
-                    if prediction == taken:
-                        if useful < useful_max:
-                            entry.useful = useful + 1
-                    elif useful > 0:
-                        entry.useful = useful - 1
-
-            if mispredicted:
-                s.mispredictions += 1
                 if unit_stats is not None:
-                    unit_stats.conditional_mispredicted += 1
-                # _allocate reads keys through the memo; preload it
-                # (only needed here — the common path skips the stores).
-                s._key_pc = pc
-                s._key_version = hist.version
-                s._key_cache = keys
-                allocate(pc, taken, provider)
+                    unit_stats.conditional += 1
+                # Every table's (index, tag), one lane each.
+                p2 = pc >> 2
+                x = folds ^ table_ids ^ ((p2 ^ (p2 >> idx_bits)) & entries_mask) * ones
+                y = (folds >> tag_offset) ^ ((folds >> tag2_offset) << 1) ^ (p2 & tag_mask) * ones
+                # _lookup, inlined (alt_pred falls back to bimodal lazily).
+                provider = None
+                provider_entry = None
+                prediction = False
+                alt_pred = None
+                for shift, rows in longest_first:
+                    entry = rows[(x >> shift) & entries_mask]
+                    if entry.tag == (y >> shift) & tag_mask:
+                        if provider is None:
+                            provider = shift
+                            provider_entry = entry
+                            prediction = entry.ctr >= 0
+                        else:
+                            alt_pred = entry.ctr >= 0
+                            break
+                base_idx = p2 % base_entries
+                if alt_pred is None:
+                    alt_pred = base[base_idx] >= 2
+                if provider is None:
+                    prediction = alt_pred
+                s.predictions += 1
+                mispredicted = prediction != taken
 
-            # update_history, inlined (push_light when batched).
-            if batched:
-                hist._bits = ((hist._bits << 1) | (1 if taken else 0)) & hist_mask
-                hist.version += 1
-            else:
-                hist.push(1 if taken else 0)
+                if provider is None or alt_pred == prediction:
+                    counter = base[base_idx]
+                    if taken:
+                        if counter < 3:
+                            base[base_idx] = counter + 1
+                    elif counter > 0:
+                        base[base_idx] = counter - 1
+
+                if provider is not None:
+                    entry = provider_entry
+                    ctr = entry.ctr
+                    if taken:
+                        if ctr < ctr_max:
+                            entry.ctr = ctr + 1
+                    elif ctr > ctr_min:
+                        entry.ctr = ctr - 1
+                    if prediction != alt_pred:
+                        useful = entry.useful
+                        if prediction == taken:
+                            if useful < useful_max:
+                                entry.useful = useful + 1
+                        elif useful > 0:
+                            entry.useful = useful - 1
+
+                if mispredicted:
+                    s.mispredictions += 1
+                    if unit_stats is not None:
+                        unit_stats.conditional_mispredicted += 1
+                    # _allocate, inlined: the same candidates in the same
+                    # order, and the same draws.
+                    chosen = None
+                    for shift, rows in allocate_above[provider]:
+                        entry = rows[(x >> shift) & entries_mask]
+                        if not entry.useful:
+                            if chosen is not None and random() < 0.5:
+                                break
+                            chosen = entry
+                            chosen_shift = shift
+                    if chosen is None:
+                        for shift, rows in allocate_above[provider]:
+                            rows[(x >> shift) & entries_mask].useful -= 1
+                    else:
+                        chosen.tag = (y >> chosen_shift) & tag_mask
+                        chosen.ctr = 0 if taken else -1
+                        chosen.useful = 0
+
+            # update_history, on the packed registers.
+            pushed = (hist << 1) | taken
+            rotated = (
+                ((folds << 1) & body)
+                | ((folds >> wrap0) & wrap_ones0)
+                | ((folds >> wrap1) & wrap_ones1)
+            )
+            if wrap_ones2:
+                rotated |= (folds >> wrap2) & wrap_ones2
+            folds = rotated ^ push_masks[pushed & push_sel]
+            hist = pushed & hist_mask
             return mispredicted
 
+        def keys(pc: int) -> list[tuple[int, int]]:
+            """Every table's (index, tag) on the packed lanes, in table
+            order: the lookup's arithmetic, the twin of :meth:`_keys`."""
+            p2 = pc >> 2
+            x = folds ^ table_ids ^ ((p2 ^ (p2 >> idx_bits)) & entries_mask) * ones
+            y = (folds >> tag_offset) ^ ((folds >> tag2_offset) << 1) ^ (p2 & tag_mask) * ones
+            return [
+                ((x >> (lane * table)) & entries_mask, (y >> (lane * table)) & tag_mask)
+                for table in range(count)
+            ]
+
+        update_fused.keys = keys
         return update_fused
 
     def update_history(self, taken: bool) -> None:
-        if self._kb is not None:
-            self.history.push_light(1 if taken else 0)
-        else:
-            self.history.push(1 if taken else 0)
+        self.history.push(1 if taken else 0)
 
     @property
     def accuracy(self) -> float:

@@ -5,7 +5,8 @@ predictors, and reports whether the front-end would have fetched down
 the wrong path (a flush-and-refill event).  The object timing loop
 calls it per control instruction; the columnar path resolves a whole
 trace once, through the scalar :meth:`BranchUnit.resolve_fields` and
-the fused conditional closure (see :mod:`repro.branch.verdicts`).
+the fused conditional and call closures (see
+:mod:`repro.branch.verdicts`).
 """
 
 from __future__ import annotations
@@ -116,15 +117,30 @@ class BranchUnit:
 
         raise ValueError(f"not a control instruction: {inst.op!r}")
 
-    def make_resolve_conditional(self):
-        """Fused BRANCH arm of :meth:`resolve_fields` for the verdict pass.
+    def make_fused_resolvers(self):
+        """The BRANCH and CALL arms of :meth:`resolve_fields`, fused, for
+        the verdict pass.
 
-        Returns a ``(pc, taken) -> mispredicted`` closure combining the
-        conditional stats and the whole TAGE update/history chain into
-        one call (see :meth:`Tage.make_update_fused`).  Same updates,
-        same return value as ``resolve_fields(BRANCH, ...)``.
+        Returns ``(resolve_conditional, resolve_call)``:
+        ``resolve_conditional(pc, taken) -> mispredicted`` is TAGE's
+        packed-register closure (see :meth:`Tage.make_update_fused`) with
+        the conditional stats folded in; ``resolve_call(pc)`` counts the
+        call, pushes its return address and pushes its history bit
+        through that same closure.  Same updates, same results as
+        ``resolve_fields`` for those opcodes.  The closure owns TAGE's
+        global history once built, so every later conditional and call
+        must go through these two.
         """
-        return self.tage.make_update_fused(self.stats)
+        update = self.tage.make_update_fused(self.stats)
+        stats = self.stats
+        ras_push = self.ras.push
+
+        def resolve_call(pc: int) -> None:
+            stats.calls += 1
+            ras_push(pc + INSTRUCTION_BYTES)
+            update(None, True)
+
+        return update, resolve_call
 
     def resolve_fields(
         self, op: int, pc: int, taken: bool | None, target: int | None

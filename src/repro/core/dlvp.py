@@ -9,7 +9,9 @@ per-run closures :meth:`DlvpEngine.make_flat_fetch` (PAP or CAP
 lookup, PAQ, L1 probe, value extraction) and
 :meth:`DlvpEngine.make_flat_execute` (validation, training, LSCD
 insertion), which ``DlvpScheme`` installs as its ``flat_fetch`` /
-``flat_execute``.
+``flat_execute``.  The fetch closure keeps PAP's load-path history
+itself, as the raw path bits in one int, and folds them into the APT
+key at each lookup.
 
 Probe semantics: the probe reads the *committed* memory image — the
 simulator applies stores to the image only when they commit, so an
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.branch.history import fold_history
 from repro.isa import OpClass
 from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.memory import MemoryHierarchy, MemoryImage
@@ -32,7 +35,8 @@ from repro.core.lscd import LoadStoreConflictDetector
 from repro.core.paq import PredictedAddressQueue
 
 _PROBE_BYTES = 32      # captures LDM footprints up to 4 x 8B / VLD 2 x 16B
-_FGA_MASK = ~(FETCH_GROUP_BYTES - 1)      # fetch_group_address(), inlined
+# fetch_group_address() of a PC, shifted to the PC word (pc >> 2).
+_FGA_WORD_MASK = ~(FETCH_GROUP_BYTES - 1) >> 2
 _LOAD_INT = int(OpClass.LOAD)
 
 # Handle of an LSCD-blocked load.  Identity-checked in the execute
@@ -42,6 +46,15 @@ _LOAD_INT = int(OpClass.LOAD)
 # would BE this object and turn ordinary unpredicted loads into blocked
 # ones.
 _FLAT_BLOCKED = (-1, -1, None)
+
+
+def _words(raw: int, width: int, mask: int, count: int) -> tuple[int, ...]:
+    """The ``count`` consecutive ``width``-bit words of ``raw``, lowest
+    first, each masked with ``mask`` — a multi-destination probe's
+    values.  A function of its own so the fetch closure's locals are not
+    captured by a generator (which would make them cells, allocated on
+    every call)."""
+    return tuple((raw >> (width * k)) & mask for k in range(count))
 
 
 @dataclass
@@ -120,39 +133,6 @@ class DlvpEngine:
         self._way_pred_enabled = self.config.way_prediction
         self._prefetch_on_miss = self.config.prefetch_on_miss
         self._lscd_pcs = self.lscd._pcs
-        if self._is_pap:
-            p = self.predictor
-            self._path_push = p.history._history.push
-            # APT internals for the inlined key/predict in the fetch
-            # closure (created once, mutated in place).
-            self._apt_idx_fold = p._idx_fold
-            self._apt_tag_fold = p._tag_fold
-            self._apt_index_bits = p._index_bits
-            self._apt_index_mask = p._index_mask
-            self._apt_tag_mask = p._tag_mask
-            self._apt_tag_shift = p._tag_shift
-            self._apt_entries = p._entries
-            self._apt_conf_max = p._conf_max
-            self._apt_use_way = p._use_way
-        else:
-            self._path_push = None
-        # Optional per-run batched APT keys; see bind_key_batch().
-        self._kb = None
-
-    def bind_key_batch(self, batch) -> None:
-        """Attach (or detach, with None) a per-run APT key batch.
-
-        ``batch`` is a :class:`repro.pipeline.batch.PapKeyBatch` built
-        over the exact trace this engine is about to consume.  With a
-        batch bound, the fetch closure reads precomputed (index, tag)
-        keys by load ordinal instead of hashing the live folded history —
-        and therefore skips the live history pushes entirely; the batch
-        already accounts for every dynamic load's path bit, and nothing
-        else reads the load-path history at run time.  Blocked and
-        beyond-slot-limit loads advance the closure's cursor without
-        reading keys.  Bind before :meth:`make_flat_fetch`.
-        """
-        self._kb = batch
 
     # -- the load path ----------------------------------------------------
 
@@ -163,35 +143,46 @@ class DlvpEngine:
         PC), the PAQ, the speculative L1 probe (``hierarchy.probe_l1``,
         inlined) and value extraction, as one call with every hot
         attribute captured as a closure cell — per-load attribute
-        chasing was the dominant scheme-side cost.  Must be rebuilt per
-        run (``flat_prepare``) because the closure owns the batched-key
-        cursor.
+        chasing was the dominant scheme-side cost.
+
+        PAP's load-path history lives in the closure: an int of the
+        last ``history_bits`` path bits, starting from the predictor's
+        :attr:`~repro.predictors.pap.PapPredictor.history` and pushed by
+        every load, blocked and beyond-slot loads included.  The
+        predictor's own register is left as it was, so the closure is
+        built per run (``flat_prepare``).  Each lookup folds the raw
+        bits into the key: :meth:`PapPredictor.compute_key` XORs the
+        fold with three chunks of the PC word for the index and two for
+        the tag, so XORing the raw bits into the word first folds a
+        history of up to three index widths and two tag widths in the
+        same operations (two chunks each at the default 16 bits); a
+        longer history folds its remaining chunks with
+        :func:`~repro.branch.history.fold_history`.
         """
         lscd_enabled = self._lscd_enabled
         lscd_pcs = self._lscd_pcs
         lscd = self.lscd
         stats = self.stats
         is_pap = self._is_pap
-        path_push = self._path_push
-        kb = self._kb
-        kb_pos = 0
-        kb_end = 0
-        kb_start = 0
-        kb_idx0: list = []
-        kb_tag0: list = []
-        kb_idx1: list = []
-        kb_tag1: list = []
         if is_pap:
-            apt_idx_fold = self._apt_idx_fold
-            apt_tag_fold = self._apt_tag_fold
-            index_bits = self._apt_index_bits
-            index_bits2 = 2 * self._apt_index_bits
-            index_mask = self._apt_index_mask
-            tag_mask = self._apt_tag_mask
-            tag_shift = self._apt_tag_shift
-            apt_entries = self._apt_entries
-            conf_max = self._apt_conf_max
-            use_way = self._apt_use_way
+            p = self.predictor
+            history_bits = p.config.history_bits
+            index_bits = p._index_bits
+            index_bits2 = 2 * index_bits
+            tag_bits = p.config.tag_bits
+            path_mask = (1 << history_bits) - 1
+            path = p.history.value & path_mask
+            # Chunks the word's hash does not cover (history longer than
+            # three index widths or two tag widths).
+            index_rest = 3 * index_bits
+            tag_rest = 2 * tag_bits
+            long_path = history_bits > index_rest or history_bits > tag_rest
+            fga_word_mask = _FGA_WORD_MASK
+            index_mask = p._index_mask
+            tag_mask = p._tag_mask
+            apt_entries = p._entries
+            conf_max = p._conf_max
+            use_way = p._use_way
             predict_pc = None
         else:
             predict_pc = self.predictor.predict_pc
@@ -217,7 +208,7 @@ class DlvpEngine:
             pc, op, mem_addr, mem_size, flags, ndests, values,
             fetch_cycle, load_slot, probe_cycle,
         ):
-            nonlocal kb_pos, kb_start, kb_end, kb_idx0, kb_tag0, kb_idx1, kb_tag1
+            nonlocal path
             if op != _LOAD_INT:
                 return None
             if load_slot is None:
@@ -228,52 +219,26 @@ class DlvpEngine:
                 # are neither predicted nor trained.
                 stats.loads_seen += 1
                 if is_pap:
-                    if kb is not None:
-                        kb_pos += 1
-                    else:
-                        path_push((pc >> 2) & 1)
+                    path = ((path << 1) | ((pc >> 2) & 1)) & path_mask
                 return None
             if lscd_enabled and pc in lscd_pcs:       # lscd.blocks(), inlined
                 lscd.filtered += 1
                 if is_pap:
-                    if kb is not None:
-                        kb_pos += 1
-                    else:
-                        path_push((pc >> 2) & 1)
+                    path = ((path << 1) | ((pc >> 2) & 1)) & path_mask
                 return (None, False, _FLAT_BLOCKED, ndests)
 
             if is_pap:
-                if kb is not None:
-                    pos = kb_pos
-                    kb_pos = pos + 1
-                    if pos >= kb_end:
-                        while pos >= kb_end:
-                            kb_start, kb_idx0, kb_tag0, kb_idx1, kb_tag1 = (
-                                kb.next_chunk()
-                            )
-                            kb_end = kb_start + len(kb_idx0)
-                    j = pos - kb_start
-                    if load_slot:
-                        index = kb_idx1[j]
-                        tag = kb_tag1[j]
-                    else:
-                        index = kb_idx0[j]
-                        tag = kb_tag0[j]
-                else:
-                    # PapPredictor.compute_key, inlined (live folds).  The
-                    # key is "fetch group PC and fetch group PC plus one"
-                    # (Section 3.1.1), the slot placed at bit 2 where the
-                    # hash reads it.
-                    key_pc = (pc & _FGA_MASK) | (load_slot << 2)
-                    word = key_pc >> 2
-                    index = (
-                        word ^ (word >> index_bits) ^ (word >> index_bits2)
-                        ^ apt_idx_fold.value
-                    ) & index_mask
-                    tag = (
-                        word ^ (key_pc >> tag_shift) ^ apt_tag_fold.value
-                    ) & tag_mask
-                    path_push((pc >> 2) & 1)
+                # PapPredictor.compute_key, inlined.  The key is "fetch
+                # group PC and fetch group PC plus one" (Section 3.1.1),
+                # the slot placed at bit 2 (bit 0 of the PC word).
+                word = pc >> 2
+                keyed = ((word & fga_word_mask) | load_slot) ^ path
+                index = (keyed ^ (keyed >> index_bits) ^ (keyed >> index_bits2)) & index_mask
+                tag = (keyed ^ (keyed >> tag_bits)) & tag_mask
+                if long_path:
+                    index ^= fold_history(path >> index_rest, history_bits, index_bits)
+                    tag ^= fold_history(path >> tag_rest, history_bits, tag_bits)
+                path = ((path << 1) | (word & 1)) & path_mask
                 entry = apt_entries[index]
                 if entry is None or entry.tag != tag or entry.confidence < conf_max:
                     return (None, False, (index, tag, None), ndests)
@@ -345,15 +310,12 @@ class DlvpEngine:
                     if len(values) == 1:
                         correct = v == (values[0] & mask)
                     else:
-                        correct = (v,) == tuple(x & mask for x in values)
+                        correct = (v,) == tuple(map(mask.__and__, values))
                     return ((v,), correct, handle, ndests)
                 if mem_size * (ndests or 1) > _PROBE_BYTES:
                     return (None, False, handle, ndests)
-                raw = image_read(pred_addr, _PROBE_BYTES)
-                pred = tuple(
-                    (raw >> (8 * mem_size * k)) & mask for k in range(ndests)
-                )
-                correct = pred == tuple(x & mask for x in values)
+                pred = _words(image_read(pred_addr, _PROBE_BYTES), 8 * mem_size, mask, ndests)
+                correct = pred == tuple(map(mask.__and__, values))
                 return (pred, correct, handle, ndests)
             stats.probe_misses += 1
             if prefetch_on_miss:

@@ -236,8 +236,8 @@ def _simulate_columnar(
     outcome and every call into a fold-free global-history register, the
     one piece of front-end state the schemes read.  Schemes are driven
     with raw column scalars through ``flat_fetch``/``flat_execute``;
-    ``flat_prepare`` runs once before the loop so schemes can precompute
-    chunk-level batched predictor keys (see :mod:`repro.pipeline.batch`).
+    ``flat_prepare`` runs once before the loop so schemes can build
+    their per-run closures.
 
     With a ``record`` (see :func:`simulate`), snapshot windows also end
     at the positions ``record.start`` returns, ``record.snapshot`` gets

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from repro.branch import GlobalHistory
 from repro.core import DlvpConfig, DlvpEngine, ValuePredictionEngine
 from repro.isa import OpClass
-from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.memory import MemoryHierarchy, MemoryImage
 from repro.predictors.cap import CapConfig, CapPredictor
-from repro.pipeline import batch as _key_batch
 from repro.pipeline.stats import register_stats_type
 from repro.predictors.tournament import ChooserStats, TournamentChooser
 from repro.predictors.dvtage import DvtageConfig, DvtagePredictor
@@ -77,8 +75,8 @@ class Scheme(abc.ABC):
 
     def flat_prepare(self, trace) -> None:
         """Per-run hook after bind(), with the full trace, before the
-        loop starts: the place for chunk-level batched precomputation
-        (see repro.pipeline.batch).  No-op by default."""
+        loop starts: the place to build per-run closures.  No-op by
+        default."""
 
     @abc.abstractmethod
     def flat_fetch(
@@ -174,31 +172,10 @@ class DlvpScheme(Scheme):
         self.__dict__.pop("flat_execute", None)
 
     def flat_prepare(self, trace) -> None:
-        """Precompute batched APT keys and build the per-load closures.
-
-        Without numpy (or for CAP, or APT histories wider than the
-        64-bit batch fold), the engine falls back to live incremental
-        folds — same bits, pinned by the golden suite.  Either way
-        flat_fetch/flat_execute become per-run closures with every hot
-        attribute captured as a cell.
-        """
+        """Build the engine's per-run closures: flat_fetch/flat_execute
+        with every hot attribute captured as a cell, and PAP's load-path
+        history kept in the fetch closure."""
         engine = self.engine
-        engine.bind_key_batch(None)
-        if engine._is_pap and _key_batch.np is not None:
-            predictor = engine.predictor
-            history_bits = predictor.config.history_bits
-            if history_bits <= 64:   # batch folds pack windows into uint64
-                engine.bind_key_batch(
-                    _key_batch.PapKeyBatch(
-                        trace,
-                        load_op=_LOAD,
-                        history_bits=history_bits,
-                        index_bits=predictor._index_bits,
-                        tag_bits=predictor.config.tag_bits,
-                        tag_shift=predictor._tag_shift,
-                        fetch_group_bytes=FETCH_GROUP_BYTES,
-                    )
-                )
         self.flat_fetch = engine.make_flat_fetch()
         self.flat_execute = engine.make_flat_execute()
 

@@ -47,8 +47,7 @@ pure function of the trace (see :mod:`repro.branch.verdicts`), so they
 are resolved once per trace and travel with it; they are not a column,
 take no part in equality, and any row edit drops them.
 
-The module depends only on the stdlib ``array``; :func:`numpy_columns`
-exposes zero-copy numpy views when numpy is importable.
+The module depends only on the stdlib ``array``.
 """
 
 from __future__ import annotations
@@ -460,15 +459,6 @@ class ColumnarTrace:
     def summary(self) -> TraceSummary:
         """Columnar twin of :meth:`Trace.summary` (same counts)."""
         return self.to_trace().summary()
-
-    def numpy_columns(self) -> "dict[str, object]":
-        """Zero-copy numpy views of every column (requires numpy)."""
-        import numpy as np
-
-        return {
-            attr: np.frombuffer(getattr(self, attr), dtype=typecode)
-            for attr, typecode in COLUMNS
-        }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColumnarTrace):

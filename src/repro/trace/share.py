@@ -45,8 +45,7 @@ Lifecycle and failure matrix:
   back to building the trace locally, trading the speedup for the
   result, never the result itself.
 
-Everything here is stdlib-only — the fabric must work in the no-numpy
-environment.
+Everything here is stdlib-only, like the rest of the package.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Branch verdicts: resolved once per trace, exact, and carried with it.
 
-* **Exactness** — :func:`repro.branch.resolve_verdicts` must equal a
-  fresh :class:`BranchUnit` resolving the object trace row by row, with
-  the numpy TAGE key batch (across chunk seams) and without numpy.
+* **Exactness** — :func:`repro.branch.resolve_verdicts` (TAGE on packed
+  fold registers) must equal a fresh :class:`BranchUnit` resolving the
+  object trace row by row (TAGE on one FoldedHistory per register),
+  with numpy imported and with numpy made unimportable alike.
 * **Lifecycle** — verdicts are trace data, not a column: row edits drop
   them, equality and ``to_trace()`` ignore them, and the binary trace
   cache round-trips them (a v3 file without them still loads).
@@ -12,13 +13,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.branch import BranchUnit, resolve_verdicts
 from repro.branch import verdicts as verdicts_module
 from repro.isa import Instruction, OpClass
-from repro.pipeline import batch, simulate
+from repro.pipeline import simulate
 from repro.runtime import Runtime
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import _TRACE_MEMO
@@ -48,32 +51,20 @@ def test_verdict_workloads_are_registered():
 @given(
     workload=st.sampled_from(VERDICT_WORKLOADS),
     n=st.integers(min_value=1_500, max_value=9_000),
-    chunk_events=st.sampled_from((61, 256, batch.TAGE_CHUNK_EVENTS)),
 )
-def test_verdict_pass_equals_row_by_row_resolution(
-    use_numpy, workload, n, chunk_events
-):
-    if use_numpy and not batch.numpy_available():
-        pytest.skip("numpy not importable")
-    trace = build_workload_columnar(workload, n)
-    chunks = []
-    key_batch = batch.TageKeyBatch
-
-    def small_chunks(*args, **kwargs):
-        kwargs["chunk_events"] = chunk_events
-        kb = key_batch(*args, **kwargs)
-        chunks.append(kb)
-        return kb
-
+def test_verdict_pass_equals_row_by_row_resolution(use_numpy, workload, n):
+    # The verdict pass is pure Python: numpy being loaded, or absent
+    # altogether, must not change a verdict.
+    if use_numpy:
+        pytest.importorskip("numpy")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(batch, "TageKeyBatch", small_chunks)
         if not use_numpy:
-            mp.setattr(batch, "np", None)
+            mp.setitem(sys.modules, "numpy", None)     # import numpy fails
+        trace = build_workload_columnar(workload, n)
         verdicts = resolve_verdicts(trace)
     expected = _row_by_row(trace)
     assert verdicts.tolist() == expected
     assert trace.verdicts.tolist() == expected      # built with the same
-    assert len(chunks) == (1 if use_numpy else 0)
     assert any(expected)
 
 

@@ -1,17 +1,16 @@
 """The columnar engine at trace lengths the goldens never reach.
 
 The golden suite pins 3,000-instruction traces, which fit inside one
-snapshot window of the columnar ``simulate()`` loop and one batched-key
-chunk.  These tests cover what only longer traces exercise:
+snapshot window of the columnar ``simulate()`` loop.  These tests cover
+what only longer traces exercise:
 
 * window seams — stores executed in one window and retired in the
-  next, flat offsets carried from window to window, key batches
-  refilled mid-run (the TAGE batch by the verdict pass) — against
-  results the object engine produced before it was deleted, frozen
-  cell for cell in ``frozen_seams.json``;
+  next, flat offsets carried from window to window — against results
+  the object engine produced before it was deleted, frozen cell for
+  cell in ``frozen_seams.json``;
 * the memory bounds the windowing exists for (no whole-trace column
-  snapshots, no 65,536-entry key chunks, no per-instruction commit
-  history), and the bytes a built row costs;
+  snapshots, no per-instruction commit history), and the bytes a built
+  row costs;
 * the one-pass columnar build (one kernel run, no thread, a peak
   near one trace) and its in-place splice (a peak of the trace plus
   the cold bursts);
@@ -37,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.isa import OpClass
-from repro.pipeline import RecoveryMode, batch, core_model, simulate
+from repro.pipeline import RecoveryMode, core_model, simulate
 from repro.runtime import ResultCache
 from repro.runtime.registry import get_scheme, scheme_ids
 from repro.trace import ColumnarTrace
@@ -59,10 +58,6 @@ SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
 # iirflt: LDP-style two-destination loads.
 SEAM_WORKLOADS = ("storeflood", "eon", "iirflt")
 SEAM_INSTRUCTIONS = 7_000
-# Smaller key chunks than the engine's, so a short trace still refills
-# every batch several times.
-SEAM_PAP_CHUNK = 256
-SEAM_TAGE_CHUNK = 128
 SEAMS_PATH = Path(__file__).parent / "frozen_seams.json"
 RECOVERIES = list(RecoveryMode)
 
@@ -87,29 +82,6 @@ def frozen_seams() -> dict:
     return json.loads(SEAMS_PATH.read_text())
 
 
-@pytest.fixture
-def counted_key_chunks(monkeypatch):
-    """Shrink the key chunks and count how many each run consumes."""
-    counts = {"pap": 0, "tage": 0}
-    for cls, attr, size, label in (
-        (batch.PapKeyBatch, "chunk_loads", SEAM_PAP_CHUNK, "pap"),
-        (batch.TageKeyBatch, "chunk_events", SEAM_TAGE_CHUNK, "tage"),
-    ):
-        next_chunk = cls.next_chunk
-
-        def counting(self, _next=next_chunk, _label=label):
-            counts[_label] += 1
-            return _next(self)
-
-        def make(*args, _cls=cls, _attr=attr, _size=size, **kwargs):
-            kwargs[_attr] = _size
-            return _cls(*args, **kwargs)
-
-        monkeypatch.setattr(cls, "next_chunk", counting)
-        monkeypatch.setattr(batch, cls.__name__, make)
-    return counts
-
-
 def test_seam_schemes_are_the_registered_builtins():
     assert set(SCHEMES) <= set(scheme_ids())
 
@@ -126,7 +98,7 @@ def test_frozen_seams_cover_every_cell(frozen_seams):
 @pytest.mark.parametrize("scheme_id", SCHEMES)
 @pytest.mark.parametrize("workload", SEAM_WORKLOADS)
 def test_window_seams_match_the_object_engine(
-    workload, scheme_id, recovery, counted_key_chunks, frozen_seams
+    workload, scheme_id, recovery, frozen_seams
 ):
     """The columnar loop against the object engine's frozen results."""
     col = _trace(workload)
@@ -134,16 +106,9 @@ def test_window_seams_match_the_object_engine(
     expected = frozen_seams["cells"][_seam_key(workload, scheme_id, recovery)]
     # A row-for-row copy carries no verdicts, so this run resolves them.
     col = col.slice(0, len(col))
-    counted_key_chunks.update(pap=0, tage=0)
     got = simulate(col, scheme=get_scheme(scheme_id).build(),
                    recovery=recovery).to_dict()
     assert got == expected
-    if batch.np is not None:
-        # the verdict pass crosses TAGE chunk seams; PAP schemes
-        # refill their own batch
-        assert counted_key_chunks["tage"] >= 3
-        if scheme_id in ("dlvp", "tournament"):
-            assert counted_key_chunks["pap"] >= 3
 
 
 def test_seam_traces_hold_vector_and_multi_destination_loads():
@@ -157,15 +122,14 @@ def test_seam_traces_hold_vector_and_multi_destination_loads():
 
 
 # ---------------------------------------------------------------------------
-# memory: windowed snapshots and bounded key chunks
+# memory: windowed snapshots
 # ---------------------------------------------------------------------------
 
 MEMORY_INSTRUCTIONS = 16_000
-# The baseline on 16k gzip instructions peaks near 4.9 MiB with windowed
-# snapshots and bounded key chunks.  Whole-trace snapshots push it to
-# ~8.2 MiB, 65,536-entry key chunks (every TAGE key tuple of the trace
-# alive at once) to ~6.9 MiB.  (tracemalloc slows simulate() ~80x,
-# hence the short trace.)
+# The baseline on 16k gzip instructions peaks near 2.9 MiB with windowed
+# snapshots (4.9 MiB when this bound was set); whole-trace snapshots
+# pushed it to ~8.2 MiB.  (tracemalloc slows simulate() ~80x, hence the
+# short trace.)
 MEMORY_BOUND = 6 * 1024 * 1024
 
 

@@ -1,6 +1,12 @@
 """Public API surface tests."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -34,3 +40,37 @@ class TestApi:
                     "fig8_tournament", "fig9_selected", "fig10_recovery",
                     "tables", "runner"):
             importlib.import_module(f"repro.experiments.{mod}")
+
+
+_NUMPY_PROBE = """
+import sys
+import repro, repro.__main__, repro.runtime, repro.serve, repro.observe, repro.experiments
+from repro.pipeline import simulate
+from repro.runtime.registry import get_scheme
+from repro.workloads import build_workload_columnar
+
+trace = build_workload_columnar("perlbmk", 3_000)
+for scheme in ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament"):
+    simulate(trace, get_scheme(scheme).build())
+print("numpy" in sys.modules)
+"""
+
+
+def test_no_code_path_imports_numpy():
+    """The package is stdlib-only: with numpy installed, importing every
+    entry point and simulating every scheme leaves it unimported."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pytest
+
+    pytest.importorskip("numpy")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["False"]
