@@ -2,9 +2,12 @@
 
 Each ``test_fig*`` / ``test_table*`` benchmark regenerates one of the
 paper's tables or figures and prints the rows it reports.  The suite
-runner (traces + baseline simulations) is built once per session; the
-heavyweight figure experiments that several benches share are also
-session-cached.
+runners (and their baseline simulations) are built once per session;
+the heavyweight figure experiments that several benches share are also
+session-cached.  Every runner shares one session cache directory, so
+each workload's trace is built once (its branch verdicts resolved with
+it) and loaded from the v3 trace cache wherever a figure, an ablation
+configuration or a factory scheme reads it again.
 
 At session end the harness refreshes the committed throughput report
 (``repro.bench.BENCH_REPORT_NAME``, currently ``BENCH_pr15.json``) at
@@ -24,6 +27,7 @@ import os
 import pytest
 
 from repro.experiments import SuiteRunner
+from repro.runtime import Runtime
 
 BENCH_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "16000"))
 _WORKLOADS = os.environ.get("REPRO_BENCH_WORKLOADS")
@@ -44,16 +48,29 @@ def _names():
 
 
 @pytest.fixture(scope="session")
-def suite_runner():
-    """Full-suite runner (all 78 workloads unless overridden)."""
-    return SuiteRunner(n_instructions=BENCH_INSTRUCTIONS, names=_names())
+def bench_cache(tmp_path_factory):
+    """The session's result and trace cache directory."""
+    return tmp_path_factory.mktemp("repro-cache")
+
+
+def make_runner(cache_dir, names=None) -> SuiteRunner:
+    """A serial runner at the harness's trace length over ``cache_dir``."""
+    return SuiteRunner(
+        n_instructions=BENCH_INSTRUCTIONS, names=names,
+        runtime=Runtime(jobs=1, cache_dir=cache_dir),
+    )
 
 
 @pytest.fixture(scope="session")
-def subset_runner():
+def suite_runner(bench_cache):
+    """Full-suite runner (all 78 workloads unless overridden)."""
+    return make_runner(bench_cache, _names())
+
+
+@pytest.fixture(scope="session")
+def subset_runner(bench_cache):
     """Representative-subset runner for multi-configuration sweeps."""
-    names = _names() or REPRESENTATIVE
-    return SuiteRunner(n_instructions=BENCH_INSTRUCTIONS, names=names)
+    return make_runner(bench_cache, _names() or REPRESENTATIVE)
 
 
 @pytest.fixture(scope="session")

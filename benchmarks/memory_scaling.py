@@ -1,6 +1,7 @@
 """Memory-scaling smoke: a run's peak RSS grows with its trace, not more.
 
-Runs ``Runtime(jobs=1).run_grid(["baseline", "dlvp"], ["perlbmk"], N)``
+Two checks.  The first runs
+``Runtime(jobs=1).run_grid(["baseline", "dlvp"], ["perlbmk"], N)``
 — the in-process grid a long trace takes — in fresh interpreters at a
 short and a long ``N``, each with a fresh cache, and compares the rise
 in peak RSS (``ru_maxrss``) with the rise in the trace's column bytes.
@@ -13,9 +14,19 @@ rise, or when the long trace holds more than ``MAX_BYTES_PER_ROW``
 column bytes per row (verdicts included): the trace is what a long run
 holds, so its row size sets the run's memory.
 
+The second runs ``python -m repro figure 4 --no-cache --instructions
+40000`` over ``FIGURE_ONE``, then over ``FIGURE_MANY`` (eight workloads,
+``FIGURE_ONE`` the one with the largest peak among them), lowest peak
+of ``RUNS`` fresh interpreters each.  A trace-only figure reads one
+workload's trace at a time, so eight workloads peak where their largest
+one does; it exits 1 when the eight-workload peak exceeds the
+one-workload peak by more than ``MAX_FIGURE_RATIO`` times.  A figure
+that keeps every workload's trace (as the whole-suite object cache once
+did) reads about 3.
+
     PYTHONPATH=src python benchmarks/memory_scaling.py
 
-Takes about 40 s on a 2-core host.
+Takes about 90 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -32,6 +43,12 @@ MAX_RATIO = 1.3
 # One-byte counts and mem_size: perlbmk reads 48.4 (72.4 with 8-byte
 # prefix indexes and a 4-byte mem_size).
 MAX_BYTES_PER_ROW = 50
+FIGURE_INSTRUCTIONS = 40_000
+# h264ref's Figure 4 run peaks highest of the eight at 40k.
+FIGURE_ONE = "h264ref"
+FIGURE_MANY = ["h264ref", "perlbmk", "perlbench", "nat", "gzip", "bzip2",
+               "aifirf", "mcf"]
+MAX_FIGURE_RATIO = 1.25
 
 # Run in a fresh interpreter: ru_maxrss is a process high-water mark.
 _CHILD = """
@@ -45,17 +62,39 @@ with tempfile.TemporaryDirectory() as cache_dir:
 print(json.dumps({{"maxrss_kib": peak_rss_kib()}}))
 """.format(schemes=SCHEMES, workload=WORKLOAD)
 
+# ``python -m repro figure 4`` in a fresh interpreter, its table dropped.
+_FIGURE_CHILD = """
+import contextlib, io, json, sys
+from repro.__main__ import main
+from repro.bench import peak_rss_kib
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["figure", "4", "--no-cache", "--instructions", sys.argv[1],
+               "--workloads", *sys.argv[2:]])
+assert rc == 0, rc
+print(json.dumps({"maxrss_kib": peak_rss_kib()}))
+"""
 
-def peak_rss_mib(n: int) -> float:
-    """Lowest peak RSS of ``RUNS`` in-process grids at ``n`` instructions, in MiB."""
+
+def lowest_peak_mib(child: str, *args) -> float:
+    """Lowest peak RSS of ``RUNS`` fresh interpreters running ``child``, in MiB."""
     peaks = []
     for _ in range(RUNS):
         out = subprocess.run(
-            [sys.executable, "-c", _CHILD, str(n)],
+            [sys.executable, "-c", child, *map(str, args)],
             check=True, capture_output=True, text=True,
         ).stdout
         peaks.append(json.loads(out.splitlines()[-1])["maxrss_kib"] / 1024)
     return min(peaks)
+
+
+def peak_rss_mib(n: int) -> float:
+    """Lowest peak RSS of ``RUNS`` in-process grids at ``n`` instructions, in MiB."""
+    return lowest_peak_mib(_CHILD, n)
+
+
+def figure_peak_mib(workloads: list[str]) -> float:
+    """Lowest peak RSS of ``RUNS`` Figure 4 runs over ``workloads``, in MiB."""
+    return lowest_peak_mib(_FIGURE_CHILD, FIGURE_INSTRUCTIONS, *workloads)
 
 
 def column_bytes(n: int) -> tuple[int, int]:
@@ -89,6 +128,16 @@ def main() -> int:
         failed = 1
     if per_row > MAX_BYTES_PER_ROW:
         print("FAIL: the trace holds more column bytes per row than its layout needs")
+        failed = 1
+
+    one = figure_peak_mib([FIGURE_ONE])
+    many = figure_peak_mib(FIGURE_MANY)
+    figure_ratio = many / one
+    print(f"figure 4 x {FIGURE_INSTRUCTIONS:,}: peak RSS {one:.1f} MiB over "
+          f"{FIGURE_ONE}, {many:.1f} MiB over {len(FIGURE_MANY)} workloads "
+          f"(lowest of {RUNS}) = {figure_ratio:.2f} (limit {MAX_FIGURE_RATIO})")
+    if figure_ratio > MAX_FIGURE_RATIO:
+        print("FAIL: the figure holds more than one workload's trace at a time")
         failed = 1
     return failed
 

@@ -17,14 +17,13 @@ LENGTHS = (2, 4, 8, 16, 32)
 
 def test_ablation_history_length(benchmark, subset_runner):
     def sweep():
-        out = {}
-        for bits in LENGTHS:
-            total = PredictorStats()
-            for trace in subset_runner.traces.values():
-                total = total.merge(
-                    evaluate_pap(trace, PapConfig(history_bits=bits))
+        out = {bits: PredictorStats() for bits in LENGTHS}
+        for _, trace in subset_runner.traces():
+            instructions = list(trace)
+            for bits in LENGTHS:
+                out[bits] = out[bits].merge(
+                    evaluate_pap(instructions, PapConfig(history_bits=bits))
                 )
-            out[bits] = total
         return out
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -5,10 +5,9 @@ stores keep getting value-predicted from stale cache contents and flush
 the pipe; the in-flight-conflict-heavy workloads quantify the damage.
 """
 
-from conftest import BENCH_INSTRUCTIONS
+from conftest import bench_cache, make_runner  # noqa: F401  (fixture re-export)
 
 from repro.core import DlvpConfig
-from repro.experiments import SuiteRunner
 from repro.experiments.runner import arithmetic_mean, format_table
 from repro.pipeline import DlvpScheme
 
@@ -16,8 +15,8 @@ CONFLICT_HEAVY = ["puwmod", "fbital", "queueing", "avmshell", "gcc",
                   "perlbench", "sunspider"]
 
 
-def test_ablation_lscd(benchmark):
-    runner = SuiteRunner(n_instructions=BENCH_INSTRUCTIONS, names=CONFLICT_HEAVY)
+def test_ablation_lscd(benchmark, bench_cache):
+    runner = make_runner(bench_cache, CONFLICT_HEAVY)
 
     def sweep():
         out = {}

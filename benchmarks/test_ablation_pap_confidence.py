@@ -23,14 +23,13 @@ VECTORS = {
 
 def test_ablation_pap_confidence(benchmark, subset_runner):
     def sweep():
-        out = {}
-        for threshold, vector in VECTORS.items():
-            total = PredictorStats()
-            for trace in subset_runner.traces.values():
-                total = total.merge(
-                    evaluate_pap(trace, PapConfig(fpc_vector=vector))
+        out = {threshold: PredictorStats() for threshold in VECTORS}
+        for _, trace in subset_runner.traces():
+            instructions = list(trace)
+            for threshold, vector in VECTORS.items():
+                out[threshold] = out[threshold].merge(
+                    evaluate_pap(instructions, PapConfig(fpc_vector=vector))
                 )
-            out[threshold] = total
         return out
 
     result = benchmark.pedantic(sweep, rounds=1, iterations=1)

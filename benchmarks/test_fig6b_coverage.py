@@ -16,7 +16,7 @@ def test_fig6b_coverage(benchmark, fig6_result, suite_runner):
 
     def standalone_pap_coverage():
         total = PredictorStats()
-        for trace in suite_runner.traces.values():
+        for _, trace in suite_runner.traces():
             total = total.merge(evaluate_pap(trace))
         return total.coverage
 

@@ -24,7 +24,7 @@ Layout:
 
 from repro.isa import Instruction, OpClass
 from repro.trace import Trace, load_store_conflicts, repeatability
-from repro.workloads import build_workload, build_suite, workload_names, SUITE
+from repro.workloads import build_workload, workload_names, SUITE
 from repro.predictors import (
     PapConfig,
     PapPredictor,
@@ -56,7 +56,6 @@ __all__ = [
     "load_store_conflicts",
     "repeatability",
     "build_workload",
-    "build_suite",
     "workload_names",
     "SUITE",
     "PapConfig",

@@ -76,12 +76,7 @@ from repro.runtime import (
     scheme_ids,
 )
 from repro.trace import load_store_conflicts, repeatability
-from repro.workloads import (
-    SUITE,
-    build_workload,
-    build_workload_columnar,
-    workload_names,
-)
+from repro.workloads import SUITE, build_workload_columnar, workload_names
 
 _RUN_SCHEMES = ("dlvp", "cap", "vtage", "dvtage", "tournament")
 
@@ -735,10 +730,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     for name in args.workloads:
-        trace = build_workload(name, args.instructions)
+        trace = build_workload_columnar(name, args.instructions)
         conflicts = load_store_conflicts(trace, window=64)
         repeats = repeatability(trace)
-        print(f"{name}: {len(trace)} instructions, "
+        rows = len(trace)
+        del trace
+        print(f"{name}: {rows} instructions, "
               f"{conflicts.total_loads} loads")
         print(f"  conflicting loads: {conflicts.fraction_conflicting:6.1%} "
               f"(committed {conflicts.fraction_committed:.1%}, "

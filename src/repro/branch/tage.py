@@ -222,7 +222,7 @@ class Tage:
         entry.ctr = 0 if taken else -1
         entry.useful = 0
 
-    def make_update_fused(self, unit_stats=None):
+    def make_update_fused(self):
         """Build the branch-verdict pass's closure: :meth:`update` plus
         :meth:`update_history` on packed fold registers.
 
@@ -232,9 +232,9 @@ class Tage:
         ``update_fused(None, True)`` pushes a call's history bit only;
         ``update_fused.keys(pc)`` reads every table's (index, tag) off
         the packed lanes, as :meth:`_keys` does off the FoldedHistory
-        registers.  With ``unit_stats`` (a BranchUnitStats) the closure
-        also keeps its conditional counters, fusing the BranchUnit
-        layer.
+        registers.  The closure keeps no counters: the verdict pass
+        reads only its return values (:attr:`predictions` and
+        :attr:`mispredictions` count :meth:`update` calls only).
 
         The closure starts from :attr:`history` and from then on keeps
         the global history itself, as two ints: the raw bits, and every
@@ -252,7 +252,6 @@ class Tage:
         FoldedHistory registers are left as they were, so every later
         conditional and call must go through the closure.
         """
-        s = self
         cfg = self.config
         lengths = cfg.history_lengths
         count = len(lengths)
@@ -328,8 +327,6 @@ class Tage:
             if pc is None:                   # a call: push only
                 mispredicted = False
             else:
-                if unit_stats is not None:
-                    unit_stats.conditional += 1
                 # Every table's (index, tag), one lane each.
                 p2 = pc >> 2
                 x = folds ^ table_ids ^ ((p2 ^ (p2 >> idx_bits)) & entries_mask) * ones
@@ -354,7 +351,6 @@ class Tage:
                     alt_pred = base[base_idx] >= 2
                 if provider is None:
                     prediction = alt_pred
-                s.predictions += 1
                 mispredicted = prediction != taken
 
                 if provider is None or alt_pred == prediction:
@@ -382,9 +378,6 @@ class Tage:
                             entry.useful = useful - 1
 
                 if mispredicted:
-                    s.mispredictions += 1
-                    if unit_stats is not None:
-                        unit_stats.conditional_mispredicted += 1
                     # _allocate, inlined: the same candidates in the same
                     # order, and the same draws.
                     chosen = None

@@ -48,10 +48,6 @@ class BranchUnitStats:
             + self.returns_mispredicted
         )
 
-    @property
-    def mpki_numerator(self) -> int:
-        return self.mispredictions
-
 
 class BranchUnit:
     """Complete baseline branch-prediction front-end."""
@@ -123,20 +119,19 @@ class BranchUnit:
 
         Returns ``(resolve_conditional, resolve_call)``:
         ``resolve_conditional(pc, taken) -> mispredicted`` is TAGE's
-        packed-register closure (see :meth:`Tage.make_update_fused`) with
-        the conditional stats folded in; ``resolve_call(pc)`` counts the
-        call, pushes its return address and pushes its history bit
-        through that same closure.  Same updates, same results as
-        ``resolve_fields`` for those opcodes.  The closure owns TAGE's
-        global history once built, so every later conditional and call
-        must go through these two.
+        packed-register closure (see :meth:`Tage.make_update_fused`);
+        ``resolve_call(pc)`` pushes the call's return address and its
+        history bit through that same closure.  Same predictor updates,
+        same results as ``resolve_fields`` for those opcodes, but
+        neither counts into :attr:`stats`: the verdict pass reads only
+        the results.  The closure owns TAGE's global history once
+        built, so every later conditional and call must go through
+        these two.
         """
-        update = self.tage.make_update_fused(self.stats)
-        stats = self.stats
+        update = self.tage.make_update_fused()
         ras_push = self.ras.push
 
         def resolve_call(pc: int) -> None:
-            stats.calls += 1
             ras_push(pc + INSTRUCTION_BYTES)
             update(None, True)
 

@@ -57,8 +57,8 @@ def run(runner: SuiteRunner, window: int = 64) -> Fig1Result:
     the machine is fully backed up.  Pass ``window=224`` for the
     capacity-bound classification.
     """
-    profiles = {
-        name: load_store_conflicts(trace, window=window)
-        for name, trace in runner.traces.items()
-    }
+    profiles = {}
+    for name, trace in runner.traces():
+        profiles[name] = load_store_conflicts(trace, window=window)
+        del trace
     return Fig1Result(profiles=profiles)

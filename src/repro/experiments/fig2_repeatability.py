@@ -56,7 +56,8 @@ class Fig2Result:
 
 def run(runner: SuiteRunner) -> Fig2Result:
     """Profile address/value repeatability over the suite."""
-    profiles = {
-        name: repeatability(trace) for name, trace in runner.traces.items()
-    }
+    profiles = {}
+    for name, trace in runner.traces():
+        profiles[name] = repeatability(trace)
+        del trace
     return Fig2Result(profiles=profiles)

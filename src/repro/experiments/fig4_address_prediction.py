@@ -15,17 +15,20 @@ predictor" means in Section 5.1 (that is why PAP's standalone coverage,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.experiments.runner import SuiteRunner, format_table
-from repro.isa import OpClass, fetch_group_address
+from repro.isa import Instruction, OpClass, fetch_group_address
 from repro.predictors import CapConfig, CapPredictor, PapConfig, PapPredictor
 from repro.predictors.base import PredictorStats
-from repro.trace import Trace
 
 
-def evaluate_pap(trace: Trace, config: PapConfig | None = None) -> PredictorStats:
-    """Drive a standalone PAP over one trace; returns coverage/accuracy."""
+def evaluate_pap(
+    trace: Iterable[Instruction], config: PapConfig | None = None
+) -> PredictorStats:
+    """Drive a standalone PAP over one trace's instructions; returns
+    coverage/accuracy."""
     pap = PapPredictor(config)
     prev_pc: int | None = None
     current_group = -1
@@ -55,8 +58,10 @@ def evaluate_pap(trace: Trace, config: PapConfig | None = None) -> PredictorStat
     return pap.stats
 
 
-def evaluate_cap(trace: Trace, config: CapConfig | None = None) -> PredictorStats:
-    """Drive a standalone CAP over one trace."""
+def evaluate_cap(
+    trace: Iterable[Instruction], config: CapConfig | None = None
+) -> PredictorStats:
+    """Drive a standalone CAP over one trace's instructions."""
     cap = CapPredictor(config)
     for inst in trace:
         if inst.op != OpClass.LOAD:
@@ -98,13 +103,22 @@ def run(
     runner: SuiteRunner,
     cap_confidences: tuple[int, ...] = (3, 8, 16, 24, 32, 64),
 ) -> Fig4Result:
-    """Drive standalone PAP and a CAP confidence sweep over the suite."""
+    """Drive standalone PAP and a CAP confidence sweep over the suite.
+
+    Each workload's instructions are taken out of its trace once, as a
+    list, for all the passes: iterating a columnar trace builds an
+    ``Instruction`` view per row on every pass.  The list is dropped
+    before the next workload's trace is fetched.
+    """
     pap_total = PredictorStats()
     cap_totals = {c: PredictorStats() for c in cap_confidences}
-    for trace in runner.traces.values():
-        pap_total = pap_total.merge(evaluate_pap(trace))
+    for _, trace in runner.traces():
+        instructions = list(trace)
+        del trace
+        pap_total = pap_total.merge(evaluate_pap(instructions))
         for c in cap_confidences:
             cap_totals[c] = cap_totals[c].merge(
-                evaluate_cap(trace, CapConfig(confidence_threshold=c))
+                evaluate_cap(instructions, CapConfig(confidence_threshold=c))
             )
+        del instructions
     return Fig4Result(pap=pap_total, cap_by_confidence=cap_totals)

@@ -7,29 +7,25 @@ a grid of content-hashed jobs submitted through a
 parallel fan-out and the run journal.  Schemes are addressed by
 registered id (``"dlvp"``, ``"vtage"``, ...); passing a factory
 callable is still supported for ad-hoc schemes, and runs in-process
-without caching (a closure has no content hash).
+without result caching (a closure has no content hash).
+
+The trace-only figures (1, 2 and 4) and factory schemes read the
+suite's traces through :meth:`SuiteRunner.traces`, one
+:class:`~repro.trace.ColumnarTrace` at a time, from the runtime's trace
+cache or built and cached just as a simulation job's trace is.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
-from repro.pipeline import (
-    DlvpScheme,
-    RecoveryMode,
-    Scheme,
-    SimResult,
-    TournamentScheme,
-    VtageScheme,
-    simulate,
-)
-from repro.predictors.cap import CapConfig
-from repro.predictors.vtage import VtageConfig
+from repro.pipeline import RecoveryMode, Scheme, SimResult, simulate
 from repro.runtime import GridResult, RunInterrupted, Runtime
-from repro.trace import Trace
-from repro.workloads import build_suite, workload_names
+from repro.runtime.jobs import cached_trace
+from repro.trace import ColumnarTrace
+from repro.workloads import workload_names
 
 
 def arithmetic_mean(values: Iterable[float]) -> float:
@@ -59,30 +55,8 @@ def geometric_mean(speedups: Iterable[float]) -> float:
     return math.exp(sum(math.log(f) for f in positive) / len(positive)) - 1.0
 
 
-def default_scheme_factories() -> dict[str, Callable[[], Scheme]]:
-    """The paper's three value predictors plus the Figure 8 tournament.
-
-    ``cap`` is DLVP with the CAP address predictor at confidence 24,
-    the best point found by the paper's sweep (Section 5.2.3);
-    ``vtage`` uses the static opcode filter on loads only, the winning
-    Figure 7 configuration.
-
-    These factories mirror the scheme ids registered with
-    :mod:`repro.runtime.registry`; experiments that want caching and
-    parallelism should pass the *id* to :meth:`SuiteRunner.run_scheme`.
-    """
-    return {
-        "dlvp": DlvpScheme,
-        "cap": lambda: DlvpScheme(
-            use_cap=True, cap_config=CapConfig(confidence_threshold=24)
-        ),
-        "vtage": lambda: VtageScheme(VtageConfig()),
-        "tournament": TournamentScheme,
-    }
-
-
 class SuiteRunner:
-    """Build-once, simulate-many experiment driver.
+    """Experiment driver over one suite selection and trace length.
 
     Args:
         n_instructions: Trace length per workload.
@@ -103,14 +77,23 @@ class SuiteRunner:
         self.runtime = runtime if runtime is not None else Runtime(
             jobs=1, use_cache=False
         )
-        self._traces: dict[str, Trace] | None = None
         self._baselines: dict[str, SimResult] | None = None
 
-    @property
-    def traces(self) -> dict[str, Trace]:
-        if self._traces is None:
-            self._traces = build_suite(self.n_instructions, names=self.names)
-        return self._traces
+    def traces(self) -> Iterator[tuple[str, ColumnarTrace]]:
+        """Yield ``(name, trace)`` for each workload, one at a time.
+
+        Each trace comes from the runtime's trace cache, or is built
+        (and cached, when the runtime has a cache), as a simulation
+        job's trace is.  Nothing is kept: the runner drops each trace
+        before it fetches the next, so a caller that does the same
+        (``del trace`` at the end of its loop body, since a loop
+        variable outlives its iteration) holds one workload's trace at
+        a time.
+        """
+        for name in self.names:
+            trace, _ = cached_trace(name, self.n_instructions, self.runtime.cache)
+            yield name, trace
+            del trace
 
     def baselines(self) -> dict[str, SimResult]:
         """Baseline (no value prediction) run per workload, cached."""
@@ -152,10 +135,11 @@ class SuiteRunner:
                 [scheme], self.names, self.n_instructions, recovery=recovery
             )
             return self._complete(grid).scheme_results(scheme)
-        return {
-            name: simulate(trace, scheme=scheme(), recovery=recovery)
-            for name, trace in self.traces.items()
-        }
+        results = {}
+        for name, trace in self.traces():
+            results[name] = simulate(trace, scheme=scheme(), recovery=recovery)
+            del trace
+        return results
 
     def speedups(self, results: dict[str, SimResult]) -> dict[str, float]:
         """Per-workload speedup of ``results`` over the cached baselines."""

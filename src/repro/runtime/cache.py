@@ -4,7 +4,7 @@ Layout under the cache root (``~/.cache/repro`` by default, overridden
 by ``$REPRO_CACHE_DIR`` or ``--cache-dir``)::
 
     results/<k0k1>/<key>.json   # schema-versioned SimResult payloads
-    traces/<key>.trace          # repro.trace.serialization v3 (or v1) format
+    traces/<key>.trace          # repro.trace.serialization v3 format
     corrupt/                    # quarantined unreadable/bad-checksum entries
 
 Result entries are JSON (never pickles): the payload embeds the job's
@@ -339,11 +339,8 @@ class ResultCache:
         return self.root / "traces" / f"{key}.trace"
 
     def get_trace(self, key: str) -> Trace | None:
-        """The cached trace for ``key``, or None on miss/corruption.
-
-        Reads either serialization format (v1 text or v3 columnar) —
-        the loader sniffs the file.
-        """
+        """The cached trace for ``key`` as an object :class:`Trace`, or
+        None on miss/corruption."""
         path = self.trace_path(key)
         if not path.is_file():
             return None
@@ -353,11 +350,8 @@ class ResultCache:
             return None
 
     def get_trace_columnar(self, key: str) -> ColumnarTrace | None:
-        """The cached trace for ``key`` as a :class:`ColumnarTrace`.
-
-        v3 entries decode straight into columns; v1 entries are
-        converted on read.  None on miss/corruption.
-        """
+        """The cached trace for ``key`` as a :class:`ColumnarTrace`, its
+        verdicts included; None on miss/corruption."""
         path = self.trace_path(key)
         if not path.is_file():
             return None
@@ -369,23 +363,17 @@ class ResultCache:
     def put_trace(self, key: str, trace: Trace | ColumnarTrace) -> None:
         """Store ``trace`` under ``key`` atomically.
 
-        A :class:`ColumnarTrace` is stored in the v3 binary columnar
-        format as one chunk, written straight from its columns (the
-        layout :func:`~repro.trace.serialization.v3_bytes` produces),
-        so :meth:`get_trace_columnar` adopts it without joining chunks;
-        a :class:`Trace` is stored in v1 text.  :meth:`get_trace` and
-        :meth:`get_trace_columnar` both read either, so object and
-        columnar jobs share one cache entry per trace key.
+        The entry is the v3 format as one chunk; a :class:`ColumnarTrace`
+        is written straight from its columns (the layout
+        :func:`~repro.trace.serialization.v3_bytes` produces), so
+        :meth:`get_trace_columnar` adopts it without joining chunks.
         """
         path = self.trace_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         os.close(fd)
         try:
-            if isinstance(trace, ColumnarTrace):
-                save_trace(trace, tmp, format="v3", chunk_size=max(1, len(trace)))
-            else:
-                save_trace(trace, tmp, format="v1")
+            save_trace(trace, tmp, chunk_size=max(1, len(trace)))
             os.replace(tmp, path)
         except BaseException:
             try:

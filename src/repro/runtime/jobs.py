@@ -192,6 +192,30 @@ def make_job(
 _TRACE_MEMO: dict = {}
 
 
+def cached_trace(
+    workload: str,
+    n_instructions: int,
+    cache: ResultCache | None,
+    key: str | None = None,
+):
+    """A workload's trace from the trace cache, or built and then cached.
+
+    ``key`` is the trace's :func:`trace_cache_key` (computed when not
+    given).  Without a ``cache`` the trace is built only.  Returns
+    ``(trace, built)``: a :class:`~repro.trace.ColumnarTrace` carrying
+    its branch verdicts, and whether it was built here.
+    """
+    if cache is not None:
+        key = key if key is not None else trace_cache_key(workload, n_instructions)
+        trace = cache.get_trace_columnar(key)
+        if trace is not None:
+            return trace, False
+    trace = build_workload_columnar(workload, n_instructions)
+    if cache is not None:
+        cache.put_trace(key, trace)
+    return trace, True
+
+
 def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
     """Obtain the job's trace by the cheapest live route.
 
@@ -222,13 +246,7 @@ def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
             info["entry"] = entry
         return entry["trace"], info, None
 
-    trace = cache.get_trace_columnar(trace_key) if cache is not None else None
-    built = trace is None
-    if built:
-        trace = build_workload_columnar(job.workload, job.n_instructions)
-        if cache is not None:
-            cache.put_trace(trace_key, trace)
-
+    trace, built = cached_trace(job.workload, job.n_instructions, cache, trace_key)
     entry = {"trace": trace, "built_attempt": attempt if built else None, "announced": False}
     _TRACE_MEMO.clear()
     _TRACE_MEMO[trace_key] = entry

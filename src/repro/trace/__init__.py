@@ -7,8 +7,8 @@ computed here directly from traces, independent of any predictor.
 Two trace containers share one read surface: :class:`Trace` (a list of
 :class:`~repro.isa.Instruction` objects) and :class:`ColumnarTrace`
 (struct-of-arrays, the simulator's fast path).  Conversion between them
-is lossless; serialization speaks both the v1 line format and the v3
-binary columnar format.
+is lossless; serialization writes and reads the v3 binary columnar
+format.
 """
 
 from repro.trace.trace import Trace, TraceSummary
@@ -25,7 +25,6 @@ from repro.trace.serialization import (
     load_trace_columnar,
     map_v3_columns,
     save_trace,
-    sniff_trace_format,
     v3_bytes,
 )
 from repro.trace.share import (
@@ -49,7 +48,6 @@ __all__ = [
     "load_trace_columnar",
     "map_v3_columns",
     "save_trace",
-    "sniff_trace_format",
     "v3_bytes",
     "TraceHandle",
     "TraceStore",

@@ -106,8 +106,8 @@ _RAGGED: tuple[tuple[str, tuple[str, ...]], ...] = (
 _PER_ROW = _FIELDS + tuple(count for count, _ in _RAGGED)
 
 # Instructions append_all packs per append_columns call: enough to
-# amortize the per-call packing, few enough that a streaming reader
-# (v1 re-chunking) never holds many Instruction objects at once.
+# amortize the per-call packing, few enough that a caller streaming
+# Instruction objects in never holds many of them at once.
 _PACK_ROWS = 128
 
 

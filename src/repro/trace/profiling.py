@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.trace import Trace
 
 _WORD_BYTES = 4
@@ -74,7 +75,9 @@ class ConflictProfile:
         return self.conflict_committed / self.conflicts if self.conflicts else 0.0
 
 
-def load_store_conflicts(trace: Trace, window: int = 224) -> ConflictProfile:
+def load_store_conflicts(
+    trace: Trace | ColumnarTrace, window: int = 224
+) -> ConflictProfile:
     """Classify every dynamic load by conflicting-store recency.
 
     Args:
@@ -164,13 +167,18 @@ class RepeatabilityProfile:
         raise ValueError(f"kind must be 'address' or 'value', got {kind!r}")
 
 
-def repeatability(trace: Trace) -> RepeatabilityProfile:
-    """Compute the Figure 2 address/value repeatability breakdown."""
+def repeatability(trace: Trace | ColumnarTrace) -> RepeatabilityProfile:
+    """Compute the Figure 2 address/value repeatability breakdown.
+
+    One pass over the trace's instructions, in order.
+    """
     addr_counts: dict[int, Counter[int]] = defaultdict(Counter)
     value_counts: dict[int, Counter[tuple[int, ...]]] = defaultdict(Counter)
     dynamic: list[tuple[int, int, tuple[int, ...]]] = []
 
-    for _, inst in trace.loads():
+    for inst in trace:
+        if not inst.is_load:
+            continue
         assert inst.mem_addr is not None
         addr_counts[inst.pc][inst.mem_addr] += 1
         value_counts[inst.pc][inst.values] += 1

@@ -1,34 +1,19 @@
-"""Trace serialization: v1 line format and v3 binary columnar format.
+"""Trace serialization: the v3 binary columnar format.
 
-Two on-disk formats, one sniffing loader:
-
-* **v1** (``repro-trace-v1``) — the original plain-text format: a header
-  line followed by one line per instruction.  Kept for interchange and
-  for old cache entries.  Reads and writes now stream line-by-line;
-  the original implementation buffered the whole trace as one string on
-  save *and* ``read_text().splitlines()`` on load, double-materializing
-  O(trace) memory.
-
-* **v3** (``repro-trace-v3``) — binary columnar: the header is followed
-  by framed chunks, each chunk the raw little-endian bytes of a
-  :class:`~repro.trace.columnar.ColumnarTrace`'s columns (one-byte
-  counts for the ragged fields).  Both the writer and the reader work
-  chunk-at-a-time, so a million-instruction trace round-trips within a
-  bounded RSS envelope, and the writer accepts a chunk *iterator* as
-  well as a whole trace.  A trace's branch verdicts, when it carries
-  them, follow the footer as an optional trailing section; a file
-  without one (chunk iterators) still loads, and its first simulation
-  resolves them.
+A ``repro-trace-v3`` file is a header followed by framed chunks, each
+chunk the raw little-endian bytes of a
+:class:`~repro.trace.columnar.ColumnarTrace`'s columns (one-byte counts
+for the ragged fields).  Both the writer and the reader work
+chunk-at-a-time, so a million-instruction trace round-trips within a
+bounded RSS envelope, and the writer accepts a chunk *iterator* as well
+as a whole trace.  A trace's branch verdicts, when it carries them,
+follow the footer as an optional trailing section; a file without one
+(chunk iterators) still loads, and its first simulation resolves them.
 
 A ``repro-trace-v2`` file holds the same frames in the older
 prefix-index column layout, which this version no longer reads: the
-loaders refuse it with :class:`StaleTraceFormat`.
-
-v1 line grammar (space-separated fields; ``-`` means absent)::
-
-    pc op srcs dests mem_addr mem_size values taken target vector
-
-``srcs``/``dests``/``values`` are comma-joined integers (or ``-``).
+loaders refuse it with :class:`StaleTraceFormat`.  Anything else is
+refused with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -40,11 +25,9 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
 
-from repro.isa import Instruction, OpClass
 from repro.trace.columnar import COLUMNS, ColumnarTrace
 from repro.trace.trace import Trace
 
-_MAGIC = "repro-trace-v1"
 _MAGIC_V3 = b"repro-trace-v3\n"
 # The prefix-index layout v3 replaced; recognized only to be refused.
 _MAGIC_V2 = b"repro-trace-v2\n"
@@ -68,88 +51,6 @@ class StaleTraceFormat(ValueError):
     """A trace file in a layout this version no longer reads (v2)."""
 
 
-def _join(items: tuple[int, ...]) -> str:
-    return ",".join(str(i) for i in items) if items else "-"
-
-
-def _split(field: str) -> tuple[int, ...]:
-    return () if field == "-" else tuple(int(x) for x in field.split(","))
-
-
-def _opt(field: str) -> int | None:
-    return None if field == "-" else int(field)
-
-
-def _format_line(inst: Instruction) -> str:
-    taken = "-" if inst.taken is None else ("1" if inst.taken else "0")
-    target = "-" if inst.target is None else str(inst.target)
-    mem_addr = "-" if inst.mem_addr is None else str(inst.mem_addr)
-    return (
-        f"{inst.pc} {int(inst.op)} {_join(inst.srcs)} {_join(inst.dests)} "
-        f"{mem_addr} {inst.mem_size} {_join(inst.values)} "
-        f"{taken} {target} {1 if inst.is_vector else 0}\n"
-    )
-
-
-def _parse_line(line: str) -> Instruction:
-    fields = line.split()
-    if len(fields) != 10:
-        raise ValueError(f"malformed trace line: {line!r}")
-    taken_field = fields[7]
-    return Instruction(
-        pc=int(fields[0]),
-        op=OpClass(int(fields[1])),
-        srcs=_split(fields[2]),
-        dests=_split(fields[3]),
-        mem_addr=_opt(fields[4]),
-        mem_size=int(fields[5]),
-        values=_split(fields[6]),
-        taken=None if taken_field == "-" else taken_field == "1",
-        target=_opt(fields[8]),
-        is_vector=fields[9] == "1",
-    )
-
-
-# -- v1 ------------------------------------------------------------------
-
-
-def _save_trace_v1(trace: Trace | ColumnarTrace, path: str | Path) -> None:
-    """Write the v1 line format, one line at a time (bounded memory)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MAGIC} {trace.name} {len(trace)}\n")
-        for inst in trace:
-            fh.write(_format_line(inst))
-
-
-def _iter_v1(path: str | Path) -> Iterator[Instruction]:
-    """Yield instructions from a v1 file, validating the declared count."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != _MAGIC:
-            raise ValueError(f"not a {_MAGIC} file: {path}")
-        count = int(header[2])
-        seen = 0
-        for line in fh:
-            if line.strip():
-                yield _parse_line(line)
-                seen += 1
-        if seen != count:
-            raise ValueError(
-                f"trace {path} declares {count} instructions but has {seen}"
-            )
-
-
-def _v1_name(path: str | Path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-    if len(header) != 3 or header[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC} file: {path}")
-    return header[1]
-
-
-# -- v3 ------------------------------------------------------------------
-
-
 def _column_bytes(col) -> memoryview:
     """A column's little-endian bytes: on a little-endian host a byte
     view of the column's own buffer (no copy), else a swapped copy."""
@@ -166,8 +67,10 @@ def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[Colum
     A :class:`ColumnarTrace`'s columns *are* the wire format, so it is
     cut with column slices (:meth:`ColumnarTrace.chunks`) — or yielded
     as-is when it fits one chunk, the path ``v3_bytes`` (and with it
-    every fabric publish) and the trace cache take.  Re-materializing an ``Instruction``
-    view per row would cost several times the serialization itself.
+    every fabric publish) and the trace cache take.  Re-materializing an
+    ``Instruction`` view per row would cost several times the
+    serialization itself.  An object :class:`Trace` is packed
+    ``chunk_size`` instructions at a time.
     """
     if isinstance(source, ColumnarTrace):
         if len(source) > chunk_size:
@@ -175,29 +78,12 @@ def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[Colum
         elif len(source):
             yield source
         return
-    chunk = ColumnarTrace(source.name)
-    for inst in source:
-        chunk.append(inst)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = ColumnarTrace(source.name)
-    if len(chunk):
+    instructions = iter(source)
+    while True:
+        chunk = ColumnarTrace(source.name, islice(instructions, chunk_size))
+        if not len(chunk):
+            return
         yield chunk
-
-
-def _save_trace_v3(
-    source: Trace | ColumnarTrace | Iterable[ColumnarTrace],
-    path: str | Path,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> None:
-    """Write the v3 binary columnar format, chunk by chunk.
-
-    ``source`` may be a full trace (sliced into chunks here) or an
-    iterator of :class:`ColumnarTrace` chunks, in which case nothing
-    larger than one chunk is ever resident.
-    """
-    with open(path, "wb") as fh:
-        _write_v3(fh, source, chunk_size)
 
 
 def _write_v3(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
@@ -343,45 +229,45 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def iter_trace_chunks(
-    path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Iterator[ColumnarTrace]:
+def _read_header(fh, path) -> tuple[str, str]:
+    """A v3 file's ``(name, itemsizes)`` header, read past its magic.
+
+    Refuses a v2 file with :class:`StaleTraceFormat` and anything else
+    that does not start with the v3 magic (an empty file included) with
+    a ``ValueError``.
+    """
+    magic = fh.read(len(_MAGIC_V3))
+    if magic != _MAGIC_V3:
+        if magic == _MAGIC_V2:
+            raise StaleTraceFormat(
+                f"{path} is a v2 trace, written in the prefix-index column "
+                f"layout this version no longer reads; rebuild it"
+            )
+        raise ValueError(f"not a repro-trace-v3 file: {path}")
+    header = fh.readline().decode()
+    parts = header.split()
+    if len(parts) != 2:
+        raise ValueError(f"malformed v3 header in {path}: {header!r}")
+    return parts[0], parts[1]
+
+
+def iter_trace_chunks(path: str | Path) -> Iterator[ColumnarTrace]:
     """Yield the chunks of a v3 trace file one at a time (bounded memory).
 
-    For v1 files, re-chunks the line stream into ``chunk_size``-
-    instruction columnar chunks, so callers get a uniform streaming
-    interface over both formats.  (v3 files yield their on-disk chunk
-    boundaries; ``chunk_size`` only shapes the v1 re-chunking.)
+    The chunks are the file's own: a trace saved with ``chunk_size``
+    rows a chunk reads back in chunks of that size.
     """
-    if sniff_trace_format(path) == 1:
-        name = _v1_name(path)
-        instructions = _iter_v1(path)
-        while True:
-            chunk = ColumnarTrace(name)     # drops the previous chunk first
-            chunk.append_all(islice(instructions, chunk_size))
-            if not len(chunk):
-                return
-            yield chunk
-    yield from _iter_v3(path)
+    return _iter_v3(path)
 
 
 def _iter_v3(path: str | Path, trailer: list | None = None) -> Iterator[ColumnarTrace]:
     """Yield a v3 file's chunks; append its verdicts (or None) to ``trailer``."""
-    expected_sizes = {tc: array(tc).itemsize for _, tc in COLUMNS}
     with open(path, "rb") as fh:
-        _read_exact(fh, len(_MAGIC_V3))
-        header = fh.readline().decode()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed v3 header in {path}: {header!r}")
-        name, itemsizes = parts
-        declared = ":".join(
-            str(expected_sizes[tc]) for tc in sorted(expected_sizes)
-        )
-        if itemsizes != declared:
+        name, itemsizes = _read_header(fh, path)
+        if itemsizes != _platform_itemsizes():
             raise ValueError(
                 f"v3 trace {path} written with array itemsizes {itemsizes}, "
-                f"this platform has {declared}"
+                f"this platform has {_platform_itemsizes()}"
             )
         total = 0
         while True:
@@ -429,94 +315,43 @@ def _read_verdicts(fh, total: int, path) -> array | None:
     return verdicts
 
 
-def sniff_trace_format(path: str | Path) -> int:
-    """Return the on-disk format version (1 or 3) of a trace file.
-
-    Raises :class:`StaleTraceFormat` for a v2 (prefix-index layout)
-    file and ``ValueError`` for anything else that is not a trace.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(len(_MAGIC_V3))
-    if head == _MAGIC_V3:
-        return 3
-    if head == _MAGIC_V2:
-        raise StaleTraceFormat(
-            f"{path} is a v2 trace, written in the prefix-index column "
-            f"layout this version no longer reads; rebuild it"
-        )
-    if head.startswith(_MAGIC.encode()):
-        return 1
-    raise ValueError(f"not a repro trace file: {path}")
-
-
-# -- public API ----------------------------------------------------------
-
-
 def save_trace(
     trace: Trace | ColumnarTrace | Iterable[ColumnarTrace],
     path: str | Path,
-    format: str = "v1",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> None:
-    """Write ``trace`` to ``path``.
+    """Write ``trace`` to ``path`` in the v3 format, chunk by chunk.
 
-    ``format`` selects ``"v1"`` (line text) or ``"v3"`` (binary
-    columnar).  Chunk iterators require v3.
+    ``trace`` may be a full trace (cut into ``chunk_size``-row chunks
+    here) or an iterator of :class:`ColumnarTrace` chunks, in which case
+    nothing larger than one chunk is ever resident.
     """
-    if format == "v1":
-        if not isinstance(trace, (Trace, ColumnarTrace)):
-            raise ValueError("v1 serialization needs a full trace, not a chunk stream")
-        _save_trace_v1(trace, path)
-    elif format == "v3":
-        _save_trace_v3(trace, path, chunk_size)
-    else:
-        raise ValueError(f"unknown trace format: {format!r}")
-
-
-def _v3_name(path: str | Path) -> str:
-    """Read just the trace name from a v3 header (no chunk decoding)."""
-    with open(path, "rb") as fh:
-        _read_exact(fh, len(_MAGIC_V3))
-        header = fh.readline().decode()
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"malformed v3 header in {path}: {header!r}")
-    return parts[0]
+    with open(path, "wb") as fh:
+        _write_v3(fh, trace, chunk_size)
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Read a trace written by :func:`save_trace` (either format)."""
-    if sniff_trace_format(path) == 1:
-        return Trace(_v1_name(path), _iter_v1(path))
-    # name comes from the header, not the chunks, so a valid
-    # zero-instruction file keeps its identity
-    name = _v3_name(path)
-    instructions: list[Instruction] = []
-    for chunk in iter_trace_chunks(path):
-        instructions.extend(chunk)
-    return Trace(name, instructions)
+    """Read a trace written by :func:`save_trace` as an object :class:`Trace`."""
+    return load_trace_columnar(path).to_trace()
 
 
 def load_trace_columnar(path: str | Path) -> ColumnarTrace:
-    """Read a trace file (either format) into a :class:`ColumnarTrace`.
+    """Read a trace written by :func:`save_trace` into a :class:`ColumnarTrace`.
 
-    A v3 file's verdict section, when present, comes back as the
-    trace's :attr:`~ColumnarTrace.verdicts`.
+    The first chunk's columns become the trace's and later chunks are
+    appended to them.  The file's verdict section, when present, comes
+    back as the trace's :attr:`~ColumnarTrace.verdicts`.
     """
     trailer: list = []
-    chunks = iter_trace_chunks(path) if sniff_trace_format(path) == 1 else (
-        _iter_v3(path, trailer)
-    )
     out: ColumnarTrace | None = None
-    for chunk in chunks:
+    for chunk in _iter_v3(path, trailer):
         if out is None:
             out = chunk
         else:
             out.extend(chunk)
     if out is None:
-        # zero-instruction (but valid) trace: recover the name via the
-        # full loader
-        return ColumnarTrace.from_trace(load_trace(path))
-    if trailer:
-        out.verdicts = trailer[0]
+        # a valid zero-instruction file: the name is in the header only
+        with open(path, "rb") as fh:
+            out = ColumnarTrace(_read_header(fh, path)[0])
+    out.verdicts = trailer[0]
     return out

@@ -48,18 +48,6 @@ class Trace:
     def __getitem__(self, index: int) -> Instruction:
         return self.instructions[index]
 
-    def loads(self) -> Iterator[tuple[int, Instruction]]:
-        """Yield ``(dynamic_index, instruction)`` for every load."""
-        for i, inst in enumerate(self.instructions):
-            if inst.op == OpClass.LOAD:
-                yield i, inst
-
-    def stores(self) -> Iterator[tuple[int, Instruction]]:
-        """Yield ``(dynamic_index, instruction)`` for every store."""
-        for i, inst in enumerate(self.instructions):
-            if inst.op == OpClass.STORE:
-                yield i, inst
-
     def summary(self) -> TraceSummary:
         loads = stores = branches = multi = vec = atomics = 0
         static_load_pcs: set[int] = set()

@@ -22,7 +22,6 @@ from repro.workloads.suite import (
     workload_names,
     build_workload,
     build_workload_columnar,
-    build_suite,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "workload_names",
     "build_workload",
     "build_workload_columnar",
-    "build_suite",
 ]

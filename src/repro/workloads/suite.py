@@ -264,11 +264,3 @@ def build_workload_columnar(
     trace.verdicts = _verdicts.resolve_verdicts(trace)
     return trace
 
-
-def build_suite(
-    n_instructions: int = DEFAULT_INSTRUCTIONS,
-    names: list[str] | None = None,
-) -> dict[str, Trace]:
-    """Generate traces for the whole suite (or a named subset)."""
-    selected = names if names is not None else list(SUITE)
-    return {name: build_workload(name, n_instructions) for name in selected}

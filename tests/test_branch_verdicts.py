@@ -148,18 +148,18 @@ def test_v2_file_without_verdicts_still_loads(tmp_path):
     trace = _with_verdicts()
     bare = ColumnarTrace.from_trace(trace.to_trace())
     path = tmp_path / "bare.v3"
-    save_trace(bare, path, format="v3")
+    save_trace(bare, path)
     got = load_trace_columnar(path)
     assert got == trace and got.verdicts is None
     # the same file plus a section: only the section differs
     with_section = tmp_path / "with.v3"
-    save_trace(trace, with_section, format="v3")
+    save_trace(trace, with_section)
     assert with_section.read_bytes().startswith(path.read_bytes())
 
 
 def test_torn_verdict_section_is_rejected(tmp_path):
     path = tmp_path / "torn.v3"
-    save_trace(_with_verdicts(), path, format="v3")
+    save_trace(_with_verdicts(), path)
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(ValueError):
         load_trace_columnar(path)

@@ -37,7 +37,6 @@ from repro.trace import (
     load_trace,
     load_trace_columnar,
     save_trace,
-    sniff_trace_format,
 )
 from repro.trace.columnar import COLUMNS
 from repro.trace.serialization import StaleTraceFormat
@@ -124,18 +123,7 @@ def test_columnar_roundtrip_lossless(trace):
 def test_v2_serialization_roundtrip(tmp_path_factory, trace):
     """The binary columnar format (now v3), in 7-row chunks."""
     path = tmp_path_factory.mktemp("v3") / "t.trace"
-    save_trace(trace, path, format="v3", chunk_size=7)
-    assert sniff_trace_format(path) == 3
-    assert list(load_trace(path).instructions) == list(trace.instructions)
-    assert load_trace_columnar(path) == ColumnarTrace.from_trace(trace)
-
-
-@settings(max_examples=40, deadline=None)
-@given(trace=traces)
-def test_v1_serialization_roundtrip(tmp_path_factory, trace):
-    path = tmp_path_factory.mktemp("v1") / "t.trace"
-    save_trace(trace, path, format="v1")
-    assert sniff_trace_format(path) == 1
+    save_trace(trace, path, chunk_size=7)
     assert list(load_trace(path).instructions) == list(trace.instructions)
     assert load_trace_columnar(path) == ColumnarTrace.from_trace(trace)
 
@@ -347,6 +335,7 @@ def big_trace():
 
 
 def test_v1_save_streams(tmp_path, big_trace):
+    """An object trace saves chunk by chunk (once as v1 text, now v3)."""
     path = tmp_path / "big.trace"
     tracemalloc.start()
     save_trace(big_trace, path)
@@ -363,7 +352,7 @@ def test_chunked_read_streams(tmp_path, big_trace):
     save_trace(big_trace, path)
     file_size = path.stat().st_size
     tracemalloc.start()
-    n = sum(len(chunk) for chunk in iter_trace_chunks(path, chunk_size=4_096))
+    n = sum(len(chunk) for chunk in iter_trace_chunks(path))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert n == len(big_trace)
@@ -374,7 +363,7 @@ def test_chunked_read_streams(tmp_path, big_trace):
 def test_v2_chunked_roundtrip_of_generated_trace(tmp_path, big_trace):
     """A generated trace in 8,192-row binary (now v3) chunks."""
     path = tmp_path / "big.v3.trace"
-    save_trace(big_trace, path, format="v3", chunk_size=8_192)
+    save_trace(big_trace, path, chunk_size=8_192)
     assert load_trace_columnar(path) == ColumnarTrace.from_trace(big_trace)
 
 
@@ -383,7 +372,7 @@ def test_save_trace_accepts_chunk_iterator(tmp_path):
     trace = build_workload_columnar("gzip", 12_000)
     chunks = (trace.slice(a, min(len(trace), a + 4_096))
               for a in range(0, len(trace), 4_096))
-    save_trace(chunks, path, format="v3")
+    save_trace(chunks, path)
     assert load_trace_columnar(path) == trace
 
 
@@ -429,9 +418,8 @@ def test_tampered_v2_file_rejected(tmp_path, mutate):
     trace = build_workload_columnar("gzip", 400)
     mutate(trace)
     path = tmp_path / "tampered.trace"
-    # The chunk-iterator path writes columns verbatim; a full-trace
-    # save would re-chunk through instruction views and normalize.
-    save_trace([trace], path, format="v3")
+    # The chunk-iterator path writes columns verbatim.
+    save_trace([trace], path)
     with pytest.raises(ValueError):
         list(iter_trace_chunks(path))
 
@@ -440,9 +428,9 @@ def test_v2_prefix_index_file_is_refused_as_stale(tmp_path):
     """A file in the retired prefix-index layout is refused by name."""
     path = tmp_path / "old.trace"
     path.write_bytes(b"repro-trace-v2\ngzip 1:8:4\n")
-    for load in (sniff_trace_format, load_trace, load_trace_columnar):
+    for load in (iter_trace_chunks, load_trace, load_trace_columnar):
         with pytest.raises(StaleTraceFormat, match="prefix-index"):
-            load(path)
+            list(load(path))
 
 
 def test_from_columns_validates_flat_lengths():

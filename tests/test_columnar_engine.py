@@ -337,7 +337,7 @@ def test_v2_round_trip_of_a_multi_chunk_columnar_trace(tmp_path, monkeypatch):
 
     path = tmp_path / "t.v3"
     monkeypatch.setattr(ColumnarTrace, "_view", no_views)
-    save_trace(trace, path, format="v3")
+    save_trace(trace, path)
     image = v3_bytes(trace)
     monkeypatch.undo()
 
@@ -395,7 +395,7 @@ def test_chunked_cache_entry_still_loads(tmp_path):
     cache = ResultCache(tmp_path)
     path = cache.trace_path("k")
     path.parent.mkdir(parents=True)
-    save_trace(trace, path, format="v3")
+    save_trace(trace, path)
     assert [len(chunk) for chunk in iter_trace_chunks(path)] == [
         DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE, len(trace) - 2 * DEFAULT_CHUNK_SIZE]
     got = cache.get_trace_columnar("k")

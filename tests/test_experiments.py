@@ -1,5 +1,7 @@
 """Tests for the experiment runners (small suite subsets for speed)."""
 
+import weakref
+
 import pytest
 
 from repro.experiments import SuiteRunner, arithmetic_mean, geometric_mean
@@ -15,6 +17,8 @@ from repro.experiments import (
     fig10_recovery,
     tables,
 )
+from repro.pipeline import DlvpScheme
+from repro.runtime import Runtime
 
 SMALL = ["perlbmk", "gzip", "nat", "vortex"]
 
@@ -24,15 +28,53 @@ def runner():
     return SuiteRunner(n_instructions=3000, names=SMALL)
 
 
+@pytest.fixture
+def watch_builds(monkeypatch):
+    """Weak references to every trace built (to its ``pc`` column: a
+    trace holds its columns), each build first asserting that every
+    trace built before it is dead."""
+    from repro.runtime import jobs
+
+    build = jobs.build_workload_columnar
+    built = []
+
+    def checked_build(name, n_instructions):
+        held = [held_name for held_name, ref in built if ref() is not None]
+        assert not held, f"building {name} while holding {held}"
+        trace = build(name, n_instructions)
+        built.append((name, weakref.ref(trace.pc)))
+        return trace
+
+    monkeypatch.setattr(jobs, "build_workload_columnar", checked_build)
+    return built
+
+
 class TestRunnerMachinery:
-    def test_traces_cached(self, runner):
-        assert runner.traces is runner.traces
+    def test_traces_drops_each_trace_before_the_next(self, watch_builds):
+        """SuiteRunner.traces keeps no trace: each one is dead before
+        the next is built."""
+        runner = SuiteRunner(n_instructions=500, names=["gzip", "nat", "mcf"])
+        names = []
+        for name, trace in runner.traces():
+            assert trace.name == name and trace.verdicts is not None
+            names.append(name)
+            del trace
+        assert names == ["gzip", "nat", "mcf"]
+        assert len(watch_builds) == 3
+
+    def test_traces_come_from_the_trace_cache(self, tmp_path, watch_builds):
+        runtime = Runtime(jobs=1, cache_dir=tmp_path)
+        runner = SuiteRunner(n_instructions=500, names=["gzip"], runtime=runtime)
+        (_, built), = runner.traces()
+        (_, cached), = runner.traces()
+        assert len(watch_builds) == 1
+        assert cached == built and cached.verdicts == built.verdicts
+        assert len(list((tmp_path / "traces").glob("*.trace"))) == 1
 
     def test_baselines_cached(self, runner):
         assert runner.baselines() is runner.baselines()
 
     def test_speedups_keys(self, runner):
-        from repro.pipeline import DlvpScheme
         runs = runner.run_scheme(DlvpScheme)
         sp = runner.speedups(runs)
         assert set(sp) == set(SMALL)
@@ -63,10 +105,20 @@ class TestRunnerMachinery:
 
     def test_scheme_id_matches_legacy_factory(self, runner):
         """The runtime job path and the in-process factory path agree."""
-        from repro.pipeline import DlvpScheme
         by_id = runner.run_scheme("dlvp")
         by_factory = runner.run_scheme(DlvpScheme)
         assert by_id == by_factory
+
+
+@pytest.mark.parametrize("read_traces", [
+    fig1_conflicts.run,
+    fig2_repeatability.run,
+    lambda r: fig4_address_prediction.run(r, cap_confidences=(8,)),
+    lambda r: r.run_scheme(DlvpScheme),
+], ids=["fig1", "fig2", "fig4", "factory-scheme"])
+def test_trace_readers_hold_one_workload_at_a_time(watch_builds, read_traces):
+    read_traces(SuiteRunner(n_instructions=500, names=["gzip", "nat", "mcf"]))
+    assert len(watch_builds) == 3
 
 
 class TestFig1(object):

@@ -1,4 +1,4 @@
-"""Trace serialization roundtrip tests."""
+"""Trace serialization (the v3 format): round trips and rejected files."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,7 @@ from repro.trace import Trace, load_trace, save_trace
 
 
 def roundtrip(tmp_path, trace):
-    path = tmp_path / "trace.txt"
+    path = tmp_path / "t.trace"
     save_trace(trace, path)
     return load_trace(path)
 
@@ -43,26 +43,29 @@ class TestRoundtrip:
 
 class TestValidation:
     def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
+        p = tmp_path / "bad.trace"
         p.write_text("not-a-trace foo 0\n")
-        with pytest.raises(ValueError, match="not a"):
+        with pytest.raises(ValueError, match="not a repro-trace-v3 file"):
             load_trace(p)
 
     def test_truncated_body_rejected(self, tmp_path):
-        p = tmp_path / "short.txt"
-        p.write_text("repro-trace-v1 t 2\n16 0 - 1 - 8 3 - - 0\n")
-        with pytest.raises(ValueError, match="declares"):
+        p = tmp_path / "short.trace"
+        save_trace(Trace("t", [Instruction(pc=16, op=OpClass.ALU, dests=(1,),
+                                           values=(3,))] * 2), p)
+        p.write_bytes(p.read_bytes()[:-20])
+        with pytest.raises(ValueError, match="truncated"):
             load_trace(p)
 
     def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "empty.txt"
-        p.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        p = tmp_path / "zero-bytes.trace"
+        p.write_bytes(b"")
+        with pytest.raises(ValueError, match="not a repro-trace-v3 file"):
             load_trace(p)
 
     def test_malformed_line_rejected(self, tmp_path):
-        p = tmp_path / "mal.txt"
-        p.write_text("repro-trace-v1 t 1\n16 0 -\n")
+        """The v3 header line must be ``<name> <itemsizes>``."""
+        p = tmp_path / "mal.trace"
+        p.write_bytes(b"repro-trace-v3\nt\n")
         with pytest.raises(ValueError, match="malformed"):
             load_trace(p)
 
@@ -98,6 +101,6 @@ def instructions(draw):
 def test_roundtrip_property(tmp_path_factory, insts):
     tmp = tmp_path_factory.mktemp("traces")
     trace = Trace("prop", insts)
-    path = tmp / "t.txt"
+    path = tmp / "t.trace"
     save_trace(trace, path)
     assert load_trace(path).instructions == insts

@@ -26,11 +26,6 @@ class TestTraceContainer:
         assert len(t) == 2
         assert [i.pc for i in t] == [0x10, 0x14]
 
-    def test_loads_and_stores_iterators(self):
-        t = Trace("t", [load(0x10, 0x100), alu(), store(0x18, 0x200)])
-        assert [i for i, _ in t.loads()] == [0]
-        assert [i for i, _ in t.stores()] == [2]
-
     def test_summary(self):
         t = Trace("t", [
             load(0x10, 0x100),

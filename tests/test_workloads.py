@@ -8,7 +8,6 @@ from repro.workloads import (
     PAPER_GROUPS,
     SUITE,
     SUITE_GROUPS,
-    build_suite,
     build_workload,
     workload_names,
 )
@@ -62,10 +61,6 @@ class TestDeterminism:
         a = build_workload("gzip", 2000)
         b = build_workload("parser", 2000)
         assert a.instructions != b.instructions
-
-    def test_build_suite_subset(self):
-        traces = build_suite(500, names=["gzip", "nat"])
-        assert set(traces) == {"gzip", "nat"}
 
 
 class TestBudget:
