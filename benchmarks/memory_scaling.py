@@ -40,9 +40,10 @@ SCHEMES = ["baseline", "dlvp"]
 SHORT, LONG = 100_000, 400_000
 RUNS = 3
 MAX_RATIO = 1.3
-# One-byte counts and mem_size: perlbmk reads 48.4 (72.4 with 8-byte
-# prefix indexes and a 4-byte mem_size).
-MAX_BYTES_PER_ROW = 50
+# Each value column at the narrowest width its values need: perlbmk
+# reads 27.1 (48.4 with fixed 8-byte addresses and values and 4-byte
+# register ids, 72.4 with 8-byte prefix indexes besides).
+MAX_BYTES_PER_ROW = 30
 FIGURE_INSTRUCTIONS = 40_000
 # h264ref's Figure 4 run peaks highest of the eight at 40k.
 FIGURE_ONE = "h264ref"

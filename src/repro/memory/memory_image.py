@@ -43,6 +43,11 @@ class MemoryImage:
         # dict probe resolves a word; writes update both maps.  Bounded
         # by the workload's address footprint, not trace length.
         self._all: dict[int, int] = {}
+        # Background of never-written 8-byte pairs (words 2p and 2p + 1)
+        # that 8-byte-aligned reads fetched whole, one entry per pair:
+        # half the entries, and half the probes, of memoizing the words
+        # one by one.  A write drops the pairs it touches.
+        self._pairs: dict[int, int] = {}
 
     def write(self, addr: int, size: int, value: int) -> None:
         """Store ``size`` bytes of ``value`` at ``addr``.
@@ -56,12 +61,17 @@ class MemoryImage:
         if addr % _WORD_BYTES:
             raise ValueError(f"address must be 4-byte aligned, got {addr:#x}")
         word = addr // _WORD_BYTES
+        end = word + size // _WORD_BYTES
         words = self._words
         all_words = self._all
-        for i in range(size // _WORD_BYTES):
-            chunk = (value >> (32 * i)) & _WORD_MASK
-            words[word + i] = chunk
-            all_words[word + i] = chunk
+        for w in range(word, end):
+            # one key object for both maps
+            words[w] = all_words[w] = value & _WORD_MASK
+            value >>= 32
+        pairs = self._pairs
+        if pairs:                   # drop the memoized pairs it overwrote
+            for p in range(word >> 1, (end + 1) >> 1):
+                pairs.pop(p, None)
 
     def read(self, addr: int, size: int) -> int:
         """Read ``size`` bytes at ``addr`` as a little-endian integer."""
@@ -77,10 +87,31 @@ class MemoryImage:
             raise ValueError(f"size must be a positive multiple of 4, got {size}")
         if addr % _WORD_BYTES:
             raise ValueError(f"address must be 4-byte aligned, got {addr:#x}")
-        word = addr // _WORD_BYTES
-        # Accumulate high word to low: each 32-bit chunk shifts the
-        # running value once, avoiding a per-word variable shift amount.
+        # Accumulate high to low: each chunk shifts the running value
+        # once, avoiding a per-chunk variable shift amount.
         value = 0
+        if not (addr | size) & 7:
+            # Whole 8-byte pairs: a pair neither of whose words was ever
+            # written or read alone is fetched and memoized as one entry.
+            pairs = self._pairs
+            pair = addr >> 3
+            for p in range(pair + (size >> 3) - 1, pair - 1, -1):
+                chunk = pairs.get(p)
+                if chunk is None:
+                    w = p << 1
+                    lo = all_words.get(w)
+                    hi = all_words.get(w + 1)
+                    if lo is None and hi is None:
+                        chunk = pairs[p] = _background(w + 1) << 32 | _background(w)
+                    else:
+                        if lo is None:
+                            lo = all_words[w] = _background(w)
+                        if hi is None:
+                            hi = all_words[w + 1] = _background(w + 1)
+                        chunk = hi << 32 | lo
+                value = (value << 64) | chunk
+            return value
+        word = addr // _WORD_BYTES
         for w in range(word + size // _WORD_BYTES - 1, word - 1, -1):
             chunk = all_words.get(w)
             if chunk is None:

@@ -232,7 +232,8 @@ def _simulate_columnar(
     the loop reads each control row's verdict (``trace.verdicts``,
     resolved by :func:`repro.branch.resolve_verdicts` once per trace —
     here, on the first run of a trace that arrives without them) and
-    builds no branch predictor.  It still pushes every conditional's
+    builds no branch predictor.  For a scheme that reads it
+    (``Scheme.reads_history``) it still pushes every conditional's
     outcome and every call into a fold-free global-history register, the
     one piece of front-end state the schemes read.  Schemes are driven
     with raw column scalars through ``flat_fetch``/``flat_execute``;
@@ -268,8 +269,9 @@ def _simulate_columnar(
     # register holds it: what VTAGE and D-VTAGE read at fetch.
     history = None
     if scheme is not None:
-        history = GlobalHistory(TageConfig().max_history)
-        history_push = history.push
+        if scheme.reads_history:
+            history = GlobalHistory(TageConfig().max_history)
+            history_push = history.push
         scheme.bind(hierarchy, image, history)
 
     n = len(trace)

@@ -52,6 +52,9 @@ class Scheme(abc.ABC):
     # that predict non-loads (e.g. VTAGE with loads_only=False) must
     # leave it False.
     fetch_loads_only: bool = False
+    # False when the scheme never reads the global branch history: the
+    # timing model then binds None and pushes no branch outcome.
+    reads_history: bool = True
 
     def __init__(self, pvt_entries: int = 32) -> None:
         self.vpe = ValuePredictionEngine(pvt_entries=pvt_entries)
@@ -66,8 +69,9 @@ class Scheme(abc.ABC):
 
         ``history`` is the global branch-history register: the raw
         outcome bits of the front end's TAGE history, the only branch
-        state a scheme may read (VTAGE's context source).  Schemes
-        never write it.
+        state a scheme may read (VTAGE's context source), or None for a
+        scheme that declares ``reads_history = False``.  Schemes never
+        write it.
         """
         self.hierarchy = hierarchy
         self.image = image
@@ -136,6 +140,8 @@ class DlvpScheme(Scheme):
     constructed with ``use_cap=True``."""
 
     fetch_loads_only = True
+    # PAP's context is its own load-path history, CAP's none.
+    reads_history = False
     # flat_prepare() installs the engine's fused per-run closures as
     # these two instance attributes.
     flat_fetch = flat_execute = None

@@ -332,11 +332,11 @@ class Runtime:
                        cells: int) -> str | None:
         """Acquire one trace in the parent and publish it; None on failure.
 
-        A freshly built trace is serialized exactly once: the same v3
+        A freshly built trace is serialized exactly once: the same v4
         image goes to the shared segment and (byte-identically) to the
         disk trace cache.
         """
-        from repro.trace.serialization import v3_bytes
+        from repro.trace.serialization import v4_bytes
 
         try:
             trace = None
@@ -347,7 +347,7 @@ class Runtime:
                 trace = build_workload_columnar(job.workload,
                                                 job.n_instructions)
                 built = True
-            image = v3_bytes(trace)
+            image = v4_bytes(trace)
             if built and self.cache is not None:
                 self.cache.put_trace_image(tkey, image)
             ref = store.publish(tkey, trace, image=image)

@@ -4,7 +4,7 @@ Layout under the cache root (``~/.cache/repro`` by default, overridden
 by ``$REPRO_CACHE_DIR`` or ``--cache-dir``)::
 
     results/<k0k1>/<key>.json   # schema-versioned SimResult payloads
-    traces/<key>.trace          # repro.trace.serialization v3 format
+    traces/<key>.trace          # repro.trace.serialization v4 format
     corrupt/                    # quarantined unreadable/bad-checksum entries
 
 Result entries are JSON (never pickles): the payload embeds the job's
@@ -217,7 +217,7 @@ class ResultCache:
         unreadable traces) end up under ``corrupt/`` with
         ``on_corrupt`` fired.  Traces are read as
         :meth:`get_trace_columnar` reads them, verdict section included.
-        A trace in a layout this version no longer reads (a v2 file,
+        A trace in a layout this version no longer reads (a v2 or v3 file,
         cached under an older code salt's key) is ``trace_stale``: like
         a schema-stale result it stays in place for :meth:`gc`.
         """
@@ -363,9 +363,9 @@ class ResultCache:
     def put_trace(self, key: str, trace: Trace | ColumnarTrace) -> None:
         """Store ``trace`` under ``key`` atomically.
 
-        The entry is the v3 format as one chunk; a :class:`ColumnarTrace`
+        The entry is the v4 format as one chunk; a :class:`ColumnarTrace`
         is written straight from its columns (the layout
-        :func:`~repro.trace.serialization.v3_bytes` produces), so
+        :func:`~repro.trace.serialization.v4_bytes` produces), so
         :meth:`get_trace_columnar` adopts it without joining chunks.
         """
         path = self.trace_path(key)
@@ -383,9 +383,9 @@ class ResultCache:
             raise
 
     def put_trace_image(self, key: str, image: bytes) -> None:
-        """Store an already-serialized v3 image under ``key`` atomically.
+        """Store an already-serialized v4 image under ``key`` atomically.
 
-        ``image`` is exactly what ``v3_bytes`` produced — a valid v3
+        ``image`` is exactly what ``v4_bytes`` produced — a valid v4
         file — so a caller that just serialized a trace for the shared
         fabric can land the identical bytes in the disk cache without
         paying a second serialization.

@@ -7,7 +7,7 @@ computed here directly from traces, independent of any predictor.
 Two trace containers share one read surface: :class:`Trace` (a list of
 :class:`~repro.isa.Instruction` objects) and :class:`ColumnarTrace`
 (struct-of-arrays, the simulator's fast path).  Conversion between them
-is lossless; serialization writes and reads the v3 binary columnar
+is lossless; serialization writes and reads the v4 binary columnar
 format.
 """
 
@@ -23,9 +23,9 @@ from repro.trace.serialization import (
     iter_trace_chunks,
     load_trace,
     load_trace_columnar,
-    map_v3_columns,
+    map_v4_columns,
     save_trace,
-    v3_bytes,
+    v4_bytes,
 )
 from repro.trace.share import (
     TraceHandle,
@@ -46,9 +46,9 @@ __all__ = [
     "iter_trace_chunks",
     "load_trace",
     "load_trace_columnar",
-    "map_v3_columns",
+    "map_v4_columns",
     "save_trace",
-    "v3_bytes",
+    "v4_bytes",
     "TraceHandle",
     "TraceStore",
     "attach",

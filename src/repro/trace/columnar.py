@@ -11,7 +11,7 @@ dynamic instruction.  Two things fall out of that layout:
   lookups, no object allocation;
 * row ranges of a columnar trace are cheap to concatenate, splice and
   serialize, which is what lets the workload builder pack its rows
-  chunk by chunk and splice its cold bursts in place, and the v3 trace
+  chunk by chunk and splice its cold bursts in place, and the v4 trace
   format stream million-instruction traces in bounded memory.
 
 Ragged per-instruction fields (``srcs``, ``dests``, ``values``) are
@@ -26,6 +26,21 @@ loads), so the flat value column is split into ``values_lo``/
 entries of each ragged field and a ``mem_size`` of at most 255 bytes
 (the suite's largest are 4 entries and 16 bytes);
 :meth:`ColumnarTrace.append_columns` refuses more.
+
+Column widths follow the values.  The one-byte per-row columns (``op``,
+``flags``, ``mem_size`` and the three counts) are always ``'B'``.  Each
+of the seven value columns (``pc``, ``mem_addr``, ``target``, ``srcs``,
+``dests``, ``values_lo``, ``values_hi``) holds the narrowest of
+``'B'``/``'H'``/``'I'``/``'Q'`` that takes every chunk it has received:
+a packed chunk counts by its values, a copied row range by its source
+column's typecode.  A chunk that needs more room widens the column, one
+array copy per step, so a column widens at most three times.  The
+suite's addresses stay below 2**28 and its register ids below 64, so
+its traces hold ``'I'`` addresses and ``'B'`` registers, and scalar
+traces a ``'B'`` column of zeros for ``values_hi``; a 49-bit address or
+a 128-bit value widens its column to ``'Q'``.  Readers see no
+difference: indexing, slicing and ``tolist()`` give the same ints at
+any width, and array equality compares values across typecodes.
 
 Scalar optional fields are flag-encoded (``flags`` bit layout below)
 with ``0`` stored in the column when absent, so every column stays a
@@ -68,29 +83,37 @@ F_VECTOR = 4       # is_vector
 F_TAKEN_KNOWN = 8  # taken is not None
 F_TAKEN = 16       # taken is True (only meaningful with F_TAKEN_KNOWN)
 
+# Instruction.taken by flags byte.
+_TAKEN_BY_FLAGS: tuple[bool | None, ...] = tuple(
+    bool(flags & F_TAKEN) if flags & F_TAKEN_KNOWN else None for flags in range(256)
+)
+
 # OpClass reconstruction table: OpClass(v) walks the enum's value map on
 # every call; indexing a tuple is one C-level operation.
 OPCLASS_BY_VALUE: tuple[OpClass, ...] = tuple(
     OpClass(v) for v in sorted(op.value for op in OpClass)
 )
 
-# (attribute, typecode) in serialization order; itemsizes are validated
-# by the v3 reader so a platform with exotic array widths fails loudly
+# Typecodes of a value column, narrowest first.
+WIDTHS = "BHIQ"
+# (attribute, the typecodes it may hold) in serialization order; the
+# v4 format records each chunk's typecodes, and its reader validates
+# the itemsizes, so a platform with exotic array widths fails loudly
 # instead of mis-decoding.
 COLUMNS: tuple[tuple[str, str], ...] = (
-    ("pc", "Q"),
+    ("pc", WIDTHS),
     ("op", "B"),
     ("flags", "B"),
-    ("mem_addr", "Q"),
+    ("mem_addr", WIDTHS),
     ("mem_size", "B"),
-    ("target", "Q"),
+    ("target", WIDTHS),
     ("srcs_count", "B"),
-    ("srcs", "I"),
+    ("srcs", WIDTHS),
     ("dests_count", "B"),
-    ("dests", "I"),
+    ("dests", WIDTHS),
     ("values_count", "B"),
-    ("values_lo", "Q"),
-    ("values_hi", "Q"),
+    ("values_lo", WIDTHS),
+    ("values_hi", WIDTHS),
 )
 
 _TYPECODES = dict(COLUMNS)
@@ -109,6 +132,8 @@ _PER_ROW = _FIELDS + tuple(count for count, _ in _RAGGED)
 # amortize the per-call packing, few enough that a caller streaming
 # Instruction objects in never holds many of them at once.
 _PACK_ROWS = 128
+# Rows per list snapshot when iterating a trace as Instructions.
+_ITER_ROWS = 1024
 
 
 def column_typecode(col) -> str:
@@ -125,9 +150,9 @@ class ColumnarTrace:
     Supports the read surface the simulator and profilers need
     (``name``, ``len``, iteration, ``instruction(i)``, ``summary()``,
     :meth:`windows`) plus append/extend/splice, which the workload
-    builder and the v3 serializer build on.  ``verdicts`` is None or the
+    builder and the v4 serializer build on.  ``verdicts`` is None or the
     trace's branch verdicts (see the module docstring); every row edit
-    resets it.
+    resets it.  Every column starts empty at ``'B'``.
     """
 
     __slots__ = tuple(name for name, _ in COLUMNS) + ("name", "verdicts")
@@ -135,8 +160,8 @@ class ColumnarTrace:
     def __init__(self, name: str, instructions: Iterable[Instruction] = ()) -> None:
         self.name = name
         self.verdicts = None
-        for attr, typecode in COLUMNS:
-            setattr(self, attr, array(typecode))
+        for attr, _ in COLUMNS:
+            setattr(self, attr, array("B"))
         self.append_all(instructions)
 
     # -- construction ----------------------------------------------------
@@ -174,31 +199,60 @@ class ColumnarTrace:
         rows in exactly these lists, so a trace is generated without
         one :class:`Instruction` per row.
 
-        A value its column cannot hold — more than 255 entries of a
-        ragged field in one row, a ``mem_size`` over 255 — raises a
-        ``ValueError`` naming the column, before any column changes.
+        Each value column packs the chunk at the narrowest typecode,
+        from its own up, that holds the chunk's values, and widens to it
+        (see the module docstring).  A value its column cannot hold —
+        more than 255 entries of a ragged field in one row, a
+        ``mem_size`` over 255, an address over 64 bits — raises a
+        ``ValueError`` naming the column, before any column changes or
+        widens.
         """
         self._check_writable()
         self.verdicts = None
         packed = [
-            (attr, _pack(attr, col))
+            (attr, self._pack(attr, col))
             for attr, col in zip(_FIELDS, (pc, op, flags, mem_addr, mem_size, target))
         ]
         for field, groups in (("srcs", srcs), ("dests", dests)):
-            packed.append((f"{field}_count", _pack(f"{field}_count", map(len, groups))))
-            packed.append((field, _pack(field, list(chain.from_iterable(groups)))))
-        packed.append(("values_count", _pack("values_count", map(len, values))))
+            packed.append((f"{field}_count", self._pack(f"{field}_count", map(len, groups))))
+            packed.append((field, self._pack(field, list(chain.from_iterable(groups)))))
+        packed.append(("values_count", self._pack("values_count", map(len, values))))
         flat_values = list(chain.from_iterable(values))
         try:
-            lo = array("Q", flat_values)
-        except OverflowError:       # a 128-bit vector value (or a negative one)
-            lo = array("Q", [v & _MASK64 for v in flat_values])
-            hi = array("Q", [(v >> 64) & _MASK64 for v in flat_values])
+            lo = self._pack("values_lo", flat_values)
+        except ValueError:          # a 128-bit vector value (or a negative one)
+            lo = self._pack("values_lo", [v & _MASK64 for v in flat_values])
+            hi = self._pack("values_hi", [(v >> 64) & _MASK64 for v in flat_values])
         else:
-            hi = array("Q", bytes(lo.itemsize * len(lo)))
+            hi = array(self.values_hi.typecode, bytes(self.values_hi.itemsize * len(lo)))
         packed += (("values_lo", lo), ("values_hi", hi))
         for attr, col in packed:
-            getattr(self, attr).extend(col)
+            self._widen(attr, col.typecode).extend(col)
+
+    def _pack(self, attr: str, values) -> array:
+        """``values`` as an array for column ``attr``: at the narrowest of
+        the column's typecodes, from its current one up, that holds them;
+        a ``ValueError`` naming the column when none does.  ``values``
+        must be iterable more than once unless the column is ``'B'``."""
+        codes = _TYPECODES[attr]
+        for code in codes[codes.index(getattr(self, attr).typecode):]:
+            try:
+                # bytes() packs a one-byte column at C speed
+                return array(code, bytes(values) if code == "B" else values)
+            except (OverflowError, ValueError) as exc:
+                error = str(exc)    # not exc: its traceback would hold self
+        raise ValueError(
+            f"column {attr!r}: a row's value does not fit in {code!r} ({error})"
+        ) from None
+
+    def _widen(self, attr: str, typecode: str) -> array:
+        """Column ``attr``, first widened to ``typecode`` if that is wider
+        (one array copy)."""
+        col = getattr(self, attr)
+        if WIDTHS.index(typecode) > WIDTHS.index(col.typecode):
+            col = array(typecode, col)
+            setattr(self, attr, col)
+        return col
 
     def extend(
         self, other: "ColumnarTrace", start: int = 0, stop: int | None = None
@@ -234,18 +288,29 @@ class ColumnarTrace:
                 self._append_spans(flat, flat_parts)
 
     def _append_spans(self, attr: str, spans) -> None:
-        """Append ``(source, start, stop)`` entry spans to column ``attr``."""
-        col = getattr(self, attr)
+        """Append ``(source, start, stop)`` entry spans to column ``attr``.
+
+        The column takes the widest typecode among its own and its
+        non-empty spans' sources; a narrower span is widened by a copy
+        of the span alone (memoryview assignment needs equal formats).
+        """
+        spans = [(getattr(src, attr), a, b) for src, a, b in spans if a < b]
+        code = _widest([getattr(self, attr).typecode]
+                       + [column_typecode(src) for src, _, _ in spans])
+        col = self._widen(attr, code)
         pos = len(col)
         grow = sum(b - a for _, a, b in spans)
         if pos:
             col.frombytes(bytes(grow * col.itemsize))
         else:               # allocated once, at exactly its final length
-            col = array(col.typecode, (0,)) * grow
+            col = array(code, (0,)) * grow
             setattr(self, attr, col)
         with memoryview(col) as view:
             for src, a, b in spans:
-                view[pos:pos + b - a] = memoryview(getattr(src, attr))[a:b]
+                span = memoryview(src)[a:b]
+                if column_typecode(src) != code:
+                    span = array(code, span)
+                view[pos:pos + b - a] = span
                 pos += b - a
 
     def splice_in(self, other: "ColumnarTrace", cuts) -> None:
@@ -264,7 +329,10 @@ class ColumnarTrace:
         ``memmove``, so a run may overlap its own destination.  Each of
         ``other``'s columns is released as soon as it has been copied, so
         the splice holds at most this trace, ``other`` and one column's
-        growth at once; ``other`` is unusable afterwards.
+        growth at once; ``other`` is unusable afterwards.  Where the two
+        columns' typecodes differ, the narrower one is widened first:
+        this trace's by one copy of the column, ``other``'s by a copy
+        that replaces it.
         """
         self._check_writable()
         self.verdicts = None
@@ -279,8 +347,14 @@ class ColumnarTrace:
             spans = _flat_spans(mine, count, {}), _flat_spans(theirs, count, {})
             columns += [(flat, *spans) for flat in flats]
         for attr, my_spans, their_spans in columns:
-            col = getattr(self, attr)
             src = getattr(other, attr)
+            codes = [getattr(self, attr).typecode]
+            if len(src):
+                codes.append(column_typecode(src))
+            col = self._widen(attr, _widest(codes))
+            code = col.typecode
+            if column_typecode(src) != code:
+                src = array(code, src)
             with memoryview(src) as cold:
                 col.frombytes(cold.cast("B"))
                 with memoryview(col) as view:
@@ -331,21 +405,22 @@ class ColumnarTrace:
 
     @classmethod
     def from_columns(cls, name: str, columns: dict) -> "ColumnarTrace":
-        """Adopt pre-built columns: the v3 deserializer's entry point.
+        """Adopt pre-built columns: the v4 deserializer's entry point.
 
         Columns are normally ``array.array``\\ s; typed memoryviews
         (e.g. cast over a shared-memory segment) are accepted too and
-        produce a read-only trace.  Every per-row column must hold one
-        entry per row and every count column must sum to the length of
-        the flat column(s) it counts.
+        produce a read-only trace.  Each column's typecode must be one
+        its attribute may hold (``COLUMNS``), every per-row column must
+        hold one entry per row and every count column must sum to the
+        length of the flat column(s) it counts.
         """
         out = cls(name)
         n = len(columns["pc"])
-        for attr, typecode in COLUMNS:
+        for attr, typecodes in COLUMNS:
             col = columns[attr]
-            if column_typecode(col) != typecode:
+            if column_typecode(col) not in typecodes:
                 raise ValueError(
-                    f"column {attr!r}: expected typecode {typecode!r}, "
+                    f"column {attr!r}: expected a typecode in {typecodes!r}, "
                     f"got {column_typecode(col)!r}"
                 )
             setattr(out, attr, col)
@@ -370,57 +445,59 @@ class ColumnarTrace:
         return len(self.pc)
 
     def __iter__(self) -> Iterator[Instruction]:
-        s = d = v = 0
-        for i, ns, nd, nv in zip(
-            range(len(self.pc)), self.srcs_count, self.dests_count, self.values_count
-        ):
-            yield self._view(i, s, d, v)
-            s += ns
-            d += nd
-            v += nv
-
-    def __getitem__(self, index: int) -> Instruction:
-        return self.instruction(index)
-
-    def instruction(self, i: int) -> Instruction:
-        """Materialize instruction ``i`` as an :class:`Instruction` view.
-
-        Finds the row's entries by summing the counts of the rows
-        before it, so a lookup costs O(i); iterating the trace carries
-        running offsets instead, and the simulate loop reads
-        :meth:`windows`.
-        """
-        return self._view(
-            i, sum(self.srcs_count[:i]), sum(self.dests_count[:i]),
-            sum(self.values_count[:i]),
-        )
-
-    def _view(self, i: int, s: int, d: int, v: int) -> Instruction:
-        """Row ``i`` as an :class:`Instruction`, its entries at flat
-        offsets ``s``, ``d`` and ``v``.
+        """Every row as an :class:`Instruction`, read window by window
+        from :meth:`windows`' list snapshots.
 
         Bypasses ``Instruction.__init__``: the columns were populated
         from already-validated instructions, and ``__post_init__`` would
         re-check invariants the encoding cannot violate.
         """
-        flags = self.flags[i]
-        lo = self.values_lo
-        hi = self.values_hi
-        inst = Instruction.__new__(Instruction)
-        inst.pc = self.pc[i]
-        inst.op = OPCLASS_BY_VALUE[self.op[i]]
-        inst.srcs = tuple(self.srcs[s:s + self.srcs_count[i]])
-        inst.dests = tuple(self.dests[d:d + self.dests_count[i]])
-        inst.mem_addr = self.mem_addr[i] if flags & F_MEM else None
-        inst.mem_size = self.mem_size[i]
-        inst.values = tuple(
-            (hi[k] << 64) | lo[k] if hi[k] else lo[k]
-            for k in range(v, v + self.values_count[i])
-        )
-        inst.taken = bool(flags & F_TAKEN) if flags & F_TAKEN_KNOWN else None
-        inst.target = self.target[i] if flags & F_TARGET else None
-        inst.is_vector = bool(flags & F_VECTOR)
-        return inst
+        n = len(self.pc)
+        ends = [*range(_ITER_ROWS, n, _ITER_ROWS), n] if n else []
+        new = Instruction.__new__
+        opclass = OPCLASS_BY_VALUE
+        for (pcs, ops, flags_col, mem_addrs, mem_sizes, targets,
+             srcs_prefix, srcs, dests_prefix, dests,
+             values_prefix, lo, hi) in self.windows(ends, _FIELDS):
+            if any(hi):
+                lo = [(h << 64) | v for v, h in zip(lo, hi)]
+            # a tuple's slice is a tuple: one allocation per field and row
+            srcs, dests, values = tuple(srcs), tuple(dests), tuple(lo)
+            for pc, op, flags, mem_addr, mem_size, target, s0, s1, d0, d1, v0, v1 in zip(
+                pcs, ops, flags_col, mem_addrs, mem_sizes, targets,
+                srcs_prefix, islice(srcs_prefix, 1, None),
+                dests_prefix, islice(dests_prefix, 1, None),
+                values_prefix, islice(values_prefix, 1, None),
+            ):
+                inst = new(Instruction)
+                inst.pc = pc
+                inst.op = opclass[op]
+                inst.srcs = srcs[s0:s1]
+                inst.dests = dests[d0:d1]
+                inst.mem_addr = mem_addr if flags & F_MEM else None
+                inst.mem_size = mem_size
+                inst.values = values[v0:v1]
+                inst.taken = _TAKEN_BY_FLAGS[flags]
+                inst.target = target if flags & F_TARGET else None
+                inst.is_vector = flags & F_VECTOR != 0
+                yield inst
+
+    def __getitem__(self, index: int) -> Instruction:
+        return self.instruction(index)
+
+    def instruction(self, i: int) -> Instruction:
+        """Materialize instruction ``i`` (negative counts from the end).
+
+        Cuts the one row out with :meth:`slice`, which sums the counts
+        of the rows before it, so a lookup costs O(i); iterating the
+        trace and the simulate loop read :meth:`windows` instead.
+        """
+        n = len(self.pc)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"row {i} of a {n}-row trace")
+        return next(iter(self.slice(i, i + 1)))
 
     def windows(self, ends, plain) -> Iterator[list]:
         """Plain-list snapshots of consecutive row windows, one per end.
@@ -487,17 +564,9 @@ def _flags_of(inst: Instruction) -> int:
     return flags
 
 
-def _pack(attr: str, values) -> array:
-    """``values`` as column ``attr``'s array; a ``ValueError`` naming the
-    column if one of them does not fit its width."""
-    typecode = _TYPECODES[attr]
-    try:
-        # bytes() packs a one-byte column at C speed
-        return array(typecode, bytes(values) if typecode == "B" else values)
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(
-            f"column {attr!r}: a row's value does not fit in {typecode!r} ({exc})"
-        ) from None
+def _widest(typecodes) -> str:
+    """The widest of ``typecodes`` (each one of :data:`WIDTHS`)."""
+    return max(typecodes, key=WIDTHS.index)
 
 
 def _flat_spans(parts, count: str, cursors: dict) -> list:

@@ -13,12 +13,12 @@ Segment layout (one header + per-column buffers, as a single buffer)::
 
     b"repro-shmtrace1\\n"   fabric magic
     <u64 owner pid>         who may unlink; orphan GC checks liveness
-    <v3 single-chunk image> repro.trace.serialization.v3_bytes(),
+    <v4 single-chunk image> repro.trace.serialization.v4_bytes(),
                             branch verdicts included when the trace
                             carries them
 
-Reusing the v3 byte layout means one parser
-(:func:`~repro.trace.serialization.map_v3_columns`) serves both
+Reusing the v4 byte layout means one parser
+(:func:`~repro.trace.serialization.map_v4_columns`) serves both
 transports: a POSIX shared-memory segment when the platform has one,
 or an ``mmap`` over a regular file under the store root when it does
 not (``use_shm=False``, or :func:`shm_available` says no).  Refs are
@@ -59,7 +59,7 @@ import tempfile
 from pathlib import Path
 
 from repro.trace.columnar import COLUMNS, ColumnarTrace
-from repro.trace.serialization import map_v3_columns, v3_bytes
+from repro.trace.serialization import map_v4_columns, v4_bytes
 
 MAGIC = b"repro-shmtrace1\n"
 # /dev/shm-visible namespace for fabric segments; orphan GC globs it.
@@ -190,20 +190,21 @@ def _trace_from_buffer(buf, ref: str):
             raise ValueError(f"{ref}: not a trace fabric segment")
         image = base[_HEADER:]
         views.append(image)
-        name, count, offsets = map_v3_columns(image)
+        name, count, offsets = map_v4_columns(image)
         if count == 0:
             # a valid empty trace has no column frames to view; a plain
             # (owned, zero-copy-irrelevant) empty trace is bit-identical
             return ColumnarTrace(name), views
         columns = {}
-        for attr, typecode in COLUMNS:
-            off, nbytes = offsets[attr]
+        for attr, _ in COLUMNS:
+            # each column cast to the typecode the image records for it
+            off, nbytes, typecode = offsets[attr]
             col = image[off:off + nbytes].cast(typecode)
             views.append(col)
             columns[attr] = col
         trace = ColumnarTrace.from_columns(name, columns)
         if "verdicts" in offsets:
-            off, nbytes = offsets["verdicts"]
+            off, nbytes, _ = offsets["verdicts"]
             trace.verdicts = image[off:off + nbytes]
             views.append(trace.verdicts)
         return trace, views
@@ -340,8 +341,8 @@ class TraceStore:
 
         Idempotent per key (the second publish returns the first ref
         without looking at ``trace``).  The segment is sized exactly:
-        header + owner pid + single-chunk v3 image.  Pass ``image``
-        (``v3_bytes(trace)``, precomputed) to reuse a serialization the
+        header + owner pid + single-chunk v4 image.  Pass ``image``
+        (``v4_bytes(trace)``, precomputed) to reuse a serialization the
         caller already paid for — e.g. the runtime serializes each
         trace once and feeds the same image to the disk cache and here.
         """
@@ -351,7 +352,7 @@ class TraceStore:
         if ref is not None:
             return ref
         payload = MAGIC + _OWNER.pack(os.getpid()) + (
-            v3_bytes(trace) if image is None else image
+            v4_bytes(trace) if image is None else image
         )
         name = _segment_name(key)
         if self.use_shm:

@@ -1,12 +1,15 @@
 """The columnar trace engine: representation, chunked building, serialization.
 
-Four concerns share this file because they share one invariant — the
+Five concerns share this file because they share one invariant — the
 struct-of-arrays world must be *losslessly interchangeable* with the
 object world:
 
-* ``Trace ↔ ColumnarTrace ↔ v3 bytes`` round-trips bit for bit
+* ``Trace ↔ ColumnarTrace ↔ v4 bytes`` round-trips bit for bit
   (property-based, covering ``taken=None``, multi-destination loads,
   128-bit vector values, empty ``srcs``/``values``);
+* each value column holds the narrowest typecode that takes its rows,
+  and widens, losslessly, when a later chunk, splice or extend needs
+  more room;
 * the column builder packs the same trace whatever its chunk size;
 * serialization streams on both ends (the regression tests here fail
   against the old buffer-everything save/load);
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -38,8 +42,9 @@ from repro.trace import (
     load_trace_columnar,
     save_trace,
 )
-from repro.trace.columnar import COLUMNS
+from repro.trace.columnar import COLUMNS, WIDTHS, column_typecode
 from repro.trace.serialization import StaleTraceFormat
+from repro.trace.share import TraceStore
 from repro.workloads import (
     SUITE,
     WorkloadBuilder,
@@ -281,6 +286,172 @@ def test_columnar_extend_rebases_ragged_indexes():
     assert len(a) == 2
     assert a.instruction(1).srcs == (4,)
     assert a.instruction(1).values == (8,)
+
+
+# ---------------------------------------------------------------------------
+# column widths: narrow until a chunk needs more room
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_NARROW_PC = st.integers(min_value=0, max_value=2**10).map(lambda v: v * 4)
+_NARROW_REG = st.integers(min_value=0, max_value=63)
+_NARROW_VALUE = st.integers(min_value=0, max_value=2**20)
+
+
+@st.composite
+def narrow_instructions(draw) -> Instruction:
+    """Rows whose every value fits ``'B'``, ``'H'`` or ``'I'``."""
+    pc = draw(_NARROW_PC)
+    regs = st.lists(_NARROW_REG, max_size=2).map(tuple)
+    if draw(st.booleans()):
+        dests = draw(st.lists(_NARROW_REG, min_size=1, max_size=2).map(tuple))
+        return Instruction(
+            pc=pc, op=OpClass.LOAD, srcs=draw(regs), dests=dests,
+            mem_addr=draw(_NARROW_VALUE) * 8, mem_size=8,
+            values=tuple(draw(_NARROW_VALUE) for _ in dests))
+    return Instruction(pc=pc, op=OpClass.BRANCH, srcs=draw(regs),
+                       taken=draw(st.booleans()), target=draw(_NARROW_PC))
+
+
+@st.composite
+def widening_instructions(draw) -> Instruction:
+    """One row that a narrow trace cannot hold: an address of 2**32 or
+    more (as wide as CapConfig's 49-bit ARMv8 addresses), a register id
+    of 256 or more, or a 128-bit vector value."""
+    kind = draw(st.sampled_from(["address", "register", "vector"]))
+    if kind == "address":
+        addr = draw(st.integers(min_value=2**30, max_value=2**47)) * 4
+        return Instruction(pc=addr, op=OpClass.LOAD, dests=(1,), mem_addr=addr,
+                           mem_size=8, values=(draw(_NARROW_VALUE),))
+    if kind == "register":
+        reg = draw(st.integers(min_value=256, max_value=2**40))
+        return Instruction(pc=8, op=OpClass.ALU, srcs=(reg, 2), dests=(reg,),
+                           values=(draw(_NARROW_VALUE),))
+    return Instruction(pc=8, op=OpClass.LOAD, dests=(1,), mem_addr=64, mem_size=16,
+                       is_vector=True,
+                       values=(draw(st.integers(min_value=2**64, max_value=2**128 - 1)),))
+
+
+def _narrowest(values) -> str:
+    """The narrowest typecode of ``WIDTHS`` that holds every value."""
+    top = max(values, default=0)
+    return next(code for code in WIDTHS if top >> 8 * array(code).itemsize == 0)
+
+
+def _narrowest_typecodes(rows) -> dict:
+    """Each column's narrowest typecode for the instructions ``rows``."""
+    values = [v for inst in rows for v in inst.values]
+    return {
+        "pc": _narrowest(inst.pc for inst in rows),
+        "mem_addr": _narrowest(inst.mem_addr or 0 for inst in rows),
+        "target": _narrowest(inst.target or 0 for inst in rows),
+        "srcs": _narrowest(r for inst in rows for r in inst.srcs),
+        "dests": _narrowest(r for inst in rows for r in inst.dests),
+        "values_lo": _narrowest(v & _MASK64 for v in values),
+        "values_hi": _narrowest(v >> 64 for v in values),
+    }
+
+
+def _typecodes(trace: ColumnarTrace) -> dict:
+    """Every column's typecode (array or attached memoryview)."""
+    return {attr: column_typecode(getattr(trace, attr)) for attr, _ in COLUMNS}
+
+
+def _assert_narrowest(trace: ColumnarTrace, rows) -> None:
+    """``trace``'s one-byte columns are ``'B'`` and each value column
+    the narrowest typecode that holds ``rows``."""
+    codes = _typecodes(trace)
+    expected = _narrowest_typecodes(rows)
+    assert codes == {attr: expected.get(attr, "B") for attr, _ in COLUMNS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.lists(narrow_instructions(), min_size=1, max_size=20),
+       wide=st.lists(widening_instructions(), min_size=1, max_size=3),
+       tail=st.lists(narrow_instructions(), max_size=5))
+def test_columns_widen_when_a_later_chunk_needs_more_room(head, wide, tail):
+    """Narrow chunks first, then one chunk per widening row, then narrow
+    ones again: every column ends at the narrowest typecode holding all
+    of its rows, and every row reads back unchanged."""
+    trace = ColumnarTrace("w", head)
+    _assert_narrowest(trace, head)
+    for inst in wide:
+        trace.append(inst)
+    trace.append_all(tail)
+    rows = head + wide + tail
+    assert list(trace) == rows
+    _assert_narrowest(trace, rows)
+    _assert_well_formed(trace)
+
+
+def _width_pair() -> tuple[list, list]:
+    """Rows of a narrow trace (every column ``'B'``) and of a wide one."""
+    narrow = [Instruction(pc=4 * k, op=OpClass.ALU, srcs=(1,), dests=(2,),
+                          values=(k,)) for k in range(50)]
+    wide = [Instruction(pc=(1 << 40) + 4 * k, op=OpClass.LOAD, srcs=(300,),
+                        dests=(3,), mem_addr=1 << 36, mem_size=16, is_vector=True,
+                        values=((1 << 100) + k,)) for k in range(20)]
+    return narrow, wide
+
+
+def test_splice_in_and_extend_rows_across_widths():
+    """A wide trace spliced into a narrow one widens its columns, a
+    narrow one spliced into a wide one is widened as it is copied, and
+    ``extend_rows`` from both into an empty or a narrow trace takes the
+    widest typecode of each column."""
+    narrow, wide = _width_pair()
+    assert set(_typecodes(ColumnarTrace("n", narrow)).values()) == {"B"}
+    for base, other in ((narrow, wide), (wide, narrow)):
+        cuts = [(0, 3), (len(base) // 2, 10), (len(base), len(other))]
+        _assert_splice(base, other, cuts)
+        trace = ColumnarTrace("base", base)
+        trace.splice_in(ColumnarTrace("other", other), cuts)
+        _assert_narrowest(trace, base + other)
+    for prefix in ([], narrow[:7]):
+        out = ColumnarTrace("x", prefix)
+        n, w = ColumnarTrace("n", narrow), ColumnarTrace("w", wide)
+        out.extend_rows([(n, 0, len(n)), (w, 0, len(w)), (n, 0, 5)])
+        rows = prefix + narrow + wide + narrow[:5]
+        assert list(out) == rows
+        _assert_narrowest(out, rows)
+        _assert_well_formed(out)
+
+
+def test_widened_trace_round_trips_through_v4_and_the_fabric(tmp_path):
+    """Chunks of different widths in one v4 file keep their typecodes
+    and load as the widened trace; the trace's single-chunk image
+    attaches with each column cast to its recorded typecode."""
+    narrow, wide = _width_pair()
+    chunks = [ColumnarTrace("w", narrow), ColumnarTrace("w", wide)]
+    path = tmp_path / "w.trace"
+    save_trace(chunks, path)
+    assert [_typecodes(c) for c in iter_trace_chunks(path)] == [
+        _typecodes(c) for c in chunks]
+    joined = load_trace_columnar(path)
+    assert list(joined) == narrow + wide
+    _assert_narrowest(joined, narrow + wide)
+    with TraceStore() as store:
+        with store.attach(store.publish("w", joined)) as handle:
+            assert handle.trace == joined
+            assert _typecodes(handle.trace) == _typecodes(joined)
+            assert list(handle.trace) == narrow + wide
+
+
+def test_rejected_chunk_leaves_every_column_and_typecode():
+    """A chunk with one row the columns cannot hold (256 sources) is
+    refused before any column widens, though its other rows would have
+    widened three."""
+    narrow, _ = _width_pair()
+    trace = ColumnarTrace("t", narrow)
+    before = {attr: (column_typecode(getattr(trace, attr)), getattr(trace, attr).tolist())
+              for attr, _ in COLUMNS}
+    assert {code for code, _ in before.values()} == {"B"}
+    rows = [_row_columns(pc=1 << 40, srcs=(300,), values=(1 << 100,)),
+            _row_columns(srcs=tuple(range(256)))]
+    with pytest.raises(ValueError, match="srcs_count"):
+        trace.append_columns(*(a + b for a, b in zip(*rows)))
+    assert {attr: (column_typecode(getattr(trace, attr)), getattr(trace, attr).tolist())
+            for attr, _ in COLUMNS} == before
 
 
 # ---------------------------------------------------------------------------

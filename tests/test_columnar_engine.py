@@ -10,11 +10,11 @@ what only longer traces exercise:
   cell in ``frozen_seams.json``;
 * the memory bounds the windowing exists for (no whole-trace column
   snapshots, no per-instruction commit history), and the bytes a built
-  row costs;
+  row costs at the narrowest column widths;
 * the one-pass columnar build (one kernel run, no thread, a peak
   near one trace) and its in-place splice (a peak of the trace plus
   the cold bursts);
-* v3 writes of multi-chunk columnar traces by column slicing, and the
+* v4 writes of multi-chunk columnar traces by column slicing, and the
   trace cache's single-chunk entries (chunked entries still load).
 
 Only regenerate the frozen seam results after a *deliberate* model
@@ -47,7 +47,7 @@ from repro.trace.serialization import (
     load_trace,
     load_trace_columnar,
     save_trace,
-    v3_bytes,
+    v4_bytes,
 )
 from repro.workloads import SUITE, build_workload, build_workload_columnar
 
@@ -236,9 +236,10 @@ def test_columnar_build_runs_the_kernel_once_on_this_thread(monkeypatch):
 
 def test_columnar_build_peaks_near_one_trace():
     """The cold-burst splice consumes its sources column by column: the
-    build peaks ~1.6x the finished trace at 60k instructions (one
-    builder chunk of pending rows included), against ~2.3x when the hot
-    stream and the result are both whole."""
+    build peaks ~1.7x the finished trace at 60k instructions, at the
+    kernel's end (the builder's memory image and one chunk of pending
+    rows included), against ~2.5x when the hot stream and the result
+    are both whole."""
     build_workload_columnar("gzip", 2_000)     # warm lazy imports
     tracemalloc.start()
     try:
@@ -285,12 +286,14 @@ def test_splice_in_place_peaks_at_the_trace_plus_the_cold_rows():
 
 
 # A built row's column bytes, verdicts included: one-byte counts and a
-# one-byte mem_size.  perlbmk reads 48.4; with 8-byte prefix indexes
-# and a 4-byte mem_size it read 72.4.
-MAX_COLUMN_BYTES_PER_ROW = 50
+# one-byte mem_size, and each value column at the narrowest width its
+# values need.  perlbmk reads 27.1; with fixed 8-byte addresses and
+# values and 4-byte register ids it read 48.4, and with 8-byte prefix
+# indexes and a 4-byte mem_size besides, 72.4.
+MAX_COLUMN_BYTES_PER_ROW = 30
 
 
-def test_built_trace_holds_at_most_50_column_bytes_per_row():
+def test_built_trace_holds_at_most_30_column_bytes_per_row():
     trace = build_workload_columnar("perlbmk", 20_000)
     nbytes = sum(_column_bytes(trace)) + memoryview(trace.verdicts).nbytes
     assert nbytes / len(trace) <= MAX_COLUMN_BYTES_PER_ROW, (
@@ -299,7 +302,7 @@ def test_built_trace_holds_at_most_50_column_bytes_per_row():
 
 
 # ---------------------------------------------------------------------------
-# v3 writes by column slicing
+# v4 writes by column slicing
 # ---------------------------------------------------------------------------
 
 
@@ -324,7 +327,7 @@ def _boundary_trace() -> ColumnarTrace:
 
 
 def test_v2_round_trip_of_a_multi_chunk_columnar_trace(tmp_path, monkeypatch):
-    """The binary (now v3) format, written by column slicing."""
+    """The binary (now v4) format, written by column slicing."""
     trace = _boundary_trace()
     assert len(trace) > DEFAULT_CHUNK_SIZE
     boundary = [trace.instruction(DEFAULT_CHUNK_SIZE - 1),
@@ -333,19 +336,19 @@ def test_v2_round_trip_of_a_multi_chunk_columnar_trace(tmp_path, monkeypatch):
     reference = trace.to_trace()
 
     def no_views(self, *args):
-        raise AssertionError("v3 write materialized an Instruction")
+        raise AssertionError("v4 write materialized an Instruction")
 
-    path = tmp_path / "t.v3"
-    monkeypatch.setattr(ColumnarTrace, "_view", no_views)
+    path = tmp_path / "t.v4"
+    monkeypatch.setattr(ColumnarTrace, "__iter__", no_views)
     save_trace(trace, path)
-    image = v3_bytes(trace)
+    image = v4_bytes(trace)
     monkeypatch.undo()
 
     assert [len(c) for c in iter_trace_chunks(path)] == [
         DEFAULT_CHUNK_SIZE, len(trace) - DEFAULT_CHUNK_SIZE]
     assert load_trace_columnar(path) == trace
     assert load_trace(path).instructions == reference.instructions
-    single = tmp_path / "single.v3"
+    single = tmp_path / "single.v4"
     single.write_bytes(image)
     assert load_trace_columnar(single) == trace
 
@@ -367,12 +370,12 @@ def test_slice_starts_its_flat_columns_at_its_first_row():
 
 
 def test_cache_entry_is_one_chunk_written_from_the_columns(tmp_path, monkeypatch):
-    """A cached trace is the single-chunk image ``v3_bytes`` gives,
+    """A cached trace is the single-chunk image ``v4_bytes`` gives,
     written without slicing the trace and read back without joining
     chunks, verdicts included."""
     trace = build_workload_columnar("eon", 20_000)
     assert len(trace) > DEFAULT_CHUNK_SIZE and trace.verdicts is not None
-    image = v3_bytes(trace)
+    image = v4_bytes(trace)
     cache = ResultCache(tmp_path)
 
     def no_splice(self, parts):

@@ -37,6 +37,18 @@ class TestBasics:
         assert img.read(0x1000, 8) == 1
         assert img.read(0x1008, 8) == 2
 
+    def test_write_after_a_whole_pair_read_is_seen(self):
+        """An 8-byte-aligned read memoizes never-written pairs whole; a
+        later write to either word must show through every read size."""
+        img = MemoryImage()
+        background = img.read(0x100, 16)
+        img.write(0x104, 4, 0xAABBCCDD)
+        high_word = 0xFFFFFFFF << 32
+        assert img.read(0x100, 16) == (background & ~high_word) | (0xAABBCCDD << 32)
+        assert img.read(0x100, 8) == (background & 0xFFFFFFFF) | (0xAABBCCDD << 32)
+        assert img.read(0x108, 8) == background >> 64
+        assert img.read(0x104, 4) == 0xAABBCCDD
+
     def test_len_counts_words(self):
         img = MemoryImage()
         img.write(0x1000, 8, 7)
