@@ -84,10 +84,13 @@ def child_peak_rss_kib() -> int:
     """Peak RSS over all reaped child processes of this process, KiB.
 
     ``RUSAGE_CHILDREN`` reports the *maximum* across terminated
-    children, so for the sweep bench (whose simulation happens in pool
-    workers) this is the worker-side memory headline that
-    :func:`peak_rss_kib` — parent-only — cannot see.  Zero when no
-    child has been reaped yet.
+    children that were waited for, so for the sweep bench (whose
+    simulation happens in pool workers) this is the worker-side memory
+    headline that :func:`peak_rss_kib` — parent-only — cannot see, but
+    only where the workers were forked from this process (one thread at
+    pool creation), once their pool is joined.  Workers started from a
+    forkserver are the forkserver's children and stay invisible, as
+    ``bench/README.md`` notes.  Zero when no child has been reaped yet.
     """
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     if sys.platform == "darwin":

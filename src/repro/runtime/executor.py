@@ -36,6 +36,11 @@ The three executors keep their public methods and supply only a
   time, with ``worker_heartbeat`` events and the :meth:`~JobLease.cancel`
   and :meth:`~JobLease.reap` hooks.
 
+Every pool comes from :func:`_make_pool`.  Its workers are forked from
+the caller when the caller has one thread (a ``Runtime`` grid, the CLI),
+and started from a forkserver otherwise (the serve gateway, whose leases
+make their pools on worker threads); see :func:`_pool_context`.
+
 Trace groups (cells sharing one trace key, see
 :meth:`SerialExecutor.run_grouped`) ride the in-process and pool
 transports: the first round submits each group as one call that
@@ -68,6 +73,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -81,6 +87,7 @@ from dataclasses import dataclass, replace
 
 from repro.pipeline import SimResult
 from repro.runtime.jobs import (
+    _TRACE_MEMO,
     Job,
     TraceGroup,
     execute_job_info,
@@ -259,43 +266,69 @@ def _no_outcome(outcome: "JobOutcome") -> None:
     pass
 
 
-_pool_ctx = None
+def _may_fork() -> bool:
+    """Whether this process may fork pool workers: Linux, CPython 3.11+
+    and one thread as the kernel counts it (threads started by C code
+    included; CPython 3.12 counts the same before it warns about fork)."""
+    if sys.platform != "linux" or sys.version_info < (3, 11):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def _pool_context():
-    """The multiprocessing context worker pools are built from.
+    """The multiprocessing context a new pool's workers start from.
 
-    The default ``fork`` start method forks workers lazily at submit
-    time, while the pool's own queue-feeder and manager threads are
-    live — a worker forked while one of those threads holds a lock
-    inherits it held-forever and deadlocks on first acquire (observed
-    intermittently under heavy pool churn, e.g. crash-isolation
-    rounds).  ``forkserver`` forks every worker from a clean,
-    single-threaded server process, which eliminates the entire class;
-    preloading this module keeps the per-worker cost at a plain fork
-    after the server's one-time warm import.  Falls back to the
-    platform default where forkserver does not exist (Windows).
+    ``fork`` when :func:`_may_fork`: a worker is then a copy of
+    the caller, which has imported the simulator already.  From 3.11 a
+    fork-context ``ProcessPoolExecutor`` forks all its workers inside
+    its first ``submit``, before it starts its manager and queue-feeder
+    threads, and never forks again (a dead worker breaks the pool), so
+    no worker can inherit a lock some thread holds.  The check holds
+    only if no thread starts between it and that first submit, which
+    :func:`_make_pool`'s callers keep.
+
+    ``forkserver`` otherwise, as from the serve gateway, whose leases
+    make their pools on ``asyncio.to_thread`` threads: a worker forked
+    while another thread holds a lock inherits it held forever and
+    deadlocks on first acquire.  Every worker then forks from one
+    single-threaded server process; preloading this module keeps the
+    per-worker cost at a plain fork after the server's one-time import.
+    Falls back to the platform default where forkserver does not exist
+    (Windows).
     """
-    global _pool_ctx
-    if _pool_ctx is None:
-        try:
-            ctx = multiprocessing.get_context("forkserver")
-            ctx.set_forkserver_preload(["repro.runtime.executor"])
-        except (ValueError, AttributeError):
-            ctx = multiprocessing.get_context()
-        _pool_ctx = ctx
-    return _pool_ctx
+    if _may_fork():
+        return multiprocessing.get_context("fork")
+    try:
+        ctx = multiprocessing.get_context("forkserver")
+    except ValueError:
+        return multiprocessing.get_context()
+    ctx.set_forkserver_preload(["repro.runtime.executor"])
+    return ctx
 
 
 def _exit_with_owner(owner: int) -> None:
-    """Pool-worker initializer: exit once the pool's owner is gone.
+    """Pool-worker initializer: start from a fresh worker's state, and
+    exit once the pool's owner is gone.
 
-    A worker blocks on its call queue and never notices its owner die,
-    and the forkserver it was forked from lives as long as any worker
-    holds the forkserver's alive pipe, so a killed owner would leave
-    both running.  The worker's parent is that forkserver, not the
-    owner, so a daemon thread polls the owner's pid twice a second.
+    A forked worker inherits what its owner had when it forked, so
+    SIGTERM gets back its default disposition (the owner may be inside
+    ``Runtime``'s SIGTERM-to-``KeyboardInterrupt`` handler, which would
+    turn a killed worker into the user's Ctrl-C) and the trace memo is
+    emptied (a memo hit would skip the build the journal and the trace
+    cache expect).  A forkserver child has both already.
+
+    A worker blocks on its call queue and never notices its owner die
+    (it holds the queue's writing end itself, so it never reads end of
+    file), and a forkserver child's forkserver lives as long as any
+    worker holds its alive pipe.  So a daemon thread polls the owner's
+    pid twice a second.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _TRACE_MEMO.clear()
+
     def watch() -> None:
         while True:
             time.sleep(0.5)
@@ -309,6 +342,12 @@ def _exit_with_owner(owner: int) -> None:
 
 
 def _make_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A pool whose workers start from :func:`_pool_context`.
+
+    Call it directly before the pool's first ``submit`` and start no
+    thread in between: the start method is chosen from the thread count
+    now, and a fork pool forks at that submit.
+    """
     return ProcessPoolExecutor(max_workers=max_workers,
                                mp_context=_pool_context(),
                                initializer=_exit_with_owner,
@@ -813,7 +852,11 @@ class ParallelExecutor(_AttemptMachine):
         fault_spec: str | None,
     ) -> Iterator[Settling]:
         """Each job in its own single-worker pool, ``max_workers`` at a
-        time: a dead worker indicts exactly its job."""
+        time: a dead worker indicts exactly its job.
+
+        A chunk's first pool may fork its worker; each later pool of the
+        chunk sees the earlier pools' manager threads and so starts its
+        worker from the forkserver (:func:`_pool_context`)."""
         states = [state for batch in batches for state in batch]
         for first in range(0, len(states), self.max_workers):
             chunk = states[first:first + self.max_workers]

@@ -319,8 +319,9 @@ class ColumnarTrace:
         ``cuts`` holds ascending ``(at, stop)`` pairs: ``other``'s rows
         from the previous pair's ``stop`` (0 for the first) up to
         ``stop`` go before this trace's row ``at``, and the last
-        ``stop`` is ``len(other)``.  This is the workload builder's
-        cold-burst splice.
+        ``stop`` is ``len(other)``.  Cuts that break this raise
+        ``ValueError`` before either trace changes.  This is the
+        workload builder's cold-burst splice.
 
         Each column grows once, by ``other``'s column, and is then
         rearranged back to front: every run of this trace's rows moves
@@ -335,11 +336,15 @@ class ColumnarTrace:
         that replaces it.
         """
         self._check_writable()
-        self.verdicts = None
-        if (cuts[-1][1] if cuts else 0) != len(other):
-            raise ValueError("splice_in: the cuts must place every row of other")
         bounds = [0] + [at for at, _ in cuts] + [len(self)]
         stops = [0] + [stop for _, stop in cuts]
+        if stops[-1] != len(other):
+            raise ValueError("splice_in: the cuts must place every row of other")
+        for edges in (bounds, stops):
+            if any(a > b for a, b in zip(edges, edges[1:])):
+                raise ValueError(
+                    "splice_in: cuts must ascend within both traces")
+        self.verdicts = None
         mine = [(self, a, b) for a, b in zip(bounds, bounds[1:])]
         theirs = [(other, a, b) for a, b in zip(stops, stops[1:])]
         columns = [(attr, mine, theirs) for attr in _PER_ROW]

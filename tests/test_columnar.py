@@ -235,6 +235,27 @@ def test_splice_in_places_runs_at_the_edges_and_empty_runs():
         ColumnarTrace("base", base).splice_in(ColumnarTrace("o", other), [(5, m - 1)])
 
 
+def test_splice_in_refuses_cuts_out_of_order_or_range():
+    """An ``at`` past the end, ``at``s or ``stop``s that descend: each
+    raises before either trace or its verdicts change."""
+    built = build_workload_columnar("eon", 300)
+    base = built.slice(0, 20)
+    base.verdicts = verdicts = built.verdicts[:20]
+    rows = list(base)
+    other = list(build_workload("gzip", 120).instructions)[:10]
+    for cuts in (
+        [(25, 5), (20, 10)],
+        [(5, 5), (21, 10)],
+        [(15, 5), (10, 10)],
+        [(5, 8), (10, 4), (15, 10)],
+    ):
+        spliced = ColumnarTrace("other", other)
+        with pytest.raises(ValueError, match="ascend"):
+            base.splice_in(spliced, cuts)
+        assert list(base) == rows and base.verdicts == verdicts
+        assert list(spliced) == other
+
+
 def test_chunks_equal_slices():
     trace = build_workload_columnar("eon", 5_000)
     chunks = list(trace.chunks(777))
